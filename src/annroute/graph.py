@@ -36,6 +36,7 @@ from .routing import (
     build_quantile_table,
     generate_simhash_hashes,
     simhash_sketch,
+    table_offset_base,
     var_row_indices,
     _RES_EPS,
 )
@@ -77,7 +78,14 @@ class SearchParams:
 
 
 class EdgeMetaStore:
-    """Struct-of-arrays metadata for every directed base-layer edge."""
+    """Struct-of-arrays metadata for every directed base-layer edge.
+
+    The byte codes are what the file stores. Beside them the store keeps
+    the gate's working form: half_u_sq and enorm decoded side by side in
+    one (E, 2) array, and for peos/rceos the extreme ids as flat offsets
+    into a query's signed table (see projections.QueryProjectionTable)
+    and the weights (w_reg, sqrt(L) * w_res) as one (E, 2) array.
+    """
 
     def __init__(self, mode: RoutingMode, L: int, m: int, compact: bool,
                  simhash_bits: int, quant: EdgeQuantizers, n_edges: int):
@@ -91,47 +99,52 @@ class EdgeMetaStore:
         norm_dtype = np.uint8 if compact else np.uint16
         self.half_q = np.zeros(n_edges, dtype=norm_dtype)
         self.enorm_q = np.zeros(n_edges, dtype=norm_dtype)
-        self.half_u_sq = np.zeros(n_edges)
-        self.enorm = np.zeros(n_edges)
+        self.norms = np.zeros((n_edges, 2))
+        self.enorm_min = 0.0
         if mode == RoutingMode.SIMHASH:
             self.sketches = np.zeros((n_edges, simhash_bits // 8), dtype=np.uint8)
-            self.ids = None
+            self.offsets = None
         else:
-            self.ids = np.zeros((n_edges, L + 1), dtype=np.int16)
+            size = (L + 1) * (2 * m + 1)
+            self.offsets = np.empty((n_edges, L + 1), dtype=np.min_scalar_type(size - 1))
+            self.set_ids(slice(None), 0)
             self.w_reg_q = np.zeros(n_edges, dtype=np.uint8)
             self.w_res_q = np.zeros(n_edges, dtype=np.uint8)
             self.var_idx = np.zeros(n_edges, dtype=np.uint8)
-            self.w_reg = np.zeros(n_edges)
-            self.w_res = np.zeros(n_edges)
+            self.weights = np.zeros((n_edges, 2))
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Signed extreme ids, (E, L+1), column 0 the residual id (0 in compact mode)."""
+        return (self.offsets - table_offset_base(self.L, self.m)).astype(np.int16)
+
+    def set_ids(self, sl: slice, ids) -> None:
+        self.offsets[sl] = ids + table_offset_base(self.L, self.m)
 
     def finalize(self) -> None:
-        """Refresh the dequantized caches from the stored codes."""
-        self.half_u_sq = self.quant.half_u_sq.decode(self.half_q)
-        self.enorm = self.quant.enorm.decode(self.enorm_q)
+        """Refresh the decoded working arrays from the stored codes."""
+        self.norms[:, 0] = self.quant.half_u_sq.decode(self.half_q)
+        self.norms[:, 1] = self.quant.enorm.decode(self.enorm_q)
+        self.enorm_min = float(self.norms[:, 1].min()) if self.n_edges else math.inf
         if self.mode != RoutingMode.SIMHASH:
             if self.compact:
-                self.w_reg = np.ones(self.n_edges)
-                self.w_res = np.zeros(self.n_edges)
+                self.weights[:, 0] = 1.0
+                self.weights[:, 1] = 0.0
             else:
-                self.w_reg = self.w_reg_q / 255.0
-                self.w_res = self.w_res_q / 255.0
+                self.weights[:, 0] = self.w_reg_q / 255.0
+                self.weights[:, 1] = math.sqrt(self.L) * (self.w_res_q / 255.0)
 
     def block(self, slots: np.ndarray) -> EdgeMetaBlock:
-        return EdgeMetaBlock(
-            ids=self.ids[slots],
-            w_reg=self.w_reg[slots],
-            w_res=self.w_res[slots],
-            var_idx=self.var_idx[slots].astype(np.intp),
-            half_u_sq=self.half_u_sq[slots],
-            enorm=self.enorm[slots],
-            L=self.L,
-            compact=self.compact,
-        )
+        hn = self.norms.take(slots, axis=0)
+        if self.offsets is None:
+            return EdgeMetaBlock(slots, hn[:, 0], hn[:, 1], self.enorm_min)
+        return EdgeMetaBlock(slots, hn[:, 0], hn[:, 1], self.enorm_min,
+                             self.offsets, self.weights, self.var_idx)
 
     def meta_at(self, slot: int) -> EdgeMeta:
         if self.mode == RoutingMode.SIMHASH:
             raise UsageError("SimHash attachments store sketches, not extreme ids")
-        ids = tuple(int(x) for x in self.ids[slot])
+        ids = tuple(int(x) for x in self.offsets[slot] - table_offset_base(self.L, self.m))
         return EdgeMeta(
             ext_ids=ids[1:] if self.compact else ids,
             w_reg_q=255 if self.compact else int(self.w_reg_q[slot]),
@@ -183,12 +196,14 @@ class EdgeMetaStore:
             store.enorm_q = _get_u16(mat, nb + 2)
         elif compact:
             mat = _wire_matrix(raw, n_edges, L + 2)
-            store.ids[:, 1:] = _decode_id_bytes(mat[:, :L])
+            ids = np.zeros((n_edges, L + 1), dtype=np.int16)
+            ids[:, 1:] = _decode_id_bytes(mat[:, :L])
+            store.set_ids(slice(None), _checked_ids(ids, m))
             store.half_q = mat[:, L].copy()
             store.enorm_q = mat[:, L + 1].copy()
         else:
             mat = _wire_matrix(raw, n_edges, L + 1 + 3 + 4)
-            store.ids = _decode_id_bytes(mat[:, : L + 1])
+            store.set_ids(slice(None), _checked_ids(_decode_id_bytes(mat[:, : L + 1]), m))
             store.w_reg_q = mat[:, L + 1].copy()
             store.w_res_q = mat[:, L + 2].copy()
             store.var_idx = mat[:, L + 3].copy()
@@ -196,6 +211,12 @@ class EdgeMetaStore:
             store.enorm_q = _get_u16(mat, L + 6)
         store.finalize()
         return store
+
+
+def _checked_ids(ids: np.ndarray, m: int) -> np.ndarray:
+    if ids.size and int(np.abs(ids).max()) > m:
+        raise FormatError(f"edge metadata holds an extreme id beyond m={m}")
+    return ids
 
 
 def _wire_matrix(raw: bytes, n_edges: int, rec: int) -> np.ndarray:
@@ -684,7 +705,7 @@ def _fill_meta_chunk(store: EdgeMetaStore, lo: int, ep: np.ndarray,
     ids[~live] = 0
 
     sl = slice(lo, lo + B)
-    store.ids[sl] = ids
+    store.set_ids(sl, ids)
     if not compact:
         store.w_reg_q[sl] = np.round(np.where(live, w_reg, 1.0) * 255).astype(np.uint8)
         store.w_res_q[sl] = np.round(np.where(live, w_res, 0.0) * 255).astype(np.uint8)
@@ -889,7 +910,7 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
                 ts = _threshold_state(idx, wk, qsq, qnorm, vq, R.worst_id)
                 slots = beg + np.nonzero(mask)[0]
                 if mode == RoutingMode.SIMHASH:
-                    ar = _simhash_ar(att.store, slots, ts, qnorm, idx.metric)
+                    ar = batch_ar(att.store.block(slots), ts, qnorm, idx.metric)
                     passes = batch_simhash_test(att.store.sketches[slots], qsketch, ar, eps_cfg)
                 else:
                     passes = batch_peos_test(att.store.block(slots), tbl, qpt, ts, idx.metric)
@@ -920,18 +941,6 @@ def _threshold_state(idx: HnswIndex, worst_key: float, qsq: float, qnorm: float,
         p_dot_q = (1.0 - worst_key) * idx._norms[worst_id] * qnorm
         return ThresholdState(r=-p_dot_q, delta=worst_key, vq=vq)
     return ThresholdState(r=worst_key, delta=worst_key, vq=vq)
-
-
-def _simhash_ar(store: EdgeMetaStore, slots: np.ndarray, ts: ThresholdState,
-                qnorm: float, metric: Metric) -> np.ndarray:
-    block = EdgeMetaBlock(
-        ids=np.zeros((len(slots), 1), dtype=np.int16),
-        w_reg=np.ones(len(slots)), w_res=np.zeros(len(slots)),
-        var_idx=np.zeros(len(slots), dtype=np.intp),
-        half_u_sq=store.half_u_sq[slots], enorm=store.enorm[slots],
-        L=1, compact=False,
-    )
-    return batch_ar(block, ts, qnorm, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1055,10 @@ class _Reader:
         self.pos = 0
 
     def take(self, fmt: str):
-        vals = struct.unpack_from("<" + fmt, self.raw, self.pos)
+        try:
+            vals = struct.unpack_from("<" + fmt, self.raw, self.pos)
+        except struct.error as exc:
+            raise FormatError("index file truncated") from exc
         self.pos += struct.calcsize("<" + fmt)
         return vals if len(vals) > 1 else vals[0]
 
@@ -1083,14 +1095,23 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
     metric = _METRIC_FROM.get(metric_c)
     if metric is None:
         raise FormatError(f"unknown metric code {metric_c}")
+    if entry >= n:
+        raise FormatError(f"entry point {entry} is not a node of a {n}-node graph")
     mode = _MODE_FROM.get(r.take("B"))
     att_fields = None
     if mode is None:
         raise FormatError("unknown routing mode")
     if mode != RoutingMode.NONE:
         L, m, compact, shbits, rt_seed = r.take("IIBIQ")
+        try:
+            cfg = RoutingConfig(mode=mode, L=L, m=m, compact=bool(compact) and mode != RoutingMode.SIMHASH,
+                                simhash_bits=shbits)
+        except UsageError as exc:
+            raise FormatError(f"bad routing header: {exc}") from exc
+        if L < 1 or d % L:
+            raise FormatError(f"bad routing header: L={L} does not divide d={d}")
         rng_len = r.take("H")
-        stored_rng_id = r.bytes(rng_len).decode()
+        stored_rng_id = r.bytes(rng_len).decode(errors="replace")
         if stored_rng_id != RNG_ID:
             # regenerated projections would not match the stored extreme ids
             raise FormatError(
@@ -1099,15 +1120,22 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
         hlo, hhi, hbits, elo, ehi, ebits = r.take("ddBddB")
         perm = r.array("<u4", d).astype(np.int64)
         sub_of = r.array("<u4", d).astype(np.int64)
-        att_fields = (L, m, bool(compact), shbits, rt_seed,
-                      EdgeQuantizers(ScalarQuantizer(hlo, hhi, hbits), ScalarQuantizer(elo, ehi, ebits)),
-                      PermutationPlan(perm, sub_of, L if mode != RoutingMode.SIMHASH else L))
+        try:
+            plan = PermutationPlan(perm, sub_of, L)
+        except UsageError as exc:
+            raise FormatError(f"bad permutation: {exc}") from exc
+        att_fields = (cfg, rt_seed, plan,
+                      EdgeQuantizers(ScalarQuantizer(hlo, hhi, hbits), ScalarQuantizer(elo, ehi, ebits)))
 
     degs = r.array("<u4", n).astype(np.int64)
+    if degs.size and degs.max() > 2 * M:
+        raise FormatError(f"a base-layer degree exceeds 2M={2 * M}")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degs, out=indptr[1:])
     deltas = r.array("<u4", int(indptr[-1])).astype(np.int64)
     indices = _delta_decode(deltas, indptr, degs)
+    if indices.size and indices.max() >= n:
+        raise FormatError("a base-layer neighbor id is out of range")
     stored_levels = np.zeros(n, dtype=np.int32)
     file_max_level = r.take("I")
     upper: dict[int, dict[int, np.ndarray]] = {}
@@ -1117,6 +1145,8 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
         for _ in range(count):
             v, deg = r.take("QI")
             row = np.cumsum(r.array("<u4", deg).astype(np.int64)) if deg else np.empty(0, dtype=np.int64)
+            if v >= n or (deg and row[-1] >= n):
+                raise FormatError(f"an upper-layer id at level {lev} is out of range")
             nodes[int(v)] = row.astype(np.int32)
             stored_levels[int(v)] = lev
         upper[lev] = nodes
@@ -1134,7 +1164,8 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
         base_indptr=indptr, base_indices=indices.astype(np.int32), upper=upper,
     )
     if mode != RoutingMode.NONE:
-        L, m, compact, shbits, rt_seed, quant, plan = att_fields
+        cfg, rt_seed, plan, quant = att_fields
+        L, m, compact, shbits = cfg.L, cfg.m, cfg.compact, cfg.simhash_bits
         n_edges = r.take("Q")
         if n_edges != int(indptr[-1]):
             raise FormatError("edge metadata count does not match adjacency")
@@ -1144,10 +1175,8 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
         hashes = None
         if mode == RoutingMode.SIMHASH:
             hashes = generate_simhash_hashes(rt_seed, d, shbits)
-            cfg = RoutingConfig(mode=mode, L=L, m=m, simhash_bits=shbits)
         else:
             ens = generate_ensemble(rt_seed, d, L, m)
-            cfg = RoutingConfig(mode=mode, L=L, m=m, compact=compact, simhash_bits=shbits)
         idx.routing = RoutingAttachment(mode=mode, cfg=cfg, seed=rt_seed, plan=plan,
                                         store=store, ens=ens, hashes=hashes)
     return idx

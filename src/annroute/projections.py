@@ -69,13 +69,18 @@ class QueryProjectionTable:
     """All L*m subspace and m full-space inner products of the normalized query.
 
     qnorm keeps the original (pre-normalization) norm, which the routing
-    threshold formula needs.
+    threshold formula needs. table is the same products signed and flat,
+    (L+1) rows of 2m+1 entries, row 0 the full space and row l the
+    subspace l: entry l*(2m+1) + m + id holds sign(id) * proj[l, |id|-1],
+    and the row centre (id 0, the null id) holds 0. An edge's statistic
+    then reads one entry per extreme id.
     """
 
     sub_proj: np.ndarray
     full_proj: np.ndarray
     qnorm: float
     qn: np.ndarray
+    table: np.ndarray
 
 
 def project_query(q: np.ndarray, ens: ProjectionEnsemble) -> QueryProjectionTable:
@@ -89,7 +94,10 @@ def project_query(q: np.ndarray, ens: ProjectionEnsemble) -> QueryProjectionTabl
     blocks = qn.reshape(ens.L, ens.sub_dim)
     sub_proj = np.einsum("ld,lmd->lm", blocks, ens.sub)
     full_proj = ens.full @ qn
-    return QueryProjectionTable(sub_proj=sub_proj, full_proj=full_proj, qnorm=qnorm, qn=qn)
+    proj = np.vstack((full_proj, sub_proj))
+    table = np.hstack((-proj[:, ::-1], np.zeros((ens.L + 1, 1)), proj)).ravel()
+    return QueryProjectionTable(sub_proj=sub_proj, full_proj=full_proj, qnorm=qnorm, qn=qn,
+                                table=table)
 
 
 def extreme_index(x: np.ndarray, ens: ProjectionEnsemble, i: int) -> int:

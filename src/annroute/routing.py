@@ -169,8 +169,13 @@ class QuantileTable:
         return int(min(np.searchsorted(self.v_grid, v, side="left"), len(self.v_grid) - 1))
 
     def columns(self, x):
-        """Column of the cell whose left edge is the largest grid point <= x."""
-        return np.maximum(np.searchsorted(self.x_grid, x, side="right") - 1, 0)
+        """Column of the cell whose left edge is the largest grid point <= x, for x in [-1, 1).
+
+        The grid points are k/half with half a power of two, so x*half is
+        exact and its floor is the k of that edge.
+        """
+        half = len(self.x_grid) // 2
+        return (np.floor(np.multiply(x, half)) + half).astype(np.intp)
 
     def threshold(self, var_idx: int, x: float) -> float:
         return float(self.q[var_idx, self.columns(x)])
@@ -191,12 +196,12 @@ def build_quantile_table(
     """
     if not 0.0 < eps <= 0.5:
         raise UsageError("error bound must lie in (0, 0.5]")
-    if var_rows < 1 or x_cols < 2 or x_cols % 2:
-        raise UsageError("grids must be non-empty and the x grid must have an even column count")
+    half = x_cols // 2
+    if var_rows < 1 or x_cols < 2 or x_cols % 2 or half & (half - 1):
+        raise UsageError("grids must be non-empty and x_cols must be twice a power of two")
     if L < 1 or m < 2:
         raise UsageError("need L >= 1 and m >= 2")
     v_grid = variance_grid(L, var_rows)
-    half = x_cols // 2
     x_grid = (np.arange(x_cols) - half) / half
     eta = math.sqrt(2.0 * L * math.log(m))
     z = float(ndtri(eps))
@@ -392,10 +397,6 @@ class ThresholdState:
         # delta^2 - 2r = |q|^2 when delta is the L2 distance to the worst result
         return cls(r=(delta * delta - qnorm * qnorm) / 2.0, delta=delta, vq=vq)
 
-    @classmethod
-    def for_dot(cls, p_dot_q: float, vq: float, delta: float = math.nan) -> "ThresholdState":
-        return cls(r=-p_dot_q, delta=delta, vq=vq)
-
 
 def compute_Ar(meta: EdgeMeta, ts: ThresholdState, qnorm: float, metric: Metric) -> float:
     """Query-dependent cosine threshold the edge must beat; -inf when unbounded."""
@@ -589,55 +590,61 @@ def estimate_partition_stats(d: int, L: int, samples: int, seed: int = 0) -> Par
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EdgeMetaBlock:
-    """Struct-of-arrays view over a contiguous run of edge metadata.
+def table_offset_base(L: int, m: int) -> np.ndarray:
+    """Where each id column's null id sits in a query's signed table.
 
-    ids always has L+1 columns; column 0 (the residual id) is zero in
-    compact mode, which zeroes its contribution through the sign.
+    Column 0 (the residual id) reads the table's full-space row and column
+    l its subspace row l, so the id in column l is stored as the flat
+    offset base[l] + id.
+    """
+    return np.arange(L + 1) * (2 * m + 1) + m
+
+
+class EdgeMetaBlock:
+    """The edges of one popped node, as their slots in store-wide columns.
+
+    half_u_sq and enorm are gathered for the block, as A_r needs them for
+    every edge. The statistic's inputs stay whole: offsets (E x (L+1) flat
+    offsets into the query's signed table, column 0 the residual id),
+    weights (E x 2: w_reg and sqrt(L)*w_res) and var_idx are read at
+    slots only for the edges A_r leaves to the test. enorm_min is the
+    smallest enorm among all E edges; when it is positive, no edge of the
+    block can have a zero norm. SimHash stores have no statistic columns.
     """
 
-    ids: np.ndarray
-    w_reg: np.ndarray
-    w_res: np.ndarray
-    var_idx: np.ndarray
-    half_u_sq: np.ndarray
-    enorm: np.ndarray
-    L: int
-    compact: bool
+    __slots__ = ("slots", "half_u_sq", "enorm", "enorm_min", "offsets", "weights", "var_idx")
+
+    def __init__(self, slots, half_u_sq, enorm, enorm_min, offsets=None, weights=None, var_idx=None):
+        self.slots = slots
+        self.half_u_sq = half_u_sq
+        self.enorm = enorm
+        self.enorm_min = enorm_min
+        self.offsets = offsets
+        self.weights = weights
+        self.var_idx = var_idx
 
     def __len__(self) -> int:
-        return self.ids.shape[0]
+        return len(self.slots)
 
     @classmethod
-    def from_metas(cls, metas) -> "EdgeMetaBlock":
+    def from_metas(cls, metas, m: int) -> "EdgeMetaBlock":
+        """A block over a list of records, for query tables with m projections per space."""
         metas = list(metas)
-        if not metas:
-            return cls(
-                ids=np.zeros((0, 1), dtype=np.int16),
-                w_reg=np.zeros(0),
-                w_res=np.zeros(0),
-                var_idx=np.zeros(0, dtype=np.intp),
-                half_u_sq=np.zeros(0),
-                enorm=np.zeros(0),
-                L=1,
-                compact=False,
-            )
-        L = metas[0].L
-        compact = metas[0].compact
-        ids = np.zeros((len(metas), L + 1), dtype=np.int16)
+        n = len(metas)
+        L = metas[0].L if metas else 1
+        ids = np.zeros((n, L + 1), dtype=np.int64)
         for k, meta in enumerate(metas):
-            row = meta.ext_ids if not compact else (0, *meta.ext_ids)
-            ids[k] = row
+            ids[k, int(meta.compact):] = meta.ext_ids
+        enorm = np.array([meta.enorm for meta in metas])
+        w_res = np.array([meta.w_res for meta in metas])
         return cls(
-            ids=ids,
-            w_reg=np.array([meta.w_reg for meta in metas]),
-            w_res=np.array([meta.w_res for meta in metas]),
-            var_idx=np.array([meta.var_idx for meta in metas], dtype=np.intp),
+            slots=np.arange(n),
             half_u_sq=np.array([meta.half_u_sq for meta in metas]),
-            enorm=np.array([meta.enorm for meta in metas]),
-            L=L,
-            compact=compact,
+            enorm=enorm,
+            enorm_min=float(enorm.min()) if n else math.inf,
+            offsets=ids + table_offset_base(L, m),
+            weights=np.column_stack(([meta.w_reg for meta in metas], math.sqrt(L) * w_res)),
+            var_idx=np.array([meta.var_idx for meta in metas], dtype=np.intp),
         )
 
 
@@ -650,20 +657,12 @@ def batch_ar(block: EdgeMetaBlock, ts: ThresholdState, qnorm: float, metric: Met
     else:
         num = np.full(n, -ts.r - ts.vq)
     den = qnorm * block.enorm
+    if qnorm * block.enorm_min > 0.0:  # then every den > 0
+        return num / den
     out = np.full(n, -math.inf)
     ok = den > 0.0
     out[ok] = num[ok] / den[ok]
     return out
-
-
-def _batch_statistic(block: EdgeMetaBlock, qpt: QueryProjectionTable, rows: np.ndarray) -> np.ndarray:
-    idm = block.ids[rows]
-    signs = np.sign(idm).astype(np.float64)
-    cols = np.maximum(np.abs(idm) - 1, 0)
-    sub_vals = qpt.sub_proj[np.arange(block.L)[None, :], cols[:, 1:]]
-    h1 = (signs[:, 1:] * sub_vals).sum(axis=1)
-    h2 = signs[:, 0] * qpt.full_proj[cols[:, 0]]
-    return block.w_reg[rows] * h1 + math.sqrt(block.L) * block.w_res[rows] * h2
 
 
 def batch_peos_test(
@@ -673,14 +672,28 @@ def batch_peos_test(
     ts: ThresholdState,
     metric: Metric = Metric.L2,
 ) -> np.ndarray:
-    """Vectorized gate for one popped node's edge block; matches peos_test elementwise."""
-    block = metas if isinstance(metas, EdgeMetaBlock) else EdgeMetaBlock.from_metas(metas)
+    """Vectorized gate for one popped node's edge block; matches peos_test elementwise.
+
+    A_r comes first; only edges with |A_r| < 1 read their offsets,
+    weights and variance rows. Their statistic is one gather from the
+    query's signed table, a row-sum over the L subspace entries and one
+    multiply-add with the residual entry.
+    """
+    block = metas if isinstance(metas, EdgeMetaBlock) else EdgeMetaBlock.from_metas(metas, len(qpt.full_proj))
     ar = batch_ar(block, ts, qpt.qnorm, metric)
+    mid = (np.abs(ar) < 1.0).nonzero()[0]
+    if mid.size == 0:
+        return ar <= -1.0
+    whole = mid.size == ar.size  # the usual case: no auto-decided edge to merge back
+    s = block.slots if whole else block.slots[mid]
+    g = qpt.table.take(block.offsets.take(s, axis=0))
+    w = block.weights.take(s, axis=0)
+    h = w[:, 0] * g[:, 1:].sum(axis=1) + w[:, 1] * g[:, 0]
+    tested = h >= tbl.q[block.var_idx.take(s), tbl.columns(ar if whole else ar[mid])]
+    if whole:
+        return tested
     passes = ar <= -1.0
-    mid = np.nonzero((ar > -1.0) & (ar < 1.0))[0]
-    if mid.size:
-        h = _batch_statistic(block, qpt, mid)
-        passes[mid] = h >= tbl.q[block.var_idx[mid], tbl.columns(ar[mid])]
+    passes[mid] = tested
     return passes
 
 

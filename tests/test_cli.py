@@ -1,9 +1,12 @@
 """CLI surface tests: subcommands, flag validation, exit codes."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
-from annroute import save_fvecs
+from annroute import Metric, build_hnsw, save_fvecs, save_index
 from annroute.bench import CSV_HEADER, synthetic_dataset
 from annroute.cli import main
 
@@ -91,6 +94,19 @@ class TestBuildAttachSearch:
         lines = out.strip().split("\n")
         assert len(lines) == 6
         assert all(len(line.split(": ")[1].split()) == 5 for line in lines)
+
+    def test_bad_entry_point_exits_2(self, capsys, tmp_path):
+        ds, queries = synthetic_dataset(300, 16, 2, seed=4)
+        base, qpath, index = tmp_path / "base.fvecs", tmp_path / "q.fvecs", tmp_path / "g.idx"
+        save_fvecs(ds, base)
+        save_fvecs(queries, qpath)
+        save_index(build_hnsw(ds, M=4, efc=20, metric=Metric.L2, seed=1), index)
+        raw = bytearray(index.read_bytes()[:-8])
+        struct.pack_into("<Q", raw, struct.calcsize("<4sIBIQIIQ"), 10**6)  # the entry point
+        index.write_bytes(bytes(raw) + hashlib.blake2b(bytes(raw), digest_size=8).digest())
+        code, _, err = run_cli(capsys, "search", "--base", str(base), "--index", str(index),
+                               "--query", str(qpath), "--K", "5", "--efs", "20")
+        assert code == 2 and "format error" in err
 
     def test_attach_requires_mode(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "attach", "--index", str(tmp_path / "x.idx"))

@@ -1,7 +1,11 @@
 """Graph construction, gated search, persistence, and oracle tests."""
 
 import collections
+import copy
+import dataclasses
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,13 +25,17 @@ from annroute import (
     brute_force_knn,
     build_edge_meta,
     build_hnsw,
+    compute_Ar,
     compute_recall,
     generate_ensemble,
     load_index,
+    peos_test,
     save_index,
     search,
     synthetic_dataset,
 )
+import annroute.graph as graph_mod
+from annroute.projections import RNG_ID
 from annroute.vecstore import PermutationPlan
 
 from oracles import brute_force_reference
@@ -353,3 +361,130 @@ class TestPersistence:
             a, _ = search(idx, q, SearchParams(K=5, efs=30))
             b, _ = search(loaded, q, SearchParams(K=5, efs=30))
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture(scope="module", params=[Metric.L2, Metric.ANGULAR, Metric.IP], ids=lambda m: m.value)
+def twins(request):
+    """A small graph whose points 0..9 each have an exact duplicate, so some edges have zero norm."""
+    ds, queries = synthetic_dataset(600, 32, 20, seed=21)
+    vecs = ds.vectors.copy()
+    vecs[300:310] = vecs[:10]
+    queries = np.vstack([queries, vecs[:10] + 0.01])
+    return request.param, queries, build_hnsw(Dataset(vecs), M=6, efc=40, metric=request.param, seed=2)
+
+
+class TestLiveGateEquivalence:
+    """Every fused-gate call that real searches make agrees edge by edge with the scalar peos_test."""
+
+    @pytest.mark.parametrize("cfg", [
+        RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=8, m=128),
+        RoutingConfig(mode=RoutingMode.PEOS, eps=0.3, L=4, m=32, compact=True),
+        RoutingConfig(mode=RoutingMode.RCEOS, eps=0.2, L=1, m=64),
+    ], ids=["peos_L8", "compact_L4", "rceos_L1"])
+    def test_matches_scalar_on_every_hop(self, twins, cfg, monkeypatch):
+        metric, queries, idx = twins
+        routed = attach(idx, cfg)
+        store = routed.routing.store
+        seen = collections.Counter()
+        fused = graph_mod.batch_peos_test
+
+        def checked(block, tbl, qpt, ts, metric=Metric.L2):
+            out = fused(block, tbl, qpt, ts, metric)
+            expect = [peos_test(store.meta_at(int(s)), tbl, qpt, ts, metric) for s in block.slots]
+            np.testing.assert_array_equal(out, expect)
+            ar = np.array([compute_Ar(store.meta_at(int(s)), ts, qpt.qnorm, metric) for s in block.slots])
+            seen["edges"] += len(out)
+            seen["tested"] += int(np.count_nonzero(np.abs(ar) < 1.0))
+            seen["zero_norm"] += int(np.count_nonzero(ar == -math.inf))
+            return out
+
+        monkeypatch.setattr(graph_mod, "batch_peos_test", checked)
+        params = SearchParams(K=5, efs=12, routing=cfg)
+        for q in queries:
+            search(routed, q, params)
+        assert seen["tested"] >= 200 and seen["zero_norm"] > 0
+
+
+# byte positions in the index header (see save_index)
+_ENTRY_AT = struct.calcsize("<4sIBIQIIQ")
+_M_AT = struct.calcsize("<4sIBIQ")
+_L_AT = struct.calcsize("<4sIBIQIIQQIQB")
+_PERM_AT = _L_AT + struct.calcsize("<IIBIQH") + len(RNG_ID) + struct.calcsize("<ddBddB")
+
+
+def _reseal(path, at: int, fmt: str, value) -> None:
+    """Overwrite one header field and recompute the checksum, so only validation can reject the file."""
+    raw = bytearray(path.read_bytes()[:-8])
+    struct.pack_into("<" + fmt, raw, at, value)
+    path.write_bytes(bytes(raw) + hashlib.blake2b(bytes(raw), digest_size=8).digest())
+
+
+def _bad_base_id(idx):
+    bad = copy.copy(idx)
+    bad.base_indices = idx.base_indices.copy()
+    bad.base_indices[-1] = idx.n  # the last row stays sorted
+    return bad
+
+
+def _bad_upper_id(idx):
+    bad = copy.copy(idx)
+    bad.upper = {lev: dict(nodes) for lev, nodes in idx.upper.items()}
+    v, row = next((v, row) for v, row in bad.upper[1].items() if row.size)
+    bad.upper[1][v] = np.append(row[:-1], idx.n).astype(np.int32)
+    return bad
+
+
+class TestFailClosed:
+    """Files with a valid checksum but impossible contents raise FormatError on load."""
+
+    @pytest.mark.parametrize("at,fmt,value", [
+        pytest.param(_ENTRY_AT, "Q", 10**6, id="entry"),
+        pytest.param(_M_AT, "I", 1, id="degree_above_2M"),
+        pytest.param(_L_AT, "I", 3, id="L_not_dividing_d"),
+        pytest.param(_L_AT + 4, "I", 1, id="m_below_2"),
+        pytest.param(_L_AT + 4, "I", 200, id="m_above_128"),
+        pytest.param(_L_AT + 4, "I", 2, id="extreme_id_above_m"),
+        pytest.param(_PERM_AT, "I", 1, id="permutation"),  # perm[0] = perm[1] = 1
+    ])
+    def test_bad_header_field(self, small, small_peos, tmp_path, at, fmt, value):
+        ds, _, _ = small
+        path = tmp_path / "bad.idx"
+        save_index(small_peos, path)
+        _reseal(path, at, fmt, value)
+        with pytest.raises(FormatError):
+            load_index(path, ds)
+
+    @pytest.mark.parametrize("corrupt", [_bad_base_id, _bad_upper_id])
+    def test_neighbor_id_out_of_range(self, small, tmp_path, corrupt):
+        ds, _, idx = small
+        path = tmp_path / "bad.idx"
+        save_index(corrupt(idx), path)
+        with pytest.raises(FormatError):
+            load_index(path, ds)
+
+    def test_truncated_header(self, small, tmp_path):
+        ds, _, idx = small
+        path = tmp_path / "short.idx"
+        save_index(idx, path)
+        raw = path.read_bytes()[:30]
+        path.write_bytes(raw + hashlib.blake2b(raw, digest_size=8).digest())
+        with pytest.raises(FormatError):
+            load_index(path, ds)
+
+
+# Recorded on the desk set with the per-hop EdgeMetaBlock gate, before the
+# fused kernel replaced it; a gate rewrite must leave every decision as it was.
+GOLDEN_PEOS_DIGEST = "9c313154506fa9b226ad74cb6cb3e5c2"
+
+
+class TestBitStability:
+    def test_golden_peos_ids(self, desk_data, desk_peos, desk_peos_cfg):
+        _, queries = desk_data
+        params = SearchParams(K=100, efs=500, routing=desk_peos_cfg)
+        scratch = desk_peos.make_scratch()
+        h = hashlib.blake2b(digest_size=16)
+        for q in queries[:20]:
+            ids, st = search(desk_peos, q, params, scratch=scratch)
+            h.update(ids.astype("<i8").tobytes())
+            h.update(np.array(dataclasses.astuple(st), dtype="<i8").tobytes())
+        assert h.hexdigest() == GOLDEN_PEOS_DIGEST

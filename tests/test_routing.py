@@ -154,6 +154,22 @@ class TestQuantileTable:
             assert tbl.x_grid[col] < x < tbl.x_grid[col + 1]
             assert tbl.threshold(4, x) == tbl.q[4, col] < tbl.q[4, col + 1]
 
+    @pytest.mark.parametrize("x_cols", [16, 32, 64, 128, 256, 512, 1024])
+    def test_arithmetic_column_matches_searchsorted(self, x_cols):
+        tbl = build_quantile_table(0.2, 2, 32, var_rows=4, x_cols=x_cols)
+        edges = tbl.x_grid
+        xs = np.concatenate([edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0),
+                             [-1.0, -0.0, np.nextafter(1.0, 0.0)]])
+        xs = xs[(xs >= -1.0) & (xs < 1.0)]
+        expect = np.searchsorted(tbl.x_grid, xs, side="right") - 1
+        np.testing.assert_array_equal(tbl.columns(xs), expect)
+        assert [int(tbl.columns(float(x))) for x in xs] == expect.tolist()
+
+    @pytest.mark.parametrize("x_cols", [6, 24, 96, 1000])
+    def test_x_cols_must_be_twice_a_power_of_two(self, x_cols):
+        with pytest.raises(UsageError):
+            build_quantile_table(0.2, 2, 32, x_cols=x_cols)
+
     def test_conservative_inside_cells(self):
         # a lookup anywhere in a cell returns that cell's value, so the cell must
         # stay below the exact quantile off the grid too: at the midpoint, just
