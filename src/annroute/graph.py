@@ -44,7 +44,8 @@ from .vecstore import Dataset, Metric, PermutationPlan, build_permutation
 
 INDEX_MAGIC = b"PEOS"
 INDEX_VERSION = 1
-_ATTACH_CHUNK = 1 << 16
+_ATTACH_CHUNK = 1 << 10  # edges per attach chunk: its residuals and products stay in cache
+_RESIDUAL_AVG_CHUNK = 1 << 16
 
 
 @dataclass
@@ -602,13 +603,27 @@ def edge_residual_avgs(idx: HnswIndex) -> np.ndarray:
     acc = np.zeros(d)
     src = np.repeat(np.arange(n), np.diff(idx.base_indptr))
     dst = idx.base_indices
-    for lo in range(0, dst.shape[0], _ATTACH_CHUNK):
-        hi = min(lo + _ATTACH_CHUNK, dst.shape[0])
+    # the chunk fixes the order in which acc sums, and acc decides the permutation plan
+    for lo in range(0, dst.shape[0], _RESIDUAL_AVG_CHUNK):
+        hi = min(lo + _RESIDUAL_AVG_CHUNK, dst.shape[0])
         e = idx._vf[dst[lo:hi]] - idx._vf[src[lo:hi]]
         acc += np.einsum("ij,ij->j", e, e)
     if dst.shape[0] == 0:
         raise UsageError("graph has no base-layer edges")
     return acc / dst.shape[0]
+
+
+def _attach_spans(n_edges: int):
+    """Edge spans of _ATTACH_CHUNK rows; the last one ends at n_edges and may overlap the one before.
+
+    Every span has the full row count unless the graph has fewer edges:
+    OpenBLAS rounds a product row differently in a matmul of a few rows
+    (a single row, or rows x columns <= 1200) than in a larger one, and
+    the stored ids must not depend on where a chunk boundary falls.
+    """
+    for lo in range(0, n_edges, _ATTACH_CHUNK):
+        lo = max(min(lo, n_edges - _ATTACH_CHUNK), 0)
+        yield lo, min(lo + _ATTACH_CHUNK, n_edges)
 
 
 def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
@@ -624,29 +639,14 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     n_edges = idx.n_base_edges
     src = np.repeat(np.arange(idx.n), np.diff(idx.base_indptr))
     dst = idx.base_indices
-    half_vals = 0.5 * idx._sqn[dst]
-    bits = 8 if cfg.compact else 16
+    perm = None if np.array_equal(plan.perm, np.arange(idx.dim)) else plan.perm
 
-    enorm_vals = np.empty(n_edges)
-    for lo in range(0, n_edges, _ATTACH_CHUNK):
-        hi = min(lo + _ATTACH_CHUNK, n_edges)
-        e = idx._vf[dst[lo:hi]] - idx._vf[src[lo:hi]]
-        enorm_vals[lo:hi] = np.linalg.norm(e, axis=1)
-    quant = EdgeQuantizers(
-        half_u_sq=ScalarQuantizer.fit(half_vals, bits),
-        enorm=ScalarQuantizer.fit(enorm_vals, bits),
-    )
-
+    # the quantizers are fitted once every edge norm is known, after the loop
     if cfg.mode == RoutingMode.SIMHASH:
         seed = idx.seed
         hashes = generate_simhash_hashes(seed, idx.dim, cfg.simhash_bits)
-        store = EdgeMetaStore(cfg.mode, cfg.L, cfg.m, False, cfg.simhash_bits, quant, n_edges)
+        store = EdgeMetaStore(cfg.mode, cfg.L, cfg.m, False, cfg.simhash_bits, None, n_edges)
         hperm = hashes[:, plan.perm]  # hash the permuted residuals
-        for lo in range(0, n_edges, _ATTACH_CHUNK):
-            hi = min(lo + _ATTACH_CHUNK, n_edges)
-            e = idx._vf[dst[lo:hi]] - idx._vf[src[lo:hi]]
-            ep = e[:, plan.perm]
-            store.sketches[lo:hi] = np.packbits((ep @ hperm.T) >= 0.0, axis=1)
         att_ens = None
     else:
         if ens is None:
@@ -654,13 +654,29 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
         if ens.d != idx.dim or ens.L != cfg.L or ens.m != cfg.m:
             raise UsageError("ensemble does not match index/config")
         seed = ens.seed
-        store = EdgeMetaStore(cfg.mode, cfg.L, cfg.m, cfg.compact, cfg.simhash_bits, quant, n_edges)
-        for lo in range(0, n_edges, _ATTACH_CHUNK):
-            hi = min(lo + _ATTACH_CHUNK, n_edges)
-            e = idx._vf[dst[lo:hi]] - idx._vf[src[lo:hi]]
-            _fill_meta_chunk(store, lo, e[:, plan.perm], ens, cfg.compact)
+        store = EdgeMetaStore(cfg.mode, cfg.L, cfg.m, cfg.compact, cfg.simhash_bits, None, n_edges)
         att_ens = ens
 
+    enorm_vals = np.empty(n_edges)
+    for lo, hi in _attach_spans(n_edges):
+        e = idx._vf[dst[lo:hi]]
+        e -= idx._vf[src[lo:hi]]
+        enorm = np.linalg.norm(e, axis=1)
+        enorm_vals[lo:hi] = enorm
+        if perm is not None:  # the weights take the norm summed in permuted order
+            e = e[:, perm]
+            enorm = np.linalg.norm(e, axis=1)
+        if cfg.mode == RoutingMode.SIMHASH:
+            store.sketches[lo:hi] = np.packbits((e @ hperm.T) >= 0.0, axis=1)
+        else:
+            _fill_meta_chunk(store, lo, e, enorm, ens, cfg.compact)
+
+    half_vals = 0.5 * idx._sqn[dst]
+    bits = _norm_bits(cfg.compact)
+    quant = store.quant = EdgeQuantizers(
+        half_u_sq=ScalarQuantizer.fit(half_vals, bits),
+        enorm=ScalarQuantizer.fit(enorm_vals, bits),
+    )
     store.half_q[:] = quant.half_u_sq.encode(half_vals, "down").astype(store.half_q.dtype)
     store.enorm_q[:] = quant.enorm.encode(enorm_vals, "up").astype(store.enorm_q.dtype)
     store.finalize()
@@ -674,14 +690,13 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     return out
 
 
-def _fill_meta_chunk(store: EdgeMetaStore, lo: int, ep: np.ndarray,
+def _fill_meta_chunk(store: EdgeMetaStore, lo: int, ep: np.ndarray, enorm: np.ndarray,
                      ens: ProjectionEnsemble, compact: bool) -> None:
-    """Vectorized extreme ids and weights for a chunk of permuted residuals."""
+    """Vectorized extreme ids and weights for a chunk of permuted residuals and their norms."""
     B, d = ep.shape
     L, dp = ens.L, ens.sub_dim
     blocks = ep.reshape(B, L, dp)
     bn = np.linalg.norm(blocks, axis=2)
-    enorm = np.linalg.norm(ep, axis=1)
     nz = bn > 0.0
     nnz = nz.sum(axis=1)
     live = enorm > 0.0
@@ -716,9 +731,15 @@ def _fill_meta_chunk(store: EdgeMetaStore, lo: int, ep: np.ndarray,
 
 
 def _signed_argmax_rows(prods: np.ndarray) -> np.ndarray:
-    j = np.argmax(np.abs(prods), axis=1)
-    signs = np.where(prods[np.arange(prods.shape[0]), j] >= 0.0, 1, -1)
-    out = (signs * (j + 1)).astype(np.int16)
+    """Signed 1-based index of each row's largest |entry|: the lowest index wins a tie,
+    the sign is that of the entry (-0.0 counts as positive), and -128 maps to the null id 0."""
+    rows = np.arange(prods.shape[0])
+    jmax = prods.argmax(axis=1)
+    jmin = prods.argmin(axis=1)
+    top = np.abs(prods[rows, jmax])
+    bot = np.abs(prods[rows, jmin])
+    j = np.where(top > bot, jmax, np.where(bot > top, jmin, np.minimum(jmax, jmin)))
+    out = np.where(prods[rows, j] >= 0.0, j + 1, -1 - j).astype(np.int16)
     out[out == -128] = 0  # the one signed id that does not fit a byte
     return out
 
@@ -925,6 +946,10 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
                     passers = fresh[passes]
                     pkeys = idx._keys(q64, qsq, qnorm, passers) if passers.size else np.empty(0)
                 stats.dist_computations += int(passers.size)
+            # a full list's worst key only falls, so a key above it now never enters;
+            # a tie may still win on the lower id
+            near = pkeys <= wk
+            passers, pkeys = passers[near], pkeys[near]
         for k2, u in zip(pkeys.tolist(), passers.tolist()):
             if R.try_add(k2, u):
                 heapq.heappush(cand, (k2, u))
@@ -1117,7 +1142,9 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
             raise FormatError(
                 f"index built with RNG stream {stored_rng_id!r}, this build uses {RNG_ID!r}"
             )
-        hlo, hhi, hbits, elo, ehi, ebits = r.take("ddBddB")
+        bits = _norm_bits(bool(compact))  # attach sizes the codes by the flag even for SimHash
+        half_q = _checked_quantizer("half_u_sq", *r.take("ddB"), bits)
+        enorm_q = _checked_quantizer("enorm", *r.take("ddB"), bits)
         perm = r.array("<u4", d).astype(np.int64)
         sub_of = r.array("<u4", d).astype(np.int64)
         try:
@@ -1125,7 +1152,7 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
         except UsageError as exc:
             raise FormatError(f"bad permutation: {exc}") from exc
         att_fields = (cfg, rt_seed, plan,
-                      EdgeQuantizers(ScalarQuantizer(hlo, hhi, hbits), ScalarQuantizer(elo, ehi, ebits)))
+                      EdgeQuantizers(half_q, enorm_q))
 
     degs = r.array("<u4", n).astype(np.int64)
     if degs.size and degs.max() > 2 * M:
@@ -1180,6 +1207,20 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
         idx.routing = RoutingAttachment(mode=mode, cfg=cfg, seed=rt_seed, plan=plan,
                                         store=store, ens=ens, hashes=hashes)
     return idx
+
+
+def _norm_bits(compact: bool) -> int:
+    """Code width of both norm quantizers: one byte per norm in compact records, else two."""
+    return 8 if compact else 16
+
+
+def _checked_quantizer(name: str, lo: float, hi: float, bits: int, want_bits: int) -> ScalarQuantizer:
+    # both quantizers hold norms, so a valid range is finite, ordered and non-negative
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0.0 or hi < lo:
+        raise FormatError(f"bad {name} quantizer range [{lo}, {hi}]")
+    if bits != want_bits:
+        raise FormatError(f"{name} quantizer has {bits} bits, expected {want_bits}")
+    return ScalarQuantizer(lo, hi, bits)
 
 
 def _wire_record_size(mode: RoutingMode, L: int, compact: bool, simhash_bits: int) -> int:

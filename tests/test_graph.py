@@ -409,7 +409,9 @@ class TestLiveGateEquivalence:
 _ENTRY_AT = struct.calcsize("<4sIBIQIIQ")
 _M_AT = struct.calcsize("<4sIBIQ")
 _L_AT = struct.calcsize("<4sIBIQIIQQIQB")
-_PERM_AT = _L_AT + struct.calcsize("<IIBIQH") + len(RNG_ID) + struct.calcsize("<ddBddB")
+_QUANT_AT = _L_AT + struct.calcsize("<IIBIQH") + len(RNG_ID)  # half_u_sq lo, hi, bits; enorm lo, hi, bits
+_PERM_AT = _QUANT_AT + struct.calcsize("<ddBddB")
+_ENORM_AT = _QUANT_AT + struct.calcsize("<ddB")
 
 
 def _reseal(path, at: int, fmt: str, value) -> None:
@@ -445,6 +447,12 @@ class TestFailClosed:
         pytest.param(_L_AT + 4, "I", 200, id="m_above_128"),
         pytest.param(_L_AT + 4, "I", 2, id="extreme_id_above_m"),
         pytest.param(_PERM_AT, "I", 1, id="permutation"),  # perm[0] = perm[1] = 1
+        pytest.param(_ENORM_AT, "d", math.nan, id="enorm_lo_nan"),
+        pytest.param(_QUANT_AT + 8, "d", math.inf, id="half_hi_inf"),
+        pytest.param(_QUANT_AT, "d", 1e30, id="half_hi_below_lo"),
+        pytest.param(_ENORM_AT, "d", -1.0, id="enorm_lo_negative"),
+        pytest.param(_QUANT_AT + 16, "B", 0, id="half_bits_0"),
+        pytest.param(_ENORM_AT + 16, "B", 8, id="enorm_bits_8_not_compact"),
     ])
     def test_bad_header_field(self, small, small_peos, tmp_path, at, fmt, value):
         ds, _, _ = small
@@ -461,6 +469,24 @@ class TestFailClosed:
         save_index(corrupt(idx), path)
         with pytest.raises(FormatError):
             load_index(path, ds)
+
+    def test_compact_quantizer_needs_8_bits(self, small, tmp_path):
+        ds, _, idx = small
+        path = tmp_path / "compact.idx"
+        save_index(attach(idx, RoutingConfig(mode=RoutingMode.PEOS, L=4, m=64, compact=True)), path)
+        load_index(path, ds)
+        _reseal(path, _QUANT_AT + 16, "B", 16)
+        with pytest.raises(FormatError):
+            load_index(path, ds)
+
+    def test_simhash_with_compact_flag_loads(self, small, tmp_path):
+        ds, _, idx = small
+        cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64, compact=True)
+        path = tmp_path / "sh.idx"
+        routed = attach(idx, cfg)
+        save_index(routed, path)
+        loaded = load_index(path, ds)
+        assert loaded.routing.store.wire_bytes() == routed.routing.store.wire_bytes()
 
     def test_truncated_header(self, small, tmp_path):
         ds, _, idx = small
@@ -488,3 +514,95 @@ class TestBitStability:
             h.update(ids.astype("<i8").tobytes())
             h.update(np.array(dataclasses.astuple(st), dtype="<i8").tobytes())
         assert h.hexdigest() == GOLDEN_PEOS_DIGEST
+
+
+# blake2b-128 of store.wire_bytes() on the `small` graph, recorded with the
+# 65,536-edge attach chunks, before attach streamed 1,024-edge chunks
+# through a signed argmax/argmin pick; the bytes must not change.
+GOLDEN_ATTACH = {
+    "peos_L4_m64": (RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64), False,
+                    "496b7268b10028686081d168dd3fe285"),
+    "compact_L4": (RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64, compact=True), False,
+                   "d866bd0f1ebd8d89f9acdc005e31b543"),
+    "rceos_L1": (RoutingConfig(mode=RoutingMode.RCEOS, eps=0.2, L=1, m=64), False,
+                 "57faf64cc9a382b8e7ed03e3c9e9066e"),
+    "simhash_64": (RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64), False,
+                   "591b351adf77ca3009bad9bdbbf54dcf"),
+    "peos_permute": (RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64), True,
+                     "f7b2663d397ff70cc9b5497011415bed"),
+}
+
+
+def _attach_digest(idx, name) -> str:
+    cfg, permute, _ = GOLDEN_ATTACH[name]
+    wire = attach(idx, cfg, permute=permute).routing.store.wire_bytes()
+    return hashlib.blake2b(wire, digest_size=16).hexdigest()
+
+
+class TestGoldenAttach:
+    @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
+    def test_wire_bytes(self, small, name):
+        assert _attach_digest(small[2], name) == GOLDEN_ATTACH[name][2]
+
+    @pytest.mark.parametrize("tail", [None, 1], ids=["one_chunk", "tail_1"])
+    def test_chunk_size_does_not_change_bytes(self, small, monkeypatch, tail):
+        """The old one-chunk size, and a chunk size that leaves a 1-edge tail."""
+        idx = small[2]
+        E = idx.n_base_edges
+        chunk = 1 << 16 if tail is None else next(c for c in range(64, E) if E % c == tail)
+        monkeypatch.setattr(graph_mod, "_ATTACH_CHUNK", chunk)
+        for name, (_, _, digest) in GOLDEN_ATTACH.items():
+            assert _attach_digest(idx, name) == digest, name
+
+    @pytest.mark.parametrize("n_edges", [0, 1, 700, 1024, 1025, 3000, 4096])
+    def test_every_span_is_full_length(self, n_edges):
+        """A matmul of few rows rounds differently, so no span may be a short tail."""
+        full = min(graph_mod._ATTACH_CHUNK, n_edges)
+        covered = np.zeros(n_edges, dtype=bool)
+        for lo, hi in graph_mod._attach_spans(n_edges):
+            assert hi - lo == full
+            covered[lo:hi] = True
+        assert covered.all()
+
+
+def _reference_signed_pick(prods):
+    """The signed pick as argmax of |prods|, the rule the ids were defined with."""
+    j = np.argmax(np.abs(prods), axis=1)
+    signs = np.where(prods[np.arange(prods.shape[0]), j] >= 0.0, 1, -1)
+    out = (signs * (j + 1)).astype(np.int16)
+    out[out == -128] = 0
+    return out
+
+
+class TestSignedPick:
+    @pytest.mark.parametrize("row,expect", [
+        ([3.0, -3.0, 1.0], 1),  # |max| == |min|, max first
+        ([-3.0, 3.0, 1.0], -1),  # |max| == |min|, min first
+        ([1.0, 5.0, 5.0, -2.0], 2),  # repeated maxima
+        ([-5.0, 1.0, -5.0], -1),  # repeated minima
+        ([2.0, -1.0, -7.0, 7.0], -3),
+        ([0.0, 0.0, 0.0], 1),
+        ([-0.0, -0.0], 1),  # -0.0 >= 0.0
+        ([-0.0, 0.0, -0.0], 1),
+    ])
+    def test_rows(self, row, expect):
+        prods = np.array([row])
+        assert graph_mod._signed_argmax_rows(prods)[0] == expect
+        np.testing.assert_array_equal(graph_mod._signed_argmax_rows(prods), _reference_signed_pick(prods))
+
+    def test_minus_128_maps_to_null(self):
+        prods = np.zeros((2, 128))
+        prods[0, 127] = -2.0  # id -128 does not fit a byte
+        prods[1, 127] = 2.0  # id +128 does
+        out = graph_mod._signed_argmax_rows(prods)
+        assert out.dtype == np.int16
+        np.testing.assert_array_equal(out, [0, 128])
+
+    @pytest.mark.parametrize("width", [2, 16, 128])
+    def test_matches_abs_argmax_on_random_rows(self, width):
+        rng = np.random.default_rng(width)
+        smooth = rng.standard_normal((500, width))
+        ties = rng.integers(-3, 4, size=(500, width)).astype(np.float64)  # many |max| == |min| ties
+        ties[ties == 0.0] = -0.0
+        for prods in (smooth, ties, -ties):
+            np.testing.assert_array_equal(graph_mod._signed_argmax_rows(prods), _reference_signed_pick(prods))
