@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptionError, DegenerateInputError, FormatError, UsageError
-from .projections import RNG_ID, ProjectionEnsemble, generate_ensemble, project_query
+from .projections import ID_BYTES, RNG_ID, ProjectionEnsemble, generate_ensemble, project_query
 from .routing import (
     EdgeMetaBlock,
     EdgeMeta,
@@ -36,7 +36,6 @@ from .routing import (
     build_quantile_table,
     generate_simhash_hashes,
     simhash_sketch,
-    table_offset_base,
     var_row_indices,
     _RES_EPS,
 )
@@ -79,13 +78,27 @@ class SearchParams:
 
 
 class EdgeMetaStore:
-    """Struct-of-arrays metadata for every directed base-layer edge.
+    """Routing records for every directed base-layer edge, kept in their stored form.
 
-    The byte codes are what the file stores. Beside them the store keeps
-    the gate's working form: half_u_sq and enorm decoded side by side in
-    one (E, 2) array, and for peos/rceos the extreme ids as flat offsets
-    into a query's signed table (see projections.QueryProjectionTable)
-    and the weights (w_reg, sqrt(L) * w_res) as one (E, 2) array.
+    The per-edge arrays hold the file's record fields and nothing else
+    (see wire_bytes):
+
+    * peos/rceos: rec, (E, L+4) uint8, the L+1 extreme-id bytes in their
+      wire encoding (column 0 the residual id), then the w_reg, w_res and
+      var_idx codes; in compact mode (E, L) with the L subspace id bytes
+      only, the weights pinned to (1, 0) and var_idx the one row of every
+      edge;
+    * SimHash: sketches, (E, simhash_bits/8) packed sign bits;
+    * every mode: norm_q, (E, 2), the half_u_sq and enorm codes (uint16,
+      uint8 in compact mode).
+
+    finalize() builds the small decode tables from the quantizers:
+    norm_tab with the half-norm and then the edge norm of every code, and
+    for full records w_tab with w_reg and sqrt(L)*w_res of every weight
+    code. ScalarQuantizer.decode is elementwise, so a table lookup gives
+    the same float64 as decoding the code. rec_base and norm_base, added
+    to a gathered row, point each code at its table entry (see
+    EdgeMetaBlock).
     """
 
     def __init__(self, mode: RoutingMode, L: int, m: int, compact: bool,
@@ -97,143 +110,97 @@ class EdgeMetaStore:
         self.simhash_bits = simhash_bits
         self.quant = quant
         self.n_edges = n_edges
-        norm_dtype = np.uint8 if compact else np.uint16
-        self.half_q = np.zeros(n_edges, dtype=norm_dtype)
-        self.enorm_q = np.zeros(n_edges, dtype=norm_dtype)
-        self.norms = np.zeros((n_edges, 2))
+        self.norm_q = np.zeros((n_edges, 2), dtype=np.uint8 if compact else np.dtype("<u2"))
+        self.norm_base = np.array([0, 1 << (8 * self.norm_q.itemsize)])
+        self.norm_tab = self.w_tab = None
         self.enorm_min = 0.0
+        self.rec = self.rec_base = self.var_idx = None
         if mode == RoutingMode.SIMHASH:
             self.sketches = np.zeros((n_edges, simhash_bits // 8), dtype=np.uint8)
-            self.offsets = None
+        elif compact:
+            self.rec = np.zeros((n_edges, L), dtype=np.uint8)
+            self.rec_base = np.arange(1, L + 1) * ID_BYTES
+            self.var_idx = int(var_row_indices(1.0, 0.0, L))
         else:
-            size = (L + 1) * (2 * m + 1)
-            self.offsets = np.empty((n_edges, L + 1), dtype=np.min_scalar_type(size - 1))
-            self.set_ids(slice(None), 0)
-            self.w_reg_q = np.zeros(n_edges, dtype=np.uint8)
-            self.w_res_q = np.zeros(n_edges, dtype=np.uint8)
-            self.var_idx = np.zeros(n_edges, dtype=np.uint8)
-            self.weights = np.zeros((n_edges, 2))
+            self.rec = np.zeros((n_edges, L + 4), dtype=np.uint8)
+            # id bytes to their signed-table rows, w_res codes to the second half of w_tab
+            self.rec_base = np.concatenate((np.arange(L + 1) * ID_BYTES, [0, 256, 0]))
 
     @property
     def ids(self) -> np.ndarray:
-        """Signed extreme ids, (E, L+1), column 0 the residual id (0 in compact mode)."""
-        return (self.offsets - table_offset_base(self.L, self.m)).astype(np.int16)
-
-    def set_ids(self, sl: slice, ids) -> None:
-        self.offsets[sl] = ids + table_offset_base(self.L, self.m)
+        """Extreme-id bytes, (E, L+1) led by the residual id, or (E, L) in compact mode."""
+        return self.rec if self.compact else self.rec[:, : self.L + 1]
 
     def finalize(self) -> None:
-        """Refresh the decoded working arrays from the stored codes."""
-        self.norms[:, 0] = self.quant.half_u_sq.decode(self.half_q)
-        self.norms[:, 1] = self.quant.enorm.decode(self.enorm_q)
-        self.enorm_min = float(self.norms[:, 1].min()) if self.n_edges else math.inf
-        if self.mode != RoutingMode.SIMHASH:
-            if self.compact:
-                self.weights[:, 0] = 1.0
-                self.weights[:, 1] = 0.0
-            else:
-                self.weights[:, 0] = self.w_reg_q / 255.0
-                self.weights[:, 1] = math.sqrt(self.L) * (self.w_res_q / 255.0)
+        """Build the decode tables from the quantizers."""
+        codes = np.arange(self.norm_base[1])
+        self.norm_tab = np.concatenate((self.quant.half_u_sq.decode(codes), self.quant.enorm.decode(codes)))
+        # decode is monotone in the code, so the smallest code holds the smallest norm
+        self.enorm_min = (float(self.quant.enorm.decode(self.norm_q[:, 1].min()))
+                          if self.n_edges else math.inf)
+        if self.rec is not None and not self.compact:
+            w = np.arange(256) / 255.0
+            self.w_tab = np.concatenate((w, math.sqrt(self.L) * w))
 
     def block(self, slots: np.ndarray) -> EdgeMetaBlock:
-        hn = self.norms.take(slots, axis=0)
-        if self.offsets is None:
-            return EdgeMetaBlock(slots, hn[:, 0], hn[:, 1], self.enorm_min)
+        hn = self.norm_tab.take(self.norm_q.take(slots, axis=0) + self.norm_base)
         return EdgeMetaBlock(slots, hn[:, 0], hn[:, 1], self.enorm_min,
-                             self.offsets, self.weights, self.var_idx)
+                             self.rec, self.rec_base, self.w_tab, self.var_idx)
 
     def meta_at(self, slot: int) -> EdgeMeta:
         if self.mode == RoutingMode.SIMHASH:
             raise UsageError("SimHash attachments store sketches, not extreme ids")
-        ids = tuple(int(x) for x in self.offsets[slot] - table_offset_base(self.L, self.m))
+        r = self.rec[slot]
+        L = self.L
         return EdgeMeta(
-            ext_ids=ids[1:] if self.compact else ids,
-            w_reg_q=255 if self.compact else int(self.w_reg_q[slot]),
-            w_res_q=0 if self.compact else int(self.w_res_q[slot]),
-            var_idx=int(self.var_idx[slot]),
-            half_u_sq_q=int(self.half_q[slot]),
-            enorm_q=int(self.enorm_q[slot]),
+            ext_ids=tuple(int(x) for x in _decode_id_bytes(self.ids[slot])),
+            w_reg_q=255 if self.compact else int(r[L + 1]),
+            w_res_q=0 if self.compact else int(r[L + 2]),
+            var_idx=self.var_idx if self.compact else int(r[L + 3]),
+            half_u_sq_q=int(self.norm_q[slot, 0]),
+            enorm_q=int(self.norm_q[slot, 1]),
             quant=self.quant,
             compact=self.compact,
         )
 
     # -- wire format -------------------------------------------------------
 
+    def _lead(self) -> np.ndarray:
+        return self.sketches if self.mode == RoutingMode.SIMHASH else self.rec
+
     def wire_bytes(self) -> bytes:
-        """Per-edge records in adjacency order, little-endian."""
+        """Per-edge records in adjacency order: the lead fields, then the two norm codes little-endian."""
         E = self.n_edges
-        if self.mode == RoutingMode.SIMHASH:
-            nb = self.simhash_bits // 8
-            out = np.empty((E, nb + 4), dtype=np.uint8)
-            out[:, :nb] = self.sketches
-            _put_u16(out, nb, self.half_q)
-            _put_u16(out, nb + 2, self.enorm_q)
-            return out.tobytes()
-        idb = _encode_id_bytes(self.ids)
-        if self.compact:
-            out = np.empty((E, self.L + 2), dtype=np.uint8)
-            out[:, : self.L] = idb[:, 1:]
-            out[:, self.L] = self.half_q
-            out[:, self.L + 1] = self.enorm_q
-            return out.tobytes()
-        out = np.empty((E, self.L + 1 + 3 + 4), dtype=np.uint8)
-        out[:, : self.L + 1] = idb
-        out[:, self.L + 1] = self.w_reg_q
-        out[:, self.L + 2] = self.w_res_q
-        out[:, self.L + 3] = self.var_idx
-        _put_u16(out, self.L + 4, self.half_q)
-        _put_u16(out, self.L + 6, self.enorm_q)
-        return out.tobytes()
+        norms = self.norm_q.view(np.uint8).reshape(E, 2 * self.norm_q.itemsize)
+        return np.concatenate((self._lead(), norms), axis=1).tobytes()
 
     @classmethod
     def from_wire(cls, raw: bytes, mode: RoutingMode, L: int, m: int, compact: bool,
                   simhash_bits: int, quant: EdgeQuantizers, n_edges: int) -> "EdgeMetaStore":
         store = cls(mode, L, m, compact, simhash_bits, quant, n_edges)
+        width = store._lead().shape[1]
+        mat = _wire_matrix(raw, n_edges, width + 2 * store.norm_q.itemsize)
+        lead = mat[:, :width].copy()
         if mode == RoutingMode.SIMHASH:
-            nb = simhash_bits // 8
-            mat = _wire_matrix(raw, n_edges, nb + 4)
-            store.sketches = mat[:, :nb].copy()
-            store.half_q = _get_u16(mat, nb)
-            store.enorm_q = _get_u16(mat, nb + 2)
-        elif compact:
-            mat = _wire_matrix(raw, n_edges, L + 2)
-            ids = np.zeros((n_edges, L + 1), dtype=np.int16)
-            ids[:, 1:] = _decode_id_bytes(mat[:, :L])
-            store.set_ids(slice(None), _checked_ids(ids, m))
-            store.half_q = mat[:, L].copy()
-            store.enorm_q = mat[:, L + 1].copy()
+            store.sketches = lead
         else:
-            mat = _wire_matrix(raw, n_edges, L + 1 + 3 + 4)
-            store.set_ids(slice(None), _checked_ids(_decode_id_bytes(mat[:, : L + 1]), m))
-            store.w_reg_q = mat[:, L + 1].copy()
-            store.w_res_q = mat[:, L + 2].copy()
-            store.var_idx = mat[:, L + 3].copy()
-            store.half_q = _get_u16(mat, L + 4)
-            store.enorm_q = _get_u16(mat, L + 6)
+            store.rec = lead
+            _check_id_bytes(store.ids, m)
+        store.norm_q = np.ascontiguousarray(mat[:, width:]).view(store.norm_q.dtype)
         store.finalize()
         return store
 
 
-def _checked_ids(ids: np.ndarray, m: int) -> np.ndarray:
-    if ids.size and int(np.abs(ids).max()) > m:
+def _check_id_bytes(b: np.ndarray, m: int) -> None:
+    # byte 0 is the null id, 1..128 the ids +1..+128 and 129..255 the ids -1..-127
+    if b.size and np.any((b > m) & ((b <= 128) | (b > 128 + min(m, 127)))):
         raise FormatError(f"edge metadata holds an extreme id beyond m={m}")
-    return ids
 
 
 def _wire_matrix(raw: bytes, n_edges: int, rec: int) -> np.ndarray:
     if len(raw) != n_edges * rec:
         raise FormatError(f"edge metadata section has {len(raw)} bytes, expected {n_edges * rec}")
     return np.frombuffer(raw, dtype=np.uint8).reshape(n_edges, rec)
-
-
-def _put_u16(mat: np.ndarray, col: int, values: np.ndarray) -> None:
-    v = values.astype(np.uint32)
-    mat[:, col] = v & 0xFF
-    mat[:, col + 1] = v >> 8
-
-
-def _get_u16(mat: np.ndarray, col: int) -> np.ndarray:
-    return (mat[:, col].astype(np.uint16) | (mat[:, col + 1].astype(np.uint16) << 8)).copy()
 
 
 def _encode_id_bytes(ids: np.ndarray) -> np.ndarray:
@@ -269,7 +236,14 @@ class SearchScratch:
 
 
 class HnswIndex:
-    """Frozen multi-layer graph over a Dataset, optionally with routing metadata."""
+    """Frozen multi-layer graph over a Dataset, optionally with routing metadata.
+
+    The float32 vectors stay in the dataset, the one copy: exact
+    distances gather the rows they need and widen them to float64, which
+    gives the same float64 row as a widened copy of the whole matrix.
+    Beside them the index keeps the float64 squared norm and norm of
+    every vector.
+    """
 
     def __init__(self, dataset: Dataset, metric: Metric, M: int, efc: int, seed: int,
                  node_levels: np.ndarray, entry: int, max_level: int,
@@ -287,13 +261,10 @@ class HnswIndex:
         self.base_indices = base_indices
         self.upper = upper
         self.routing: RoutingAttachment | None = None
-        self._bind_vectors()
-        self._qtables: dict[float, QuantileTable] = {}
-
-    def _bind_vectors(self) -> None:
-        self._vf = self.dataset.vectors.astype(np.float64)
-        self._sqn = np.einsum("ij,ij->i", self._vf, self._vf)
+        vf = dataset.vectors.astype(np.float64)
+        self._sqn = np.einsum("ij,ij->i", vf, vf)
         self._norms = np.sqrt(self._sqn)
+        self._qtables: dict[float, QuantileTable] = {}
 
     @property
     def n(self) -> int:
@@ -325,12 +296,11 @@ class HnswIndex:
 
     def _keys(self, q64: np.ndarray, qsq: float, qnorm: float, ids: np.ndarray) -> np.ndarray:
         """Ordering keys (squared L2, 1-cos, or -dot): monotone in true distance."""
-        X = self._vf[ids]
-        dots = X @ q64
+        dots = self.dataset.vectors.take(ids, axis=0).astype(np.float64) @ q64
         if self.metric == Metric.L2:
-            return qsq + self._sqn[ids] - 2.0 * dots
+            return qsq + self._sqn.take(ids) - 2.0 * dots
         if self.metric == Metric.ANGULAR:
-            return 1.0 - dots / (self._norms[ids] * qnorm)
+            return 1.0 - dots / (self._norms.take(ids) * qnorm)
         return -dots
 
     def key_to_distance(self, key: float) -> float:
@@ -590,6 +560,7 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
 
 
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
+_EMPTY_F64 = np.empty(0)
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +574,12 @@ def edge_residual_avgs(idx: HnswIndex) -> np.ndarray:
     acc = np.zeros(d)
     src = np.repeat(np.arange(n), np.diff(idx.base_indptr))
     dst = idx.base_indices
+    V = idx.dataset.vectors
     # the chunk fixes the order in which acc sums, and acc decides the permutation plan
     for lo in range(0, dst.shape[0], _RESIDUAL_AVG_CHUNK):
         hi = min(lo + _RESIDUAL_AVG_CHUNK, dst.shape[0])
-        e = idx._vf[dst[lo:hi]] - idx._vf[src[lo:hi]]
+        e = V[dst[lo:hi]].astype(np.float64)
+        e -= V[src[lo:hi]]
         acc += np.einsum("ij,ij->j", e, e)
     if dst.shape[0] == 0:
         raise UsageError("graph has no base-layer edges")
@@ -658,9 +631,10 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
         att_ens = ens
 
     enorm_vals = np.empty(n_edges)
+    V = idx.dataset.vectors
     for lo, hi in _attach_spans(n_edges):
-        e = idx._vf[dst[lo:hi]]
-        e -= idx._vf[src[lo:hi]]
+        e = V[dst[lo:hi]].astype(np.float64)
+        e -= V[src[lo:hi]]
         enorm = np.linalg.norm(e, axis=1)
         enorm_vals[lo:hi] = enorm
         if perm is not None:  # the weights take the norm summed in permuted order
@@ -677,8 +651,8 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
         half_u_sq=ScalarQuantizer.fit(half_vals, bits),
         enorm=ScalarQuantizer.fit(enorm_vals, bits),
     )
-    store.half_q[:] = quant.half_u_sq.encode(half_vals, "down").astype(store.half_q.dtype)
-    store.enorm_q[:] = quant.enorm.encode(enorm_vals, "up").astype(store.enorm_q.dtype)
+    store.norm_q[:, 0] = quant.half_u_sq.encode(half_vals, "down")
+    store.norm_q[:, 1] = quant.enorm.encode(enorm_vals, "up")
     store.finalize()
 
     out = copy.copy(idx)
@@ -719,15 +693,14 @@ def _fill_meta_chunk(store: EdgeMetaStore, lo: int, ep: np.ndarray, enorm: np.nd
         ids[w_res < _RES_EPS, 0] = 0
     ids[~live] = 0
 
-    sl = slice(lo, lo + B)
-    store.set_ids(sl, ids)
-    if not compact:
-        store.w_reg_q[sl] = np.round(np.where(live, w_reg, 1.0) * 255).astype(np.uint8)
-        store.w_res_q[sl] = np.round(np.where(live, w_res, 0.0) * 255).astype(np.uint8)
-        store.var_idx[sl] = var_row_indices(np.where(live, w_reg, 1.0),
-                                            np.where(live, w_res, 0.0), L).astype(np.uint8)
+    rec = store.rec[lo : lo + B]
+    if compact:
+        rec[:] = _encode_id_bytes(ids[:, 1:])
     else:
-        store.var_idx[sl] = var_row_indices(1.0, 0.0, L)
+        rec[:, : L + 1] = _encode_id_bytes(ids)
+        rec[:, L + 1] = np.round(np.where(live, w_reg, 1.0) * 255)
+        rec[:, L + 2] = np.round(np.where(live, w_res, 0.0) * 255)
+        rec[:, L + 3] = var_row_indices(np.where(live, w_reg, 1.0), np.where(live, w_res, 0.0), L)
 
 
 def _signed_argmax_rows(prods: np.ndarray) -> np.ndarray:
@@ -764,44 +737,6 @@ def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,
 # ---------------------------------------------------------------------------
 # Search
 # ---------------------------------------------------------------------------
-
-
-class _ResultList:
-    """Bounded worst-first list; boundary ties keep the lower id."""
-
-    __slots__ = ("cap", "heap")
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.heap: list[tuple[float, int]] = []
-
-    def __len__(self) -> int:
-        return len(self.heap)
-
-    @property
-    def full(self) -> bool:
-        return len(self.heap) == self.cap
-
-    @property
-    def worst_key(self) -> float:
-        return -self.heap[0][0]
-
-    @property
-    def worst_id(self) -> int:
-        return -self.heap[0][1]
-
-    def try_add(self, key: float, i: int) -> bool:
-        if len(self.heap) < self.cap:
-            heapq.heappush(self.heap, (-key, -i))
-            return True
-        wk = self.worst_key
-        if key < wk or (key == wk and i < self.worst_id):
-            heapq.heapreplace(self.heap, (-key, -i))
-            return True
-        return False
-
-    def sorted_items(self) -> list[tuple[float, int]]:
-        return sorted((-nk, -ni) for nk, ni in self.heap)
 
 
 class AuditTrace:
@@ -889,16 +824,20 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
                 cur, ep = float(keys[j]), int(row[j])
                 changed = True
 
-    R = _ResultList(params.efs)
-    R.try_add(cur, ep)
+    # the result list: a heap of (-key, -id), so its root is the worst entry and,
+    # among equal keys, the higher id; a boundary tie goes to the lower id
+    res: list[tuple[float, int]] = [(-cur, -ep)]
+    cap = params.efs
     cand: list[tuple[float, int]] = [(cur, ep)]
     visited[ep] = epoch
     indptr, indices = idx.base_indptr, idx.base_indices
     eps_cfg = params.routing.eps
+    heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
 
     while cand:
-        k, v = heapq.heappop(cand)
-        if R.full and k > R.worst_key:
+        k, v = heappop(cand)
+        full = len(res) == cap
+        if full and k > -res[0][0]:
             break
         stats.hops += 1
         beg, end = indptr[v], indptr[v + 1]
@@ -910,13 +849,13 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
         visited[fresh] = epoch
         B = int(fresh.size)
 
-        if not R.full:
+        if not full:
             keys = idx._keys(q64, qsq, qnorm, fresh)
             stats.dist_computations += B
             stats.ungated += B
             passers, pkeys = fresh, keys
         else:
-            wk = R.worst_key
+            wk = -res[0][0]
             if mode == RoutingMode.NONE:
                 stats.tests_evaluated += B
                 stats.tests_passed += B
@@ -926,35 +865,40 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
                     audit.record(keys, wk, np.ones(B, dtype=bool))
                 passers, pkeys = fresh, keys
             else:
-                vq = float(idx._vf[v] @ q64)
+                vq = float(idx.dataset.vectors[v].astype(np.float64) @ q64)
                 stats.vq_computations += 1
-                ts = _threshold_state(idx, wk, qsq, qnorm, vq, R.worst_id)
-                slots = beg + np.nonzero(mask)[0]
+                ts = _threshold_state(idx, wk, qsq, qnorm, vq, -res[0][1])
+                slots = beg + mask.nonzero()[0]
                 if mode == RoutingMode.SIMHASH:
                     ar = batch_ar(att.store.block(slots), ts, qnorm, idx.metric)
                     passes = batch_simhash_test(att.store.sketches[slots], qsketch, ar, eps_cfg)
                 else:
                     passes = batch_peos_test(att.store.block(slots), tbl, qpt, ts, idx.metric)
+                passers = fresh[passes]
                 stats.tests_evaluated += B
-                stats.tests_passed += int(passes.sum())
+                stats.tests_passed += passers.size
+                stats.dist_computations += passers.size
                 if audit is not None:
                     all_keys = idx._keys(q64, qsq, qnorm, fresh)
                     audit.record(all_keys, wk, passes)
-                    passers = fresh[passes]
                     pkeys = all_keys[passes]
                 else:
-                    passers = fresh[passes]
-                    pkeys = idx._keys(q64, qsq, qnorm, passers) if passers.size else np.empty(0)
-                stats.dist_computations += int(passers.size)
+                    pkeys = idx._keys(q64, qsq, qnorm, passers) if passers.size else _EMPTY_F64
             # a full list's worst key only falls, so a key above it now never enters;
             # a tie may still win on the lower id
             near = pkeys <= wk
             passers, pkeys = passers[near], pkeys[near]
         for k2, u in zip(pkeys.tolist(), passers.tolist()):
-            if R.try_add(k2, u):
-                heapq.heappush(cand, (k2, u))
+            item = (-k2, -u)
+            if len(res) < cap:
+                heappush(res, item)
+            elif item > res[0]:  # key below the worst, or equal with a lower id
+                heapreplace(res, item)
+            else:
+                continue
+            heappush(cand, (k2, u))
 
-    items = R.sorted_items()[: params.K]
+    items = sorted((-nk, -ni) for nk, ni in res)[: params.K]
     return np.asarray([i for _, i in items], dtype=np.int64), stats
 
 
@@ -975,26 +919,37 @@ def _threshold_state(idx: HnswIndex, worst_key: float, qsq: float, qnorm: float,
 
 def brute_force_knn(ds: Dataset, q: np.ndarray, K: int, metric: Metric) -> np.ndarray:
     """Exact top-K by full scan; ties broken by lower id."""
-    if K > ds.n or K < 1:
-        raise UsageError(f"K={K} out of range for n={ds.n}")
-    q64 = np.asarray(q, dtype=np.float64)
-    vf = ds.vectors.astype(np.float64)
-    dots = vf @ q64
-    if metric == Metric.L2:
-        keys = np.einsum("ij,ij->i", vf, vf) - 2.0 * dots
-    elif metric == Metric.ANGULAR:
-        qn = np.linalg.norm(q64)
-        if qn == 0.0:
-            raise DegenerateInputError("zero query")
-        keys = 1.0 - dots / (np.linalg.norm(vf, axis=1) * qn)
-    else:
-        keys = -dots
-    return np.argsort(keys, kind="stable")[:K].astype(np.int64)
+    return brute_force_all(ds, np.asarray(q)[None, :], K, metric)[0]
 
 
 def brute_force_all(ds: Dataset, queries: np.ndarray, K: int, metric: Metric) -> np.ndarray:
-    """Ground truth for a query batch: one row of K ascending-distance ids per query."""
-    return np.stack([brute_force_knn(ds, q, K, metric) for q in np.asarray(queries)])
+    """Ground truth for a query batch: one row of K ascending-distance ids per query.
+
+    The vectors are widened and their norms taken once per batch; each
+    query's keys are one matrix-vector product against them.
+    """
+    if K > ds.n or K < 1:
+        raise UsageError(f"K={K} out of range for n={ds.n}")
+    Q = np.asarray(queries, dtype=np.float64)
+    vf = ds.vectors.astype(np.float64)
+    if metric == Metric.L2:
+        sqn = np.einsum("ij,ij->i", vf, vf)
+    elif metric == Metric.ANGULAR:
+        norms = np.linalg.norm(vf, axis=1)
+    out = np.empty((Q.shape[0], K), dtype=np.int64)
+    for i, q64 in enumerate(Q):
+        dots = vf @ q64
+        if metric == Metric.L2:
+            keys = sqn - 2.0 * dots
+        elif metric == Metric.ANGULAR:
+            qn = np.linalg.norm(q64)
+            if qn == 0.0:
+                raise DegenerateInputError("zero query")
+            keys = 1.0 - dots / (norms * qn)
+        else:
+            keys = -dots
+        out[i] = np.argsort(keys, kind="stable")[:K]
+    return out
 
 
 # ---------------------------------------------------------------------------

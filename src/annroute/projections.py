@@ -64,16 +64,21 @@ def generate_ensemble(seed: int, d: int, L: int, m: int) -> ProjectionEnsemble:
     return ProjectionEnsemble(sub=sub, full=full, L=L, m=m, d=d, seed=seed)
 
 
+ID_BYTES = 256  # entries per row of a query's signed table: one per extreme-id byte
+
+
 @dataclass(frozen=True)
 class QueryProjectionTable:
     """All L*m subspace and m full-space inner products of the normalized query.
 
     qnorm keeps the original (pre-normalization) norm, which the routing
-    threshold formula needs. table is the same products signed and flat,
-    (L+1) rows of 2m+1 entries, row 0 the full space and row l the
-    subspace l: entry l*(2m+1) + m + id holds sign(id) * proj[l, |id|-1],
-    and the row centre (id 0, the null id) holds 0. An edge's statistic
-    then reads one entry per extreme id.
+    threshold formula needs. table is the same products signed and
+    indexed by the one-byte wire encoding of an extreme id: (L+1) rows
+    of ID_BYTES entries, row 0 the full space and row l the subspace l.
+    Entry l*256 + b holds proj[l, b-1] for b in 1..128 (id +b),
+    -proj[l, b-129] for b in 129..255 (id 128-b), and 0 for b = 0 (the
+    null id) and for bytes of ids beyond m. An edge's statistic then
+    reads one entry per stored id byte.
     """
 
     sub_proj: np.ndarray
@@ -94,10 +99,13 @@ def project_query(q: np.ndarray, ens: ProjectionEnsemble) -> QueryProjectionTabl
     blocks = qn.reshape(ens.L, ens.sub_dim)
     sub_proj = np.einsum("ld,lmd->lm", blocks, ens.sub)
     full_proj = ens.full @ qn
-    proj = np.vstack((full_proj, sub_proj))
-    table = np.hstack((-proj[:, ::-1], np.zeros((ens.L + 1, 1)), proj)).ravel()
+    table = np.zeros((ens.L + 1, ID_BYTES))
+    table[0, 1 : ens.m + 1] = full_proj
+    table[1:, 1 : ens.m + 1] = sub_proj
+    neg = min(ens.m, 127)  # -128 has no byte
+    table[:, 129 : 129 + neg] = -table[:, 1 : 1 + neg]
     return QueryProjectionTable(sub_proj=sub_proj, full_proj=full_proj, qnorm=qnorm, qn=qn,
-                                table=table)
+                                table=table.ravel())
 
 
 def extreme_index(x: np.ndarray, ens: ProjectionEnsemble, i: int) -> int:

@@ -69,6 +69,8 @@ class RoutingConfig:
                 raise UsageError("SimHash error bound must lie in (0, 1)")
             if self.simhash_bits < 8 or self.simhash_bits % 8 != 0:
                 raise UsageError("simhash_bits must be a positive multiple of 8")
+            if self.compact:
+                raise UsageError("compact records hold extreme ids; SimHash has no compact form")
             return
         if not 0.0 < self.eps <= 0.5:
             raise UsageError("error bound must lie in (0, 0.5]")
@@ -380,13 +382,18 @@ def build_edge_meta(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ThresholdState:
-    """Pruning scalar r, distance threshold delta, and the cached v.q dot product."""
+    """Pruning scalar r, distance threshold delta, and the cached v.q dot product.
 
-    r: float
-    delta: float
-    vq: float
+    A plain slotted class, as search builds one per gated hop.
+    """
+
+    __slots__ = ("r", "delta", "vq")
+
+    def __init__(self, r: float, delta: float, vq: float):
+        self.r = r
+        self.delta = delta
+        self.vq = vq
 
     @classmethod
     def unbounded(cls, vq: float = 0.0) -> "ThresholdState":
@@ -590,62 +597,38 @@ def estimate_partition_stats(d: int, L: int, samples: int, seed: int = 0) -> Par
 # ---------------------------------------------------------------------------
 
 
-def table_offset_base(L: int, m: int) -> np.ndarray:
-    """Where each id column's null id sits in a query's signed table.
-
-    Column 0 (the residual id) reads the table's full-space row and column
-    l its subspace row l, so the id in column l is stored as the flat
-    offset base[l] + id.
-    """
-    return np.arange(L + 1) * (2 * m + 1) + m
-
-
 class EdgeMetaBlock:
-    """The edges of one popped node, as their slots in store-wide columns.
+    """The edges of one popped node, as their slots in the store's record arrays.
 
-    half_u_sq and enorm are gathered for the block, as A_r needs them for
-    every edge. The statistic's inputs stay whole: offsets (E x (L+1) flat
-    offsets into the query's signed table, column 0 the residual id),
-    weights (E x 2: w_reg and sqrt(L)*w_res) and var_idx are read at
-    slots only for the edges A_r leaves to the test. enorm_min is the
-    smallest enorm among all E edges; when it is positive, no edge of the
-    block can have a zero norm. SimHash stores have no statistic columns.
+    half_u_sq and enorm are decoded for the block, as A_r needs them for
+    every edge. The statistic's inputs stay store-wide in record form and
+    are read at slots only for the edges A_r leaves to the test: rec holds
+    per edge the L+1 extreme-id bytes in their wire encoding (column 0 the
+    residual id), then the w_reg, w_res and var_idx codes; in compact mode
+    it holds only the L subspace id bytes, the weights are (1, 0) and
+    var_idx is the one variance row of every edge. rec_base, added to a
+    gathered row, turns each id byte into its entry of the query's signed
+    table and each weight code into its entry of w_tab (the decoded w_reg
+    and sqrt(L)*w_res per code; None in compact mode), and leaves var_idx
+    as it is. enorm_min is the smallest enorm in the store; when it is
+    positive, no edge can have a zero norm. SimHash stores have no rec.
     """
 
-    __slots__ = ("slots", "half_u_sq", "enorm", "enorm_min", "offsets", "weights", "var_idx")
+    __slots__ = ("slots", "half_u_sq", "enorm", "enorm_min", "rec", "rec_base", "w_tab", "var_idx")
 
-    def __init__(self, slots, half_u_sq, enorm, enorm_min, offsets=None, weights=None, var_idx=None):
+    def __init__(self, slots, half_u_sq, enorm, enorm_min, rec=None, rec_base=None, w_tab=None,
+                 var_idx=None):
         self.slots = slots
         self.half_u_sq = half_u_sq
         self.enorm = enorm
         self.enorm_min = enorm_min
-        self.offsets = offsets
-        self.weights = weights
+        self.rec = rec
+        self.rec_base = rec_base
+        self.w_tab = w_tab
         self.var_idx = var_idx
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    @classmethod
-    def from_metas(cls, metas, m: int) -> "EdgeMetaBlock":
-        """A block over a list of records, for query tables with m projections per space."""
-        metas = list(metas)
-        n = len(metas)
-        L = metas[0].L if metas else 1
-        ids = np.zeros((n, L + 1), dtype=np.int64)
-        for k, meta in enumerate(metas):
-            ids[k, int(meta.compact):] = meta.ext_ids
-        enorm = np.array([meta.enorm for meta in metas])
-        w_res = np.array([meta.w_res for meta in metas])
-        return cls(
-            slots=np.arange(n),
-            half_u_sq=np.array([meta.half_u_sq for meta in metas]),
-            enorm=enorm,
-            enorm_min=float(enorm.min()) if n else math.inf,
-            offsets=ids + table_offset_base(L, m),
-            weights=np.column_stack(([meta.w_reg for meta in metas], math.sqrt(L) * w_res)),
-            var_idx=np.array([meta.var_idx for meta in metas], dtype=np.intp),
-        )
 
 
 def batch_ar(block: EdgeMetaBlock, ts: ThresholdState, qnorm: float, metric: Metric) -> np.ndarray:
@@ -666,7 +649,7 @@ def batch_ar(block: EdgeMetaBlock, ts: ThresholdState, qnorm: float, metric: Met
 
 
 def batch_peos_test(
-    metas,
+    block: EdgeMetaBlock,
     tbl: QuantileTable,
     qpt: QueryProjectionTable,
     ts: ThresholdState,
@@ -674,22 +657,27 @@ def batch_peos_test(
 ) -> np.ndarray:
     """Vectorized gate for one popped node's edge block; matches peos_test elementwise.
 
-    A_r comes first; only edges with |A_r| < 1 read their offsets,
-    weights and variance rows. Their statistic is one gather from the
-    query's signed table, a row-sum over the L subspace entries and one
+    A_r comes first; only edges with |A_r| < 1 read their records. Their
+    statistic is one gather from the query's signed table and one from
+    the weight table, a row-sum over the L subspace entries and one
     multiply-add with the residual entry.
     """
-    block = metas if isinstance(metas, EdgeMetaBlock) else EdgeMetaBlock.from_metas(metas, len(qpt.full_proj))
     ar = batch_ar(block, ts, qpt.qnorm, metric)
     mid = (np.abs(ar) < 1.0).nonzero()[0]
     if mid.size == 0:
         return ar <= -1.0
     whole = mid.size == ar.size  # the usual case: no auto-decided edge to merge back
     s = block.slots if whole else block.slots[mid]
-    g = qpt.table.take(block.offsets.take(s, axis=0))
-    w = block.weights.take(s, axis=0)
-    h = w[:, 0] * g[:, 1:].sum(axis=1) + w[:, 1] * g[:, 0]
-    tested = h >= tbl.q[block.var_idx.take(s), tbl.columns(ar if whole else ar[mid])]
+    cols = tbl.columns(ar if whole else ar[mid])
+    r = block.rec.take(s, axis=0) + block.rec_base
+    if block.w_tab is None:
+        tested = qpt.table.take(r).sum(axis=1) >= tbl.q[block.var_idx, cols]
+    else:
+        n = r.shape[1] - 3  # the L+1 id columns
+        g = qpt.table.take(r[:, :n])
+        w = block.w_tab.take(r[:, n : n + 2])
+        h = w[:, 0] * g[:, 1:].sum(axis=1) + w[:, 1] * g[:, 0]
+        tested = h >= tbl.q[r[:, n + 2], cols]
     if whole:
         return tested
     passes = ar <= -1.0

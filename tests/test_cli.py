@@ -108,6 +108,16 @@ class TestBuildAttachSearch:
                                "--query", str(qpath), "--K", "5", "--efs", "20")
         assert code == 2 and "format error" in err
 
+    def test_simhash_compact_exits_1(self, capsys, tmp_path):
+        ds, _ = synthetic_dataset(300, 16, 2, seed=4)
+        base, index, out = tmp_path / "base.fvecs", tmp_path / "g.idx", tmp_path / "sh.idx"
+        save_fvecs(ds, base)
+        save_index(build_hnsw(ds, M=4, efc=20, metric=Metric.L2, seed=1), index)
+        code, _, err = run_cli(capsys, "attach", "--base", str(base), "--index", str(index),
+                               "--routing", "simhash", "--compact", "--out", str(out))
+        assert code == 1 and "usage error" in err
+        assert not out.exists()
+
     def test_attach_requires_mode(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "attach", "--index", str(tmp_path / "x.idx"))
         assert code == 1

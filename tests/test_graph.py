@@ -202,6 +202,16 @@ class TestSearch:
         np.testing.assert_array_equal(r1, r2)
         assert s1 == s2
 
+    def test_boundary_ties_keep_lower_ids(self):
+        """With every key equal, the result list keeps the lowest ids among the nodes it saw."""
+        signs = np.random.default_rng(1).choice([-1.0, 1.0], size=(80, 16)).astype(np.float32)
+        idx = build_hnsw(Dataset(signs), M=4, efc=20, metric=Metric.L2, seed=1)
+        scratch = idx.make_scratch()
+        ids, _ = search(idx, np.zeros(16), SearchParams(K=5, efs=10), scratch=scratch)
+        seen = np.nonzero(scratch.visited == scratch.epoch)[0]
+        assert seen.size > 10
+        np.testing.assert_array_equal(ids, seen[:5])
+
     def test_routing_without_attachment_rejected(self, small):
         _, _, idx = small
         cfg = RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64)
@@ -363,6 +373,54 @@ class TestPersistence:
             np.testing.assert_array_equal(a, b)
 
 
+def _buffers(obj) -> list[np.ndarray]:
+    """The distinct numpy buffers held in an object's attributes, each once."""
+    roots = {}
+    for val in vars(obj).values():
+        if isinstance(val, np.ndarray):
+            while isinstance(val.base, np.ndarray):
+                val = val.base
+            roots[id(val)] = val
+    return list(roots.values())
+
+
+_STORE_CONFIGS = {
+    "peos_L4": RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64),
+    "compact_L4": RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64, compact=True),
+    "rceos_L1": RoutingConfig(mode=RoutingMode.RCEOS, eps=0.2, L=1, m=64),
+    "simhash_64": RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64),
+}
+
+
+class TestMemory:
+    """The served index keeps one copy of each thing, in its stored form."""
+
+    def test_no_float64_vector_copy(self, small, small_peos, tmp_path):
+        ds, _, idx = small
+        path = tmp_path / "peos.idx"
+        save_index(small_peos, path)
+        for index in (idx, small_peos, load_index(path, ds)):
+            assert index.dataset.vectors.dtype == np.float32
+            assert all(b.size < ds.vectors.size for b in _buffers(index))
+            # beside the vectors: the squared norm and the norm of each, in float64
+            assert sum(b.nbytes for b in _buffers(index) if b.dtype == np.float64) <= 2 * 8 * ds.n
+
+    @pytest.mark.parametrize("name", list(_STORE_CONFIGS))
+    def test_store_holds_wire_records(self, small, name, tmp_path):
+        ds, _, idx = small
+        routed = attach(idx, _STORE_CONFIGS[name])
+        path = tmp_path / "routed.idx"
+        save_index(routed, path)
+        for store in (routed.routing.store, load_index(path, ds).routing.store):
+            E = store.n_edges
+            record = len(store.wire_bytes()) // E
+            per_edge = sum(b.nbytes for b in _buffers(store) if b.shape[:1] == (E,))
+            fixed = sum(b.nbytes for b in _buffers(store) if b.shape[:1] != (E,))
+            assert per_edge <= E * record
+            # the decode tables: both norms at every 16-bit code, both weights at every byte
+            assert fixed <= 8 * (2 * 65536 + 2 * 256) + 1024
+
+
 @pytest.fixture(scope="module", params=[Metric.L2, Metric.ANGULAR, Metric.IP], ids=lambda m: m.value)
 def twins(request):
     """A small graph whose points 0..9 each have an exact duplicate, so some edges have zero norm."""
@@ -480,13 +538,24 @@ class TestFailClosed:
             load_index(path, ds)
 
     def test_simhash_with_compact_flag_loads(self, small, tmp_path):
-        ds, _, idx = small
-        cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64, compact=True)
+        """Older attach took a compact flag for SimHash and fitted 8-bit quantizers to 16-bit codes."""
+        ds, queries, idx = small
+        cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64)
         path = tmp_path / "sh.idx"
         routed = attach(idx, cfg)
         save_index(routed, path)
+        _reseal(path, _L_AT + 8, "B", 1)
+        _reseal(path, _QUANT_AT + 16, "B", 8)
+        _reseal(path, _ENORM_AT + 16, "B", 8)
         loaded = load_index(path, ds)
+        assert not loaded.routing.cfg.compact
+        assert loaded.routing.store.quant.enorm.bits == 8
         assert loaded.routing.store.wire_bytes() == routed.routing.store.wire_bytes()
+        search(loaded, queries[0], SearchParams(K=5, efs=20, routing=cfg))
+
+    def test_simhash_compact_rejected(self):
+        with pytest.raises(UsageError):
+            RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64, compact=True)
 
     def test_truncated_header(self, small, tmp_path):
         ds, _, idx = small

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from annroute import (
-    EdgeMetaBlock,
+    Dataset,
     EdgeQuantizers,
     Metric,
     PermutationPlan,
@@ -16,8 +16,10 @@ from annroute import (
     ScalarQuantizer,
     ThresholdState,
     UsageError,
+    attach,
     batch_peos_test,
     build_edge_meta,
+    build_hnsw,
     build_quantile_table,
     collision_count,
     compute_Ar,
@@ -602,45 +604,57 @@ class TestPartitionStats:
             assert ps.j_rel >= ps.j_opt
 
 
+@pytest.fixture(scope="module")
+def routed_L4():
+    """A real edge store: a graph of 400 Gaussian points with peos L=4 m=16 attached."""
+    rng = np.random.default_rng(11)
+    ds = Dataset(rng.standard_normal((400, 32)).astype(np.float32))
+    idx = attach(build_hnsw(ds, M=6, efc=30, metric=Metric.L2, seed=11),
+                 RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=16))
+    return ds, idx.routing
+
+
 class TestBatchPeos:
-    def _random_setup(self, seed, n_edges=64):
+    """The fused gate on blocks of a real store against the scalar peos_test on its records."""
+
+    def _setup(self, routed, seed):
+        ds, att = routed
         rng = np.random.default_rng(seed)
-        ens = generate_ensemble(seed, 32, 4, 16)
-        plan = PermutationPlan.identity(32, 4)
-        U = rng.standard_normal((n_edges, 32))
-        V = rng.standard_normal((n_edges, 32))
-        half = 0.5 * np.einsum("ij,ij->i", U, U)
-        enorm = np.linalg.norm(U - V, axis=1)
-        quant = fitted_quantizers(half, enorm)
-        metas = [build_edge_meta(U[i], V[i], ens, plan, quant) for i in range(n_edges)]
         q = rng.standard_normal(32)
-        qpt = project_query(q, ens)
-        v0 = V[0]
-        ts = ThresholdState(r=rng.uniform(-5, 30), delta=math.nan, vq=float(v0 @ q))
-        return metas, qpt, ts
+        v0 = ds.vectors[rng.integers(ds.n)].astype(np.float64)
+        qpt = project_query(q, att.ens)
+        # r spread so that A_r lands on both sides of 0 and of +-1
+        r = float(np.median(att.store.block(np.arange(att.store.n_edges)).half_u_sq)
+                  - v0 @ q - rng.uniform(-1.5, 1.5) * qpt.qnorm * 5.0)
+        return att.store, qpt, ThresholdState(r=r, delta=math.nan, vq=float(v0 @ q))
 
-    def test_bitmap_matches_elementwise(self):
+    def test_bitmap_matches_elementwise(self, routed_L4):
         tbl = build_quantile_table(0.2, 4, 16)
-        total = 0
+        seen = {"tested": 0, "passed": 0, "edges": 0}
         for seed in range(40):
-            metas, qpt, ts = self._random_setup(seed + 1, n_edges=16)
-            bitmap = batch_peos_test(metas, tbl, qpt, ts)
-            single = np.array([peos_test(m, tbl, qpt, ts) for m in metas])
+            store, qpt, ts = self._setup(routed_L4, seed + 1)
+            slots = np.sort(np.random.default_rng(seed).choice(store.n_edges, 16, replace=False))
+            block = store.block(slots)
+            bitmap = batch_peos_test(block, tbl, qpt, ts)
+            single = np.array([peos_test(store.meta_at(int(s)), tbl, qpt, ts) for s in slots])
             np.testing.assert_array_equal(bitmap, single)
-            total += len(metas)
-        assert total >= 512
+            ar = np.array([compute_Ar(store.meta_at(int(s)), ts, qpt.qnorm, Metric.L2) for s in slots])
+            seen["tested"] += int(np.count_nonzero(np.abs(ar) < 1.0))
+            seen["passed"] += int(bitmap.sum())
+            seen["edges"] += len(slots)
+        assert seen["edges"] == 640 and seen["tested"] >= 200
+        assert 0 < seen["passed"] < seen["edges"]
 
-    def test_empty_block(self):
+    def test_empty_block(self, routed_L4):
         tbl = build_quantile_table(0.2, 4, 16)
-        _, qpt, ts = self._random_setup(5, n_edges=1)
-        out = batch_peos_test([], tbl, qpt, ts)
+        store, qpt, ts = self._setup(routed_L4, 5)
+        out = batch_peos_test(store.block(np.empty(0, dtype=np.intp)), tbl, qpt, ts)
         assert out.shape == (0,)
 
-    def test_identical_edges_uniform(self):
+    def test_identical_edges_uniform(self, routed_L4):
         tbl = build_quantile_table(0.2, 4, 16)
-        metas, qpt, ts = self._random_setup(9, n_edges=1)
-        block = metas * 16
-        out = batch_peos_test(block, tbl, qpt, ts)
+        store, qpt, ts = self._setup(routed_L4, 9)
+        out = batch_peos_test(store.block(np.full(16, 7)), tbl, qpt, ts)
         assert out.shape == (16,) and len(set(out.tolist())) == 1
 
 
