@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptionError, DegenerateInputError, FormatError, UsageError
-from .projections import ID_BYTES, RNG_ID, ProjectionEnsemble, generate_ensemble, project_query
+from .projections import (ID_BYTES, RNG_ID, ProjectionEnsemble, check_id_bytes, decode_id_bytes,
+                          encode_id_bytes, generate_ensemble, project_query)
 from .routing import (
     EdgeMetaBlock,
     EdgeMeta,
@@ -153,7 +154,7 @@ class EdgeMetaStore:
         r = self.rec[slot]
         L = self.L
         return EdgeMeta(
-            ext_ids=tuple(int(x) for x in _decode_id_bytes(self.ids[slot])),
+            ext_ids=tuple(int(x) for x in decode_id_bytes(self.ids[slot])),
             w_reg_q=255 if self.compact else int(r[L + 1]),
             w_res_q=0 if self.compact else int(r[L + 2]),
             var_idx=self.var_idx if self.compact else int(r[L + 3]),
@@ -185,31 +186,16 @@ class EdgeMetaStore:
             store.sketches = lead
         else:
             store.rec = lead
-            _check_id_bytes(store.ids, m)
+            check_id_bytes(store.ids, m)
         store.norm_q = np.ascontiguousarray(mat[:, width:]).view(store.norm_q.dtype)
         store.finalize()
         return store
-
-
-def _check_id_bytes(b: np.ndarray, m: int) -> None:
-    # byte 0 is the null id, 1..128 the ids +1..+128 and 129..255 the ids -1..-127
-    if b.size and np.any((b > m) & ((b <= 128) | (b > 128 + min(m, 127)))):
-        raise FormatError(f"edge metadata holds an extreme id beyond m={m}")
 
 
 def _wire_matrix(raw: bytes, n_edges: int, rec: int) -> np.ndarray:
     if len(raw) != n_edges * rec:
         raise FormatError(f"edge metadata section has {len(raw)} bytes, expected {n_edges * rec}")
     return np.frombuffer(raw, dtype=np.uint8).reshape(n_edges, rec)
-
-
-def _encode_id_bytes(ids: np.ndarray) -> np.ndarray:
-    return np.where(ids > 0, ids, np.where(ids < 0, 128 - ids, 0)).astype(np.uint8)
-
-
-def _decode_id_bytes(b: np.ndarray) -> np.ndarray:
-    bi = b.astype(np.int16)
-    return np.where(bi == 0, 0, np.where(bi <= 128, bi, 128 - bi)).astype(np.int16)
 
 
 @dataclass
@@ -599,9 +585,44 @@ def _attach_spans(n_edges: int):
         yield lo, min(lo + _ATTACH_CHUNK, n_edges)
 
 
+def _reverse_pairs(n: int, src: np.ndarray, dst: np.ndarray):
+    """The canonical edges, computed directly, and every other edge with the canonical edge it mirrors.
+
+    An edge is canonical if it has src < dst, has no reverse edge, or is a
+    self-loop. Every other edge v->u (v > u) mirrors the first slot of u->v,
+    which is canonical. Returns the canonical slots, the mirror slots and,
+    for each mirror, its source's position in the canonical slots; mirrors
+    are ordered by that position, so each span of canonical edges owns one
+    run of mirrors.
+    """
+    key = src * n + dst  # ascending: rows in order and each row sorted
+    if np.any(key[1:] < key[:-1]):
+        raise UsageError("base-layer neighbor lists must be sorted")
+    want = dst * n + src
+    order = np.argsort(want)  # sorted needles make the search several times faster
+    rev = np.empty_like(want)
+    rev[order] = np.minimum(np.searchsorted(key, want[order]), key.size - 1)
+    mirror = (src > dst) & (key[rev] == want)
+    canon, mirrors = np.flatnonzero(~mirror), np.flatnonzero(mirror)
+    source = (np.cumsum(~mirror) - 1)[rev[mirrors]]
+    order = np.argsort(source, kind="stable")
+    return canon, mirrors[order], source[order]
+
+
 def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
                    plan: PermutationPlan, cfg: RoutingConfig) -> HnswIndex:
-    """Build per-edge metadata for the configured gate; returns a new index view."""
+    """Build per-edge metadata for the configured gate; returns a new index view.
+
+    The residual of v->u is exactly minus that of u->v, since float
+    subtraction is sign-symmetric, and so are its products with the
+    projections. Every id is odd in the residual and every other code
+    (weights, variance row, edge norm) is even, so peos and rceos compute
+    one edge of each reciprocal pair and write the other's record with
+    the ids negated (see encode_id_bytes for the one asymmetry, -128);
+    the records are byte-identical to computing every edge. half_u_sq
+    comes from each edge's own target. SimHash computes every edge: the
+    sign of an exactly zero product does not flip.
+    """
     if cfg.mode == RoutingMode.NONE:
         out = copy.copy(idx)
         out.routing = None
@@ -613,6 +634,8 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     src = np.repeat(np.arange(idx.n), np.diff(idx.base_indptr))
     dst = idx.base_indices
     perm = None if np.array_equal(plan.perm, np.arange(idx.dim)) else plan.perm
+    V = idx.dataset.vectors
+    enorm_vals = np.empty(n_edges)
 
     # the quantizers are fitted once every edge norm is known, after the loop
     if cfg.mode == RoutingMode.SIMHASH:
@@ -621,6 +644,13 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
         store = EdgeMetaStore(cfg.mode, cfg.L, cfg.m, False, cfg.simhash_bits, None, n_edges)
         hperm = hashes[:, plan.perm]  # hash the permuted residuals
         att_ens = None
+        for lo, hi in _attach_spans(n_edges):
+            e = V[dst[lo:hi]].astype(np.float64)
+            e -= V[src[lo:hi]]
+            enorm_vals[lo:hi] = np.linalg.norm(e, axis=1)
+            if perm is not None:
+                e = e[:, perm]
+            store.sketches[lo:hi] = np.packbits((e @ hperm.T) >= 0.0, axis=1)
     else:
         if ens is None:
             raise UsageError("projection routing needs an ensemble")
@@ -629,21 +659,21 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
         seed = ens.seed
         store = EdgeMetaStore(cfg.mode, cfg.L, cfg.m, cfg.compact, cfg.simhash_bits, None, n_edges)
         att_ens = ens
-
-    enorm_vals = np.empty(n_edges)
-    V = idx.dataset.vectors
-    for lo, hi in _attach_spans(n_edges):
-        e = V[dst[lo:hi]].astype(np.float64)
-        e -= V[src[lo:hi]]
-        enorm = np.linalg.norm(e, axis=1)
-        enorm_vals[lo:hi] = enorm
-        if perm is not None:  # the weights take the norm summed in permuted order
-            e = e[:, perm]
-            enorm = np.linalg.norm(e, axis=1)
-        if cfg.mode == RoutingMode.SIMHASH:
-            store.sketches[lo:hi] = np.packbits((e @ hperm.T) >= 0.0, axis=1)
-        else:
-            _fill_meta_chunk(store, lo, e, enorm, ens, cfg.compact)
+        canon, mirrors, source = _reverse_pairs(idx.n, src, dst.astype(np.int64))
+        for lo, hi in _attach_spans(canon.size):
+            s = canon[lo:hi]
+            e = V[dst[s]].astype(np.float64)
+            e -= V[src[s]]
+            enorm = pnorm = np.linalg.norm(e, axis=1)
+            if perm is not None:  # the weights take the norm summed in permuted order
+                e = e[:, perm]
+                pnorm = np.linalg.norm(e, axis=1)
+            ids, codes = _meta_chunk(e, pnorm, ens, cfg.compact)
+            a, b = np.searchsorted(source, (lo, hi))
+            t, k = mirrors[a:b], source[a:b] - lo
+            enorm_vals[s], enorm_vals[t] = enorm, enorm[k]
+            store.rec[s] = np.concatenate((encode_id_bytes(ids), codes), axis=1)
+            store.rec[t] = np.concatenate((encode_id_bytes(-ids[k]), codes[k]), axis=1)
 
     half_vals = 0.5 * idx._sqn[dst]
     bits = _norm_bits(cfg.compact)
@@ -664,9 +694,15 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     return out
 
 
-def _fill_meta_chunk(store: EdgeMetaStore, lo: int, ep: np.ndarray, enorm: np.ndarray,
-                     ens: ProjectionEnsemble, compact: bool) -> None:
-    """Vectorized extreme ids and weights for a chunk of permuted residuals and their norms."""
+def _meta_chunk(ep: np.ndarray, enorm: np.ndarray, ens: ProjectionEnsemble,
+                compact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Signed extreme ids and weight codes for a chunk of permuted residuals and their norms.
+
+    ids is (B, L+1) led by the residual id, or (B, L) in compact mode;
+    codes holds the w_reg, w_res and var_idx codes, (B, 3), or no
+    columns in compact mode. Negating a residual negates its ids and
+    leaves its codes as they are.
+    """
     B, d = ep.shape
     L, dp = ens.L, ens.sub_dim
     blocks = ep.reshape(B, L, dp)
@@ -684,37 +720,32 @@ def _fill_meta_chunk(store: EdgeMetaStore, lo: int, ep: np.ndarray, enorm: np.nd
         prods = blocks[:, i, :] @ ens.sub[i].T
         ids[:, i + 1] = _signed_argmax_rows(prods)
         ids[~nz[:, i], i + 1] = 0  # zero block -> null id
-    if not compact:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(nz, 1.0 - (enorm * w_reg)[:, None] / (np.sqrt(nnz)[:, None] * bn), 0.0)
-        res = (blocks * np.nan_to_num(scale)[:, :, None]).reshape(B, d)
-        rp = res @ ens.full.T
-        ids[:, 0] = _signed_argmax_rows(rp)
-        ids[w_res < _RES_EPS, 0] = 0
-    ids[~live] = 0
-
-    rec = store.rec[lo : lo + B]
     if compact:
-        rec[:] = _encode_id_bytes(ids[:, 1:])
-    else:
-        rec[:, : L + 1] = _encode_id_bytes(ids)
-        rec[:, L + 1] = np.round(np.where(live, w_reg, 1.0) * 255)
-        rec[:, L + 2] = np.round(np.where(live, w_res, 0.0) * 255)
-        rec[:, L + 3] = var_row_indices(np.where(live, w_reg, 1.0), np.where(live, w_res, 0.0), L)
+        ids[~live] = 0
+        return ids[:, 1:], np.empty((B, 0), dtype=np.uint8)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(nz, 1.0 - (enorm * w_reg)[:, None] / (np.sqrt(nnz)[:, None] * bn), 0.0)
+    res = (blocks * np.nan_to_num(scale)[:, :, None]).reshape(B, d)
+    rp = res @ ens.full.T
+    ids[:, 0] = _signed_argmax_rows(rp)
+    ids[w_res < _RES_EPS, 0] = 0
+    ids[~live] = 0
+    w_reg, w_res = np.where(live, w_reg, 1.0), np.where(live, w_res, 0.0)
+    codes = np.stack((np.round(w_reg * 255), np.round(w_res * 255), var_row_indices(w_reg, w_res, L)), axis=1)
+    return ids, codes.astype(np.uint8)
 
 
 def _signed_argmax_rows(prods: np.ndarray) -> np.ndarray:
     """Signed 1-based index of each row's largest |entry|: the lowest index wins a tie,
-    the sign is that of the entry (-0.0 counts as positive), and -128 maps to the null id 0."""
+    and the sign is that of the entry (-0.0 counts as positive). At m=128 the result
+    may be -128, which encode_id_bytes stores as the null id."""
     rows = np.arange(prods.shape[0])
     jmax = prods.argmax(axis=1)
     jmin = prods.argmin(axis=1)
     top = np.abs(prods[rows, jmax])
     bot = np.abs(prods[rows, jmin])
     j = np.where(top > bot, jmax, np.where(bot > top, jmin, np.minimum(jmax, jmin)))
-    out = np.where(prods[rows, j] >= 0.0, j + 1, -1 - j).astype(np.int16)
-    out[out == -128] = 0  # the one signed id that does not fit a byte
-    return out
+    return np.where(prods[rows, j] >= 0.0, j + 1, -1 - j).astype(np.int16)
 
 
 def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DegenerateInputError, UsageError
+from .errors import DegenerateInputError, FormatError, UsageError
 
 RNG_ID = "philox4x64/u53-ndtri/v1"
 
@@ -67,6 +67,32 @@ def generate_ensemble(seed: int, d: int, L: int, m: int) -> ProjectionEnsemble:
 ID_BYTES = 256  # entries per row of a query's signed table: one per extreme-id byte
 
 
+def encode_id_bytes(ids) -> np.ndarray:
+    """The one-byte wire form of signed extreme ids: 0 the null id, b the id +b (b <= 128) and
+    128+b the id -b (b <= 127). -128 has no byte and degrades to the null id, so a reverse
+    edge's bytes, the encoding of its negated ids, mirror the forward ones except at +-128.
+    """
+    ids = np.asarray(ids, dtype=np.int16)
+    return np.where(ids > 0, ids, np.where((ids < 0) & (ids > -128), 128 - ids, 0)).astype(np.uint8)
+
+
+def decode_id_bytes(b) -> np.ndarray:
+    """The signed extreme id of every wire byte."""
+    b = np.asarray(b, dtype=np.int16)
+    return np.where(b <= 128, b, 128 - b)
+
+
+def check_id_bytes(b: np.ndarray, m: int) -> None:
+    """Reject stored id bytes that name a projection beyond the m an ensemble has."""
+    # bytes m+1..128 hold the ids above m, bytes 129+m..255 the ids below -m
+    if b.size and np.any((b > m) & ((b <= 128) | (b > 128 + min(m, 127)))):
+        raise FormatError(f"edge metadata holds an extreme id beyond m={m}")
+
+
+_BYTE_IDS = decode_id_bytes(np.arange(ID_BYTES))  # the signed id each byte holds
+_BYTE_COL, _BYTE_SIGN = np.abs(_BYTE_IDS).astype(np.intp), np.sign(_BYTE_IDS).astype(np.float64)
+
+
 @dataclass(frozen=True)
 class QueryProjectionTable:
     """All L*m subspace and m full-space inner products of the normalized query.
@@ -75,10 +101,9 @@ class QueryProjectionTable:
     threshold formula needs. table is the same products signed and
     indexed by the one-byte wire encoding of an extreme id: (L+1) rows
     of ID_BYTES entries, row 0 the full space and row l the subspace l.
-    Entry l*256 + b holds proj[l, b-1] for b in 1..128 (id +b),
-    -proj[l, b-129] for b in 129..255 (id 128-b), and 0 for b = 0 (the
-    null id) and for bytes of ids beyond m. An edge's statistic then
-    reads one entry per stored id byte.
+    Entry l*256 + b holds the product of the id s that byte b decodes to,
+    sign(s) * proj[l, |s|-1], and 0 for the null id and for ids beyond m.
+    An edge's statistic then reads one entry per stored id byte.
     """
 
     sub_proj: np.ndarray
@@ -99,11 +124,10 @@ def project_query(q: np.ndarray, ens: ProjectionEnsemble) -> QueryProjectionTabl
     blocks = qn.reshape(ens.L, ens.sub_dim)
     sub_proj = np.einsum("ld,lmd->lm", blocks, ens.sub)
     full_proj = ens.full @ qn
-    table = np.zeros((ens.L + 1, ID_BYTES))
-    table[0, 1 : ens.m + 1] = full_proj
-    table[1:, 1 : ens.m + 1] = sub_proj
-    neg = min(ens.m, 127)  # -128 has no byte
-    table[:, 129 : 129 + neg] = -table[:, 1 : 1 + neg]
+    proj = np.zeros((ens.L + 1, 129))  # column |s| for the id s: 0 for the null id and ids beyond m
+    proj[0, 1 : ens.m + 1] = full_proj
+    proj[1:, 1 : ens.m + 1] = sub_proj
+    table = proj.take(_BYTE_COL, axis=1) * _BYTE_SIGN
     return QueryProjectionTable(sub_proj=sub_proj, full_proj=full_proj, qnorm=qnorm, qn=qn,
                                 table=table.ravel())
 

@@ -33,6 +33,8 @@ from .projections import (
     ProjectionEnsemble,
     QueryProjectionTable,
     _seeded_normal,
+    decode_id_bytes,
+    encode_id_bytes,
     extreme_index,
     extreme_index_full,
 )
@@ -264,29 +266,9 @@ class EdgeQuantizers:
     enorm: ScalarQuantizer
 
 
-def encode_extreme_id(sid: int) -> int:
-    """Pack a signed extreme index into one byte: 0 null, 1..128 positive, 129..255 negative."""
-    if sid == NULL_INDEX:
-        return 0
-    if sid > 0:
-        if sid > 128:
-            raise UsageError(f"extreme index {sid} does not fit one byte")
-        return sid
-    if sid < -127:
-        raise UsageError(f"extreme index {sid} does not fit one byte")
-    return 128 - sid
-
-
-def decode_extreme_id(byte: int) -> int:
-    if byte == 0:
-        return NULL_INDEX
-    return byte if byte <= 128 else 128 - byte
-
-
 def canonical_extreme_id(sid: int) -> int:
-    # One byte holds 256 signed ids plus null; -m at m=128 is the symbol
-    # that does not fit and degrades to the null (zero contribution) id.
-    return NULL_INDEX if sid == -128 else sid
+    """The id a stored record gives back: -128 degrades to the null (zero contribution) id."""
+    return int(decode_id_bytes(encode_id_bytes(sid)))
 
 
 @dataclass(frozen=True)

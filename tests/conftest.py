@@ -3,9 +3,11 @@
 The 50k graph build is the expensive part of the suite, so it is built
 once per session and cached on disk under tests/_cache, keyed by the
 build parameters and a hash of the graph module source (any change to
-construction code invalidates the cache).
+construction code invalidates the cache). A build deletes the cached
+graphs of the same parameters that other code built.
 """
 
+import glob
 import hashlib
 import os
 
@@ -43,13 +45,15 @@ def desk_truth(desk_data):
 def desk_index(desk_data):
     ds, _ = desk_data
     os.makedirs(_CACHE_DIR, exist_ok=True)
-    key = f"hnsw-{DESK_N}x{DESK_D}-M{DESK_M}-efc{DESK_EFC}-s{DESK_SEED}-{_code_tag()}"
-    path = os.path.join(_CACHE_DIR, key + ".idx")
+    stem = f"hnsw-{DESK_N}x{DESK_D}-M{DESK_M}-efc{DESK_EFC}-s{DESK_SEED}-"
+    path = os.path.join(_CACHE_DIR, stem + _code_tag() + ".idx")
     if os.path.exists(path):
         try:
             return ar.load_index(path, ds)
         except ar.AnnRouteError:
             os.unlink(path)
+    for old in glob.glob(os.path.join(_CACHE_DIR, glob.escape(stem) + "*.idx")):  # built by other code
+        os.unlink(old)
     idx = ar.build_hnsw(ds, DESK_M, DESK_EFC, ar.Metric.L2, DESK_SEED)
     ar.save_index(idx, path)
     return idx

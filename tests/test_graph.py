@@ -35,7 +35,7 @@ from annroute import (
     synthetic_dataset,
 )
 import annroute.graph as graph_mod
-from annroute.projections import RNG_ID
+from annroute.projections import RNG_ID, encode_id_bytes
 from annroute.vecstore import PermutationPlan
 
 from oracles import brute_force_reference
@@ -143,6 +143,15 @@ class TestAttach:
         ids, _ = search(peos, vecs[3], SearchParams(K=2, efs=10,
                         routing=RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=16)))
         assert set(ids.tolist()) == {3, 7}
+
+    def test_unsorted_row_rejected(self, small):
+        """attach finds reverse edges by binary search, which needs every row sorted."""
+        _, _, idx = small
+        bad = copy.copy(idx)
+        bad.base_indices = idx.base_indices.copy()
+        bad.base_indices[: idx.base_indptr[1]] = idx.neighbors(0)[::-1]
+        with pytest.raises(UsageError):
+            attach(bad, RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64))
 
     def test_mismatched_plan_rejected(self, small):
         _, _, idx = small
@@ -421,14 +430,18 @@ class TestMemory:
             assert fixed <= 8 * (2 * 65536 + 2 * 256) + 1024
 
 
-@pytest.fixture(scope="module", params=[Metric.L2, Metric.ANGULAR, Metric.IP], ids=lambda m: m.value)
-def twins(request):
+def _twin_graph(metric):
     """A small graph whose points 0..9 each have an exact duplicate, so some edges have zero norm."""
     ds, queries = synthetic_dataset(600, 32, 20, seed=21)
     vecs = ds.vectors.copy()
     vecs[300:310] = vecs[:10]
     queries = np.vstack([queries, vecs[:10] + 0.01])
-    return request.param, queries, build_hnsw(Dataset(vecs), M=6, efc=40, metric=request.param, seed=2)
+    return queries, build_hnsw(Dataset(vecs), M=6, efc=40, metric=metric, seed=2)
+
+
+@pytest.fixture(scope="module", params=[Metric.L2, Metric.ANGULAR, Metric.IP], ids=lambda m: m.value)
+def twins(request):
+    return (request.param, *_twin_graph(request.param))
 
 
 class TestLiveGateEquivalence:
@@ -585,43 +598,114 @@ class TestBitStability:
         assert h.hexdigest() == GOLDEN_PEOS_DIGEST
 
 
-# blake2b-128 of store.wire_bytes() on the `small` graph, recorded with the
-# 65,536-edge attach chunks, before attach streamed 1,024-edge chunks
-# through a signed argmax/argmin pick; the bytes must not change.
+def _handmade(idx):
+    """The CSR of idx with one-way edges, a self-loop and repeated ids added; rows stay sorted."""
+    rows = [idx.neighbors(v).tolist() for v in range(idx.n)]
+    lo = [v for v in range(idx.n) if len(rows[v]) <= 2 * idx.M - 3]
+    a, b, c, d, e = lo[:5]
+    rows[a].append(a)  # self-loop
+    u = next(u for u in rows[b] if b in rows[u])
+    rows[b].append(u)  # a repeated id whose reverse edge exists once
+    w = next(w for w in rows[c] if c in rows[w] and len(rows[w]) <= 2 * idx.M - 3)
+    rows[c].append(w)  # a pair whose both ends repeat the other
+    rows[w].append(c)
+    for v in (d, e):  # one-way edges: drop the reverse of a reciprocal edge, add a new edge
+        rows[next(x for x in rows[v] if v in rows[x])].remove(v)
+        rows[v].append(next(x for x in range(idx.n - 1, v, -1) if x not in rows[v] and v not in rows[x]))
+    out = copy.copy(idx)
+    out.base_indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int64)
+    out.base_indices = np.concatenate([sorted(r) for r in rows]).astype(np.int32)
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden_graphs(small, tmp_path_factory):
+    """The graphs the golden attach cases run on; the hand-made one goes through a file first."""
+    ds, _, idx = small
+    path = tmp_path_factory.mktemp("golden") / "handmade.idx"
+    save_index(_handmade(idx), path)
+    return {"small": idx, "twins": _twin_graph(Metric.L2)[1], "handmade": load_index(path, ds)}
+
+
+# blake2b-128 of store.wire_bytes(), recorded with every edge's record computed
+# from its own residual, before attach derived a reverse edge's record from its
+# pair. The `small` cases were recorded with the 65,536-edge attach chunks,
+# before attach streamed 1,024-edge chunks through a signed argmax/argmin pick.
+# At m=128 the ids +128 and -128 occur, and -128 has no byte.
+_PEOS_L8_M128 = RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=8, m=128)
 GOLDEN_ATTACH = {
-    "peos_L4_m64": (RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64), False,
+    "peos_L4_m64": ("small", RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64), False,
                     "496b7268b10028686081d168dd3fe285"),
-    "compact_L4": (RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64, compact=True), False,
+    "compact_L4": ("small", RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64, compact=True), False,
                    "d866bd0f1ebd8d89f9acdc005e31b543"),
-    "rceos_L1": (RoutingConfig(mode=RoutingMode.RCEOS, eps=0.2, L=1, m=64), False,
+    "rceos_L1": ("small", RoutingConfig(mode=RoutingMode.RCEOS, eps=0.2, L=1, m=64), False,
                  "57faf64cc9a382b8e7ed03e3c9e9066e"),
-    "simhash_64": (RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64), False,
+    "simhash_64": ("small", RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64), False,
                    "591b351adf77ca3009bad9bdbbf54dcf"),
-    "peos_permute": (RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64), True,
+    "peos_permute": ("small", RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64), True,
                      "f7b2663d397ff70cc9b5497011415bed"),
+    "twins_peos_L8_m128": ("twins", _PEOS_L8_M128, False, "613d227dc8ca58ce953359b4316dd83a"),
+    "handmade_peos_L8_m128": ("handmade", _PEOS_L8_M128, True, "d854f13d77d4d0cfeb593809ef3a4050"),
+    "handmade_compact_m128": ("handmade", RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=128, compact=True),
+                              False, "91c43e6eec461e50535fb2023b96bbb3"),
+    "handmade_rceos_m128": ("handmade", RoutingConfig(mode=RoutingMode.RCEOS, eps=0.2, L=1, m=128), False,
+                            "727834b04c14c237cba53af1450dfb52"),
+    "handmade_simhash_64": ("handmade", RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64),
+                            False, "b591e4a25fab75514b1e0b3a8fb3b298"),
 }
 
 
-def _attach_digest(idx, name) -> str:
-    cfg, permute, _ = GOLDEN_ATTACH[name]
-    wire = attach(idx, cfg, permute=permute).routing.store.wire_bytes()
+def _attach_digest(graphs, name) -> str:
+    graph, cfg, permute, _ = GOLDEN_ATTACH[name]
+    wire = attach(graphs[graph], cfg, permute=permute).routing.store.wire_bytes()
     return hashlib.blake2b(wire, digest_size=16).hexdigest()
 
 
 class TestGoldenAttach:
     @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
-    def test_wire_bytes(self, small, name):
-        assert _attach_digest(small[2], name) == GOLDEN_ATTACH[name][2]
+    def test_wire_bytes(self, golden_graphs, name):
+        assert _attach_digest(golden_graphs, name) == GOLDEN_ATTACH[name][3]
 
     @pytest.mark.parametrize("tail", [None, 1], ids=["one_chunk", "tail_1"])
-    def test_chunk_size_does_not_change_bytes(self, small, monkeypatch, tail):
+    def test_chunk_size_does_not_change_bytes(self, golden_graphs, monkeypatch, tail):
         """The old one-chunk size, and a chunk size that leaves a 1-edge tail."""
-        idx = small[2]
-        E = idx.n_base_edges
+        E = golden_graphs["small"].n_base_edges
         chunk = 1 << 16 if tail is None else next(c for c in range(64, E) if E % c == tail)
         monkeypatch.setattr(graph_mod, "_ATTACH_CHUNK", chunk)
-        for name, (_, _, digest) in GOLDEN_ATTACH.items():
-            assert _attach_digest(idx, name) == digest, name
+        for name, (_, _, _, digest) in GOLDEN_ATTACH.items():
+            assert _attach_digest(golden_graphs, name) == digest, name
+
+    @pytest.mark.parametrize("name", [k for k, (_, cfg, _, _) in GOLDEN_ATTACH.items()
+                                      if cfg.mode != RoutingMode.SIMHASH])
+    def test_reverse_edge_holds_negated_ids(self, golden_graphs, name):
+        """The residual of v->u is minus that of u->v: every id flips sign, every other code is equal.
+
+        The one exception is +-128: +128 has a byte and -128 does not, so a
+        pair whose ids are +128 and -128 stores 128 on one side and the null
+        byte 0 on the other.
+        """
+        graph, cfg, permute, _ = GOLDEN_ATTACH[name]
+        idx = golden_graphs[graph]
+        store = attach(idx, cfg, permute=permute).routing.store
+        src = np.repeat(np.arange(idx.n), np.diff(idx.base_indptr)).tolist()
+        dst = idx.base_indices.tolist()
+        slots = collections.defaultdict(list)
+        for s, edge in enumerate(zip(src, dst)):
+            slots[edge].append(s)
+        pairs = [(s, r) for s, (v, u) in enumerate(zip(src, dst)) for r in slots[u, v]]
+        fwd, rev = np.array(pairs).T
+        a, b = store.ids[fwd].astype(np.int16), store.ids[rev].astype(np.int16)
+        negated = np.where(a == 0, 0, np.where(a <= 128, 128 + a, a - 128))
+        flip = (a == 128) & (b == 0) | (a == 0) & (b == 128)
+        assert np.all((b == negated) & (a != 128) | flip)
+        assert flip.any() == (cfg.m == 128)
+        width = store.ids.shape[1]  # the weight and variance codes follow the ids
+        np.testing.assert_array_equal(store.rec[fwd, width:], store.rec[rev, width:])
+        np.testing.assert_array_equal(store.norm_q[fwd, 1], store.norm_q[rev, 1])
+        if graph == "twins":  # the duplicated points give zero residuals: null ids on both sides
+            assert np.any(store.norm_q[fwd, 1] == 0) and np.all(a[store.norm_q[fwd, 1] == 0] == 0)
+        if graph == "handmade":  # the self-loop is its own reverse
+            assert np.any(fwd == rev)
 
     @pytest.mark.parametrize("n_edges", [0, 1, 700, 1024, 1025, 3000, 4096])
     def test_every_span_is_full_length(self, n_edges):
@@ -638,9 +722,7 @@ def _reference_signed_pick(prods):
     """The signed pick as argmax of |prods|, the rule the ids were defined with."""
     j = np.argmax(np.abs(prods), axis=1)
     signs = np.where(prods[np.arange(prods.shape[0]), j] >= 0.0, 1, -1)
-    out = (signs * (j + 1)).astype(np.int16)
-    out[out == -128] = 0
-    return out
+    return (signs * (j + 1)).astype(np.int16)
 
 
 class TestSignedPick:
@@ -660,12 +742,15 @@ class TestSignedPick:
         np.testing.assert_array_equal(graph_mod._signed_argmax_rows(prods), _reference_signed_pick(prods))
 
     def test_minus_128_maps_to_null(self):
+        """The pick keeps -128; its encoding, of the pick or of a negated +128, is the null byte."""
         prods = np.zeros((2, 128))
         prods[0, 127] = -2.0  # id -128 does not fit a byte
         prods[1, 127] = 2.0  # id +128 does
         out = graph_mod._signed_argmax_rows(prods)
         assert out.dtype == np.int16
-        np.testing.assert_array_equal(out, [0, 128])
+        np.testing.assert_array_equal(out, [-128, 128])
+        np.testing.assert_array_equal(encode_id_bytes(out), [0, 128])
+        np.testing.assert_array_equal(encode_id_bytes(-out), [128, 0])
 
     @pytest.mark.parametrize("width", [2, 16, 128])
     def test_matches_abs_argmax_on_random_rows(self, width):

@@ -35,11 +35,10 @@ from annroute import (
     simhash_test,
     w_reg_lower_bound,
 )
+from annroute.projections import decode_id_bytes, encode_id_bytes
 from annroute.routing import (
     _edge_statistic,
     canonical_extreme_id,
-    decode_extreme_id,
-    encode_extreme_id,
     simhash_threshold,
     variance_grid,
     var_row_indices,
@@ -229,19 +228,15 @@ class TestScalarQuantizer:
 
 class TestExtremeIdCodec:
     def test_roundtrip_all_representable(self):
-        for sid in [0, *range(1, 129), *range(-1, -128, -1)]:
-            assert decode_extreme_id(encode_extreme_id(sid)) == sid
+        sids = np.array([0, *range(1, 129), *range(-1, -128, -1)])
+        b = encode_id_bytes(sids)
+        assert b.dtype == np.uint8 and np.unique(b).size == 256
+        np.testing.assert_array_equal(decode_id_bytes(b), sids)
 
     def test_minus_128_canonicalizes_to_null(self):
         assert canonical_extreme_id(-128) == 0
         assert canonical_extreme_id(128) == 128
         assert canonical_extreme_id(-127) == -127
-
-    def test_unencodable_rejected(self):
-        with pytest.raises(UsageError):
-            encode_extreme_id(-128)
-        with pytest.raises(UsageError):
-            encode_extreme_id(129)
 
 
 class TestBuildEdgeMeta:
