@@ -58,21 +58,10 @@ from .routing import (
     simhash_test,
     w_reg_lower_bound,
 )
-from .graph import (
-    AuditTrace,
-    HnswIndex,
-    SearchParams,
-    SearchStats,
-    attach,
-    attach_routing,
-    brute_force_all,
-    brute_force_knn,
-    build_hnsw,
-    edge_residual_avgs,
-    load_index,
-    save_index,
-    search,
-)
+from .hnsw import HnswIndex, brute_force_all, brute_force_knn, build_hnsw
+from .edgestore import attach, attach_routing, edge_residual_avgs
+from .query import AuditTrace, SearchParams, SearchStats, search
+from .indexfile import load_index, save_index
 from .bench import (
     AuditReport,
     BenchmarkSpec,

@@ -15,16 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .edgestore import attach
 from .errors import UsageError
-from .graph import (
-    AuditTrace,
-    HnswIndex,
-    SearchParams,
-    attach,
-    brute_force_all,
-    build_hnsw,
-    search,
-)
+from .hnsw import HnswIndex, brute_force_all, build_hnsw
+from .query import AuditTrace, SearchParams, search
 from .routing import RoutingConfig, RoutingMode
 from .vecstore import Dataset, Metric, load_fvecs, load_ivecs, save_ivecs
 

@@ -12,7 +12,10 @@ import numpy as np
 
 from . import bench as bench_mod
 from .errors import FormatError, UsageError
-from .graph import attach, build_hnsw, load_index, save_index, search, SearchParams
+from .edgestore import attach
+from .hnsw import build_hnsw
+from .indexfile import load_index, save_index
+from .query import SearchParams, search
 from .routing import RoutingConfig, RoutingMode, estimate_partition_stats, w_reg_lower_bound
 from .vecstore import Metric, load_fvecs
 

@@ -1,0 +1,374 @@
+"""Per-edge routing metadata: the edge store, its wire records, and attach.
+
+Records are slot-aligned with the CSR adjacency, so search gathers a
+popped node's whole edge block at once.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import FormatError, UsageError
+from .hnsw import HnswIndex
+from .projections import (ID_BYTES, ProjectionEnsemble, check_id_bytes, decode_id_bytes, encode_id_bytes,
+                          generate_ensemble)
+from .routing import (
+    EdgeMetaBlock,
+    EdgeMeta,
+    EdgeQuantizers,
+    RoutingConfig,
+    RoutingMode,
+    ScalarQuantizer,
+    generate_simhash_hashes,
+    var_row_indices,
+    _RES_EPS,
+)
+from .vecstore import PermutationPlan, build_permutation
+
+_ATTACH_CHUNK = 1 << 10  # edges per attach chunk: its residuals and products stay in cache
+_RESIDUAL_AVG_CHUNK = 1 << 16
+
+
+class EdgeMetaStore:
+    """Routing records for every directed base-layer edge, kept in their stored form.
+
+    The per-edge arrays hold the file's record fields and nothing else
+    (see wire_bytes):
+
+    * peos/rceos: rec, (E, L+4) uint8, the L+1 extreme-id bytes in their
+      wire encoding (column 0 the residual id), then the w_reg, w_res and
+      var_idx codes; in compact mode (E, L) with the L subspace id bytes
+      only, the weights pinned to (1, 0) and var_idx the one row of every
+      edge;
+    * SimHash: sketches, (E, simhash_bits/8) packed sign bits;
+    * every mode: norm_q, (E, 2), the half_u_sq and enorm codes (uint16,
+      uint8 in compact mode).
+
+    finalize() builds the small decode tables from the quantizers:
+    norm_tab with the half-norm and then the edge norm of every code, and
+    for full records w_tab with w_reg and sqrt(L)*w_res of every weight
+    code. ScalarQuantizer.decode is elementwise, so a table lookup gives
+    the same float64 as decoding the code. rec_base and norm_base, added
+    to a gathered row, point each code at its table entry (see
+    EdgeMetaBlock).
+    """
+
+    def __init__(self, mode: RoutingMode, L: int, m: int, compact: bool,
+                 simhash_bits: int, quant: EdgeQuantizers, n_edges: int):
+        self.mode = mode
+        self.L = L
+        self.m = m
+        self.compact = compact
+        self.simhash_bits = simhash_bits
+        self.quant = quant
+        self.n_edges = n_edges
+        self.norm_q = np.zeros((n_edges, 2), dtype=np.uint8 if compact else np.dtype("<u2"))
+        self.norm_base = np.array([0, 1 << (8 * self.norm_q.itemsize)])
+        self.norm_tab = self.w_tab = None
+        self.enorm_min = 0.0
+        self.rec = self.rec_base = self.var_idx = None
+        if mode == RoutingMode.SIMHASH:
+            self.sketches = np.zeros((n_edges, simhash_bits // 8), dtype=np.uint8)
+        elif compact:
+            self.rec = np.zeros((n_edges, L), dtype=np.uint8)
+            self.rec_base = np.arange(1, L + 1) * ID_BYTES
+            self.var_idx = int(var_row_indices(1.0, 0.0, L))
+        else:
+            self.rec = np.zeros((n_edges, L + 4), dtype=np.uint8)
+            # id bytes to their signed-table rows, w_res codes to the second half of w_tab
+            self.rec_base = np.concatenate((np.arange(L + 1) * ID_BYTES, [0, 256, 0]))
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Extreme-id bytes, (E, L+1) led by the residual id, or (E, L) in compact mode."""
+        return self.rec if self.compact else self.rec[:, : self.L + 1]
+
+    def finalize(self) -> None:
+        """Build the decode tables from the quantizers."""
+        codes = np.arange(self.norm_base[1])
+        self.norm_tab = np.concatenate((self.quant.half_u_sq.decode(codes), self.quant.enorm.decode(codes)))
+        # decode is monotone in the code, so the smallest code holds the smallest norm
+        self.enorm_min = (float(self.quant.enorm.decode(self.norm_q[:, 1].min()))
+                          if self.n_edges else math.inf)
+        if self.rec is not None and not self.compact:
+            w = np.arange(256) / 255.0
+            self.w_tab = np.concatenate((w, math.sqrt(self.L) * w))
+
+    def block(self, slots: np.ndarray) -> EdgeMetaBlock:
+        hn = self.norm_tab.take(self.norm_q.take(slots, axis=0) + self.norm_base)
+        return EdgeMetaBlock(slots, hn[:, 0], hn[:, 1], self.enorm_min,
+                             self.rec, self.rec_base, self.w_tab, self.var_idx)
+
+    def meta_at(self, slot: int) -> EdgeMeta:
+        if self.mode == RoutingMode.SIMHASH:
+            raise UsageError("SimHash attachments store sketches, not extreme ids")
+        r = self.rec[slot]
+        L = self.L
+        return EdgeMeta(
+            ext_ids=tuple(int(x) for x in decode_id_bytes(self.ids[slot])),
+            w_reg_q=255 if self.compact else int(r[L + 1]),
+            w_res_q=0 if self.compact else int(r[L + 2]),
+            var_idx=self.var_idx if self.compact else int(r[L + 3]),
+            half_u_sq_q=int(self.norm_q[slot, 0]),
+            enorm_q=int(self.norm_q[slot, 1]),
+            quant=self.quant,
+            compact=self.compact,
+        )
+
+    # -- wire format -------------------------------------------------------
+
+    def _lead(self) -> np.ndarray:
+        return self.sketches if self.mode == RoutingMode.SIMHASH else self.rec
+
+    def wire_bytes(self) -> bytes:
+        """Per-edge records in adjacency order: the lead fields, then the two norm codes little-endian."""
+        E = self.n_edges
+        norms = self.norm_q.view(np.uint8).reshape(E, 2 * self.norm_q.itemsize)
+        return np.concatenate((self._lead(), norms), axis=1).tobytes()
+
+    @classmethod
+    def from_wire(cls, raw: bytes, mode: RoutingMode, L: int, m: int, compact: bool,
+                  simhash_bits: int, quant: EdgeQuantizers, n_edges: int) -> "EdgeMetaStore":
+        store = cls(mode, L, m, compact, simhash_bits, quant, n_edges)
+        width = store._lead().shape[1]
+        mat = _wire_matrix(raw, n_edges, width + 2 * store.norm_q.itemsize)
+        lead = mat[:, :width].copy()
+        if mode == RoutingMode.SIMHASH:
+            store.sketches = lead
+        else:
+            store.rec = lead
+            check_id_bytes(store.ids, m)
+        store.norm_q = np.ascontiguousarray(mat[:, width:]).view(store.norm_q.dtype)
+        store.finalize()
+        return store
+
+
+def _wire_matrix(raw: bytes, n_edges: int, rec: int) -> np.ndarray:
+    if len(raw) != n_edges * rec:
+        raise FormatError(f"edge metadata section has {len(raw)} bytes, expected {n_edges * rec}")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(n_edges, rec)
+
+
+@dataclass
+class RoutingAttachment:
+    mode: RoutingMode
+    cfg: RoutingConfig
+    seed: int
+    plan: PermutationPlan
+    store: EdgeMetaStore
+    ens: ProjectionEnsemble | None = None
+    hashes: np.ndarray | None = None
+
+
+def _norm_bits(compact: bool) -> int:
+    """Code width of both norm quantizers: one byte per norm in compact records, else two."""
+    return 8 if compact else 16
+
+
+def edge_residual_avgs(idx: HnswIndex) -> np.ndarray:
+    """Mean squared coordinate of u - v over all directed base edges."""
+    n, d = idx.n, idx.dim
+    acc = np.zeros(d)
+    src = np.repeat(np.arange(n), np.diff(idx.base_indptr))
+    dst = idx.base_indices
+    V = idx.dataset.vectors
+    # the chunk fixes the order in which acc sums, and acc decides the permutation plan
+    for lo in range(0, dst.shape[0], _RESIDUAL_AVG_CHUNK):
+        hi = min(lo + _RESIDUAL_AVG_CHUNK, dst.shape[0])
+        e = V[dst[lo:hi]].astype(np.float64)
+        e -= V[src[lo:hi]]
+        acc += np.einsum("ij,ij->j", e, e)
+    if dst.shape[0] == 0:
+        raise UsageError("graph has no base-layer edges")
+    return acc / dst.shape[0]
+
+
+def _attach_spans(n_edges: int):
+    """Edge spans of _ATTACH_CHUNK rows; the last one ends at n_edges and may overlap the one before.
+
+    Every span has the full row count unless the graph has fewer edges:
+    OpenBLAS rounds a product row differently in a matmul of a few rows
+    (a single row, or rows x columns <= 1200) than in a larger one, and
+    the stored ids must not depend on where a chunk boundary falls.
+    """
+    for lo in range(0, n_edges, _ATTACH_CHUNK):
+        lo = max(min(lo, n_edges - _ATTACH_CHUNK), 0)
+        yield lo, min(lo + _ATTACH_CHUNK, n_edges)
+
+
+def _reverse_pairs(n: int, src: np.ndarray, dst: np.ndarray):
+    """The canonical edges, computed directly, and every other edge with the canonical edge it mirrors.
+
+    An edge is canonical if it has src < dst, has no reverse edge, or is a
+    self-loop. Every other edge v->u (v > u) mirrors the first slot of u->v,
+    which is canonical. Returns the canonical slots, the mirror slots and,
+    for each mirror, its source's position in the canonical slots; mirrors
+    are ordered by that position, so each span of canonical edges owns one
+    run of mirrors.
+    """
+    key = src * n + dst  # ascending: rows in order and each row sorted
+    if np.any(key[1:] < key[:-1]):
+        raise UsageError("base-layer neighbor lists must be sorted")
+    want = dst * n + src
+    order = np.argsort(want)  # sorted needles make the search several times faster
+    rev = np.empty_like(want)
+    rev[order] = np.minimum(np.searchsorted(key, want[order]), key.size - 1)
+    mirror = (src > dst) & (key[rev] == want)
+    canon, mirrors = np.flatnonzero(~mirror), np.flatnonzero(mirror)
+    source = (np.cumsum(~mirror) - 1)[rev[mirrors]]
+    order = np.argsort(source, kind="stable")
+    return canon, mirrors[order], source[order]
+
+
+def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
+                   plan: PermutationPlan, cfg: RoutingConfig) -> HnswIndex:
+    """Build per-edge metadata for the configured gate; returns a new index view.
+
+    The residual of v->u is exactly minus that of u->v, since float
+    subtraction is sign-symmetric, and so are its products with the
+    projections. Every id is odd in the residual and every other code
+    (weights, variance row, edge norm) is even, so peos and rceos compute
+    one edge of each reciprocal pair and write the other's record with
+    the ids negated (see encode_id_bytes for the one asymmetry, -128);
+    the records are byte-identical to computing every edge. half_u_sq
+    comes from each edge's own target. SimHash computes every edge: the
+    sign of an exactly zero product does not flip.
+    """
+    if cfg.mode == RoutingMode.NONE:
+        return idx.with_routing(None)
+    if plan.dim != idx.dim or plan.L != cfg.L:
+        raise UsageError("permutation plan does not match index/config")
+    n_edges = idx.n_base_edges
+    src = np.repeat(np.arange(idx.n), np.diff(idx.base_indptr))
+    dst = idx.base_indices
+    perm = None if np.array_equal(plan.perm, np.arange(idx.dim)) else plan.perm
+    V = idx.dataset.vectors
+    enorm_vals = np.empty(n_edges)
+
+    # the quantizers are fitted once every edge norm is known, after the loop
+    if cfg.mode == RoutingMode.SIMHASH:
+        seed = idx.seed
+        hashes = generate_simhash_hashes(seed, idx.dim, cfg.simhash_bits)
+        store = EdgeMetaStore(cfg.mode, cfg.L, cfg.m, False, cfg.simhash_bits, None, n_edges)
+        hperm = hashes[:, plan.perm]  # hash the permuted residuals
+        att_ens = None
+        for lo, hi in _attach_spans(n_edges):
+            e = V[dst[lo:hi]].astype(np.float64)
+            e -= V[src[lo:hi]]
+            enorm_vals[lo:hi] = np.linalg.norm(e, axis=1)
+            if perm is not None:
+                e = e[:, perm]
+            store.sketches[lo:hi] = np.packbits((e @ hperm.T) >= 0.0, axis=1)
+    else:
+        if ens is None:
+            raise UsageError("projection routing needs an ensemble")
+        if ens.d != idx.dim or ens.L != cfg.L or ens.m != cfg.m:
+            raise UsageError("ensemble does not match index/config")
+        seed = ens.seed
+        store = EdgeMetaStore(cfg.mode, cfg.L, cfg.m, cfg.compact, cfg.simhash_bits, None, n_edges)
+        att_ens = ens
+        canon, mirrors, source = _reverse_pairs(idx.n, src, dst.astype(np.int64))
+        for lo, hi in _attach_spans(canon.size):
+            s = canon[lo:hi]
+            e = V[dst[s]].astype(np.float64)
+            e -= V[src[s]]
+            enorm = pnorm = np.linalg.norm(e, axis=1)
+            if perm is not None:  # the weights take the norm summed in permuted order
+                e = e[:, perm]
+                pnorm = np.linalg.norm(e, axis=1)
+            ids, codes = _meta_chunk(e, pnorm, ens, cfg.compact)
+            a, b = np.searchsorted(source, (lo, hi))
+            t, k = mirrors[a:b], source[a:b] - lo
+            enorm_vals[s], enorm_vals[t] = enorm, enorm[k]
+            store.rec[s] = np.concatenate((encode_id_bytes(ids), codes), axis=1)
+            store.rec[t] = np.concatenate((encode_id_bytes(-ids[k]), codes[k]), axis=1)
+
+    half_vals = 0.5 * idx._sqn[dst]
+    bits = _norm_bits(cfg.compact)
+    quant = store.quant = EdgeQuantizers(
+        half_u_sq=ScalarQuantizer.fit(half_vals, bits),
+        enorm=ScalarQuantizer.fit(enorm_vals, bits),
+    )
+    store.norm_q[:, 0] = quant.half_u_sq.encode(half_vals, "down")
+    store.norm_q[:, 1] = quant.enorm.encode(enorm_vals, "up")
+    store.finalize()
+
+    return idx.with_routing(RoutingAttachment(
+        mode=cfg.mode, cfg=cfg, seed=seed, plan=plan, store=store, ens=att_ens,
+        hashes=hashes if cfg.mode == RoutingMode.SIMHASH else None,
+    ))
+
+
+def _meta_chunk(ep: np.ndarray, enorm: np.ndarray, ens: ProjectionEnsemble,
+                compact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Signed extreme ids and weight codes for a chunk of permuted residuals and their norms.
+
+    ids is (B, L+1) led by the residual id, or (B, L) in compact mode;
+    codes holds the w_reg, w_res and var_idx codes, (B, 3), or no
+    columns in compact mode. Negating a residual negates its ids and
+    leaves its codes as they are.
+    """
+    B, d = ep.shape
+    L, dp = ens.L, ens.sub_dim
+    blocks = ep.reshape(B, L, dp)
+    bn = np.linalg.norm(blocks, axis=2)
+    nz = bn > 0.0
+    nnz = nz.sum(axis=1)
+    live = enorm > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_reg = np.where(live, bn.sum(axis=1) / (np.sqrt(nnz) * enorm), 1.0)
+    w_reg = np.minimum(np.nan_to_num(w_reg, nan=1.0), 1.0)
+    w_res = np.sqrt(np.clip(1.0 - w_reg**2, 0.0, 1.0))
+
+    ids = np.zeros((B, L + 1), dtype=np.int16)
+    for i in range(L):
+        prods = blocks[:, i, :] @ ens.sub[i].T
+        ids[:, i + 1] = _signed_argmax_rows(prods)
+        ids[~nz[:, i], i + 1] = 0  # zero block -> null id
+    if compact:
+        ids[~live] = 0
+        return ids[:, 1:], np.empty((B, 0), dtype=np.uint8)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(nz, 1.0 - (enorm * w_reg)[:, None] / (np.sqrt(nnz)[:, None] * bn), 0.0)
+    res = (blocks * np.nan_to_num(scale)[:, :, None]).reshape(B, d)
+    rp = res @ ens.full.T
+    ids[:, 0] = _signed_argmax_rows(rp)
+    ids[w_res < _RES_EPS, 0] = 0
+    ids[~live] = 0
+    w_reg, w_res = np.where(live, w_reg, 1.0), np.where(live, w_res, 0.0)
+    codes = np.stack((np.round(w_reg * 255), np.round(w_res * 255), var_row_indices(w_reg, w_res, L)), axis=1)
+    return ids, codes.astype(np.uint8)
+
+
+def _signed_argmax_rows(prods: np.ndarray) -> np.ndarray:
+    """Signed 1-based index of each row's largest |entry|: the lowest index wins a tie,
+    and the sign is that of the entry (-0.0 counts as positive). At m=128 the result
+    may be -128, which encode_id_bytes stores as the null id."""
+    rows = np.arange(prods.shape[0])
+    jmax = prods.argmax(axis=1)
+    jmin = prods.argmin(axis=1)
+    top = np.abs(prods[rows, jmax])
+    bot = np.abs(prods[rows, jmin])
+    j = np.where(top > bot, jmax, np.where(bot > top, jmin, np.minimum(jmax, jmin)))
+    return np.where(prods[rows, j] >= 0.0, j + 1, -1 - j).astype(np.int16)
+
+
+def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,
+           seed: int | None = None) -> HnswIndex:
+    """Convenience wrapper: derive plan and ensemble, then attach."""
+    if cfg.mode == RoutingMode.NONE:
+        return attach_routing(idx, None, PermutationPlan.identity(idx.dim, 1), cfg)
+    seed = idx.seed if seed is None else seed
+    plan = (
+        build_permutation(edge_residual_avgs(idx), cfg.L)
+        if permute
+        else PermutationPlan.identity(idx.dim, cfg.L)
+    )
+    ens = None
+    if cfg.mode in (RoutingMode.PEOS, RoutingMode.RCEOS):
+        ens = generate_ensemble(seed, idx.dim, cfg.L, cfg.m)
+    return attach_routing(idx, ens, plan, cfg)
+

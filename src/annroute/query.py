@@ -1,0 +1,217 @@
+"""Routing-gated best-first search over a frozen HNSW index.
+
+Upper layers route greedily without tests. Gates apply on the base
+layer only, where nearly all distance computations happen.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import DegenerateInputError, UsageError
+from .hnsw import HnswIndex, SearchScratch, upper_descent
+from .projections import project_query
+from .routing import (
+    RoutingConfig,
+    RoutingMode,
+    ThresholdState,
+    batch_ar,
+    batch_peos_test,
+    batch_simhash_test,
+    simhash_sketch,
+)
+from .vecstore import Metric
+
+_EMPTY_F64 = np.empty(0)
+
+
+@dataclass
+class SearchStats:
+    """Counters backing every efficiency claim.
+
+    dist_computations counts exact query-to-node distances on all layers.
+    ungated counts evaluations that bypassed the gate (upper layers, the
+    entry point, and base-layer blocks seen while the result list was
+    not yet full), so dist_computations == tests_passed + ungated holds
+    exactly. The per-pop v.q dot products are tracked separately.
+    """
+
+    dist_computations: int = 0
+    tests_evaluated: int = 0
+    tests_passed: int = 0
+    hops: int = 0
+    ungated: int = 0
+    vq_computations: int = 0
+
+
+@dataclass(frozen=True)
+class SearchParams:
+    K: int
+    efs: int
+    routing: RoutingConfig = field(default_factory=RoutingConfig)
+
+    def __post_init__(self):
+        if self.K < 1 or self.efs < self.K:
+            raise UsageError("need efs >= K >= 1")
+
+
+class AuditTrace:
+    """Shadow record of gated evaluations: decision, exact key, and the gate's key threshold."""
+
+    def __init__(self):
+        self.passed: list[np.ndarray] = []
+        self.keys: list[np.ndarray] = []
+        self.thresholds: list[float] = []
+        self.sizes: list[int] = []
+
+    def record(self, keys: np.ndarray, threshold_key: float, passes: np.ndarray) -> None:
+        self.keys.append(keys)
+        self.passed.append(passes)
+        self.thresholds.append(threshold_key)
+        self.sizes.append(len(keys))
+
+    @property
+    def n_evaluations(self) -> int:
+        return int(sum(self.sizes))
+
+    def true_positive_rate(self) -> tuple[float, int]:
+        """Pass rate among gated neighbors whose exact distance beat the threshold."""
+        hits = 0
+        passed = 0
+        for keys, thr, ok in zip(self.keys, self.thresholds, self.passed):
+            tp = keys < thr
+            hits += int(tp.sum())
+            passed += int((tp & ok).sum())
+        return (passed / hits if hits else float("nan")), hits
+
+
+def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
+           scratch: SearchScratch | None = None,
+           audit: AuditTrace | None = None) -> tuple[np.ndarray, SearchStats]:
+    """Routing-gated best-first search; returns top-K ids ascending by distance."""
+    q64 = np.asarray(q, dtype=np.float64)
+    if q64.shape != (idx.dim,):
+        raise UsageError(f"query dim {q64.shape} does not match index dim {idx.dim}")
+    if params.K > idx.n:
+        raise UsageError(f"K={params.K} exceeds dataset size {idx.n}")
+    mode = params.routing.mode
+    qsq = float(q64 @ q64)
+    qnorm = math.sqrt(qsq)
+    if qnorm == 0.0 and (mode != RoutingMode.NONE or idx.metric == Metric.ANGULAR):
+        raise DegenerateInputError("zero query")
+
+    att = idx.routing
+    qpt = tbl = qsketch = None
+    if mode in (RoutingMode.PEOS, RoutingMode.RCEOS):
+        if att is None or att.mode not in (RoutingMode.PEOS, RoutingMode.RCEOS):
+            raise UsageError(f"index has no {mode.value} routing attached")
+        if mode == RoutingMode.RCEOS and att.cfg.L != 1:
+            raise UsageError("rceos queries need an L=1 attachment")
+        qpt = project_query(q64[att.plan.perm], att.ens)
+        tbl = idx.quantile_table(params.routing.eps)
+    elif mode == RoutingMode.SIMHASH:
+        if att is None or att.mode != RoutingMode.SIMHASH:
+            raise UsageError("index has no simhash routing attached")
+        qsketch = simhash_sketch(q64[att.plan.perm], att.hashes)
+
+    if scratch is None:
+        scratch = idx.make_scratch()
+    epoch = scratch.next_epoch()
+    visited = scratch.visited
+
+    cur = float(idx._keys(q64, qsq, qnorm, np.array([idx.entry]))[0])
+    ep, cur, scored = upper_descent(idx.upper, lambda ids: idx._keys(q64, qsq, qnorm, ids),
+                                    idx.entry, cur, idx.max_level, 0)
+    stats = SearchStats(dist_computations=1 + scored, ungated=1 + scored)
+
+    # the result list: a heap of (-key, -id), so its root is the worst entry and,
+    # among equal keys, the higher id; a boundary tie goes to the lower id
+    res: list[tuple[float, int]] = [(-cur, -ep)]
+    cap = params.efs
+    cand: list[tuple[float, int]] = [(cur, ep)]
+    visited[ep] = epoch
+    indptr, indices = idx.base_indptr, idx.base_indices
+    eps_cfg = params.routing.eps
+    heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
+
+    while cand:
+        k, v = heappop(cand)
+        full = len(res) == cap
+        if full and k > -res[0][0]:
+            break
+        stats.hops += 1
+        beg, end = indptr[v], indptr[v + 1]
+        row = indices[beg:end]
+        mask = visited[row] != epoch
+        fresh = row[mask]
+        if fresh.size == 0:
+            continue
+        visited[fresh] = epoch
+        B = int(fresh.size)
+
+        if not full:
+            keys = idx._keys(q64, qsq, qnorm, fresh)
+            stats.dist_computations += B
+            stats.ungated += B
+            passers, pkeys = fresh, keys
+        else:
+            wk = -res[0][0]
+            if mode == RoutingMode.NONE:
+                stats.tests_evaluated += B
+                stats.tests_passed += B
+                keys = idx._keys(q64, qsq, qnorm, fresh)
+                stats.dist_computations += B
+                if audit is not None:
+                    audit.record(keys, wk, np.ones(B, dtype=bool))
+                passers, pkeys = fresh, keys
+            else:
+                vq = float(idx.dataset.vectors[v].astype(np.float64) @ q64)
+                stats.vq_computations += 1
+                ts = _threshold_state(idx, wk, qsq, qnorm, vq, -res[0][1])
+                slots = beg + mask.nonzero()[0]
+                if mode == RoutingMode.SIMHASH:
+                    ar = batch_ar(att.store.block(slots), ts, qnorm, idx.metric)
+                    passes = batch_simhash_test(att.store.sketches[slots], qsketch, ar, eps_cfg)
+                else:
+                    passes = batch_peos_test(att.store.block(slots), tbl, qpt, ts, idx.metric)
+                passers = fresh[passes]
+                stats.tests_evaluated += B
+                stats.tests_passed += passers.size
+                stats.dist_computations += passers.size
+                if audit is not None:
+                    all_keys = idx._keys(q64, qsq, qnorm, fresh)
+                    audit.record(all_keys, wk, passes)
+                    pkeys = all_keys[passes]
+                else:
+                    pkeys = idx._keys(q64, qsq, qnorm, passers) if passers.size else _EMPTY_F64
+            # a full list's worst key only falls, so a key above it now never enters;
+            # a tie may still win on the lower id
+            near = pkeys <= wk
+            passers, pkeys = passers[near], pkeys[near]
+        for k2, u in zip(pkeys.tolist(), passers.tolist()):
+            item = (-k2, -u)
+            if len(res) < cap:
+                heappush(res, item)
+            elif item > res[0]:  # key below the worst, or equal with a lower id
+                heapreplace(res, item)
+            else:
+                continue
+            heappush(cand, (k2, u))
+
+    items = sorted((-nk, -ni) for nk, ni in res)[: params.K]
+    return np.asarray([i for _, i in items], dtype=np.int64), stats
+
+
+def _threshold_state(idx: HnswIndex, worst_key: float, qsq: float, qnorm: float,
+                     vq: float, worst_id: int) -> ThresholdState:
+    if idx.metric == Metric.L2:
+        return ThresholdState(r=(worst_key - qsq) / 2.0, delta=math.sqrt(max(worst_key, 0.0)), vq=vq)
+    if idx.metric == Metric.ANGULAR:
+        p_dot_q = (1.0 - worst_key) * idx._norms[worst_id] * qnorm
+        return ThresholdState(r=-p_dot_q, delta=worst_key, vq=vq)
+    return ThresholdState(r=worst_key, delta=worst_key, vq=vq)
+

@@ -2,20 +2,22 @@
 
 The 50k graph build is the expensive part of the suite, so it is built
 once per session and cached on disk under tests/_cache, keyed by the
-build parameters and a hash of the graph module source (any change to
-construction code invalidates the cache). A build deletes the cached
-graphs of the same parameters that other code built.
+build parameters and a hash of the source files that define build_hnsw,
+save_index, load_index and Dataset (the rule perfbench's desk graph
+cache uses): a change to construction or to the file format invalidates
+the cache, a change to search or attach does not. A build deletes the
+cached graphs of the same parameters that other code built.
 """
 
 import glob
 import hashlib
+import inspect
 import os
 
 import numpy as np
 import pytest
 
 import annroute as ar
-import annroute.graph
 
 DESK_N, DESK_D, DESK_NQ = 50_000, 128, 100
 DESK_SEED = 7
@@ -26,8 +28,12 @@ _CACHE_DIR = os.path.join(os.path.dirname(__file__), "_cache")
 
 
 def _code_tag() -> str:
-    with open(annroute.graph.__file__, "rb") as f:
-        return hashlib.blake2b(f.read(), digest_size=4).hexdigest()
+    h = hashlib.blake2b(digest_size=4)
+    files = {inspect.getsourcefile(f) for f in (ar.build_hnsw, ar.save_index, ar.load_index, ar.Dataset)}
+    for path in sorted(files):
+        with open(path, "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from annroute import (
 )
 from annroute import bench as bench_mod
 from annroute.bench import CSV_HEADER, load_inputs, run_audit, run_sweep, synthetic_dataset
-from annroute.graph import attach
+from annroute.edgestore import attach
 
 
 class TestComputeRecall:

@@ -29,7 +29,7 @@ from annroute import (
     synthetic_dataset,
 )
 from annroute.cli import main
-import annroute.graph as graph_mod
+import annroute.edgestore as edgestore
 from annroute.projections import RNG_ID
 
 CONFIGS = {
@@ -104,7 +104,7 @@ def test_random_byte_edits(files, name, section, edits):
 def _attach_direct(idx, cfg):
     """attach with every edge's record computed from its own residual, none derived from its reverse."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_mod, "_reverse_pairs", lambda n, src, dst: (np.arange(src.size), src[:0], src[:0]))
+        mp.setattr(edgestore, "_reverse_pairs", lambda n, src, dst: (np.arange(src.size), src[:0], src[:0]))
         return attach(idx, cfg)
 
 
@@ -160,6 +160,21 @@ def test_cli_bad_neighbor_delta_exits_2(files, tmp_path, capsys):
                  "--L", "4", "--m-proj", "16", "--out", str(out)])
     assert code == 2 and "format error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_overflowing_quantizer_exits_2(files, tmp_path, capsys):
+    """A half_u_sq range whose top codes decode to inf, resealed: search on the command line reports a format error."""
+    ds, queries, path, saved = files
+    payload, sections = saved["peos"]
+    raw = bytearray(payload)
+    struct.pack_into("<d", raw, sections["quantizers"][0] + 8, 1.7e308)  # half_u_sq hi
+    _write(path, bytes(raw))
+    base, qpath = tmp_path / "base.fvecs", tmp_path / "q.fvecs"
+    save_fvecs(ds, base)
+    save_fvecs(queries, qpath)
+    code = main(["search", "--base", str(base), "--index", str(path), "--query", str(qpath), "--routing", "peos",
+                 "--L", "4", "--m-proj", "16", "--K", "5", "--efs", "20"])
+    assert code == 2 and "format error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,column", [("peos", 1), ("peos", 0), ("compact", 0)])

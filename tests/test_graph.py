@@ -34,7 +34,8 @@ from annroute import (
     search,
     synthetic_dataset,
 )
-import annroute.graph as graph_mod
+import annroute.edgestore as edgestore
+import annroute.query as query_mod
 from annroute.projections import RNG_ID, encode_id_bytes
 from annroute.vecstore import PermutationPlan
 
@@ -54,7 +55,23 @@ def small_peos(small):
     return attach(idx, RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64))
 
 
+# blake2b-128 of save_index bytes for the twins graph of each metric (ten points have
+# exact duplicates, so keys tie), recorded before build took the shared ordering-key
+# kernel and upper-layer descent in place of its own copies.
+GOLDEN_BUILD = {
+    Metric.L2: "9042a179602075f8c729a541a50eb3bc",
+    Metric.ANGULAR: "4c5fd9ce016634d9330cf0a14fe58e11",
+    Metric.IP: "4ac91977ec5bbb52737f0be3e4a6ceb6",
+}
+
+
 class TestBuild:
+    def test_saved_bytes_pinned(self, twins, tmp_path):
+        metric, _, idx = twins
+        path = tmp_path / "twins.idx"
+        save_index(idx, path)
+        assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == GOLDEN_BUILD[metric]
+
     def test_single_node(self):
         ds = Dataset(np.ones((1, 8), dtype=np.float32))
         idx = build_hnsw(ds, M=4, efc=10, metric=Metric.L2, seed=0)
@@ -457,7 +474,7 @@ class TestLiveGateEquivalence:
         routed = attach(idx, cfg)
         store = routed.routing.store
         seen = collections.Counter()
-        fused = graph_mod.batch_peos_test
+        fused = query_mod.batch_peos_test
 
         def checked(block, tbl, qpt, ts, metric=Metric.L2):
             out = fused(block, tbl, qpt, ts, metric)
@@ -469,7 +486,7 @@ class TestLiveGateEquivalence:
             seen["zero_norm"] += int(np.count_nonzero(ar == -math.inf))
             return out
 
-        monkeypatch.setattr(graph_mod, "batch_peos_test", checked)
+        monkeypatch.setattr(query_mod, "batch_peos_test", checked)
         params = SearchParams(K=5, efs=12, routing=cfg)
         for q in queries:
             search(routed, q, params)
@@ -521,6 +538,7 @@ class TestFailClosed:
         pytest.param(_ENORM_AT, "d", math.nan, id="enorm_lo_nan"),
         pytest.param(_QUANT_AT + 8, "d", math.inf, id="half_hi_inf"),
         pytest.param(_QUANT_AT, "d", 1e30, id="half_hi_below_lo"),
+        pytest.param(_QUANT_AT + 8, "d", 1.7e308, id="half_decode_overflows"),
         pytest.param(_ENORM_AT, "d", -1.0, id="enorm_lo_negative"),
         pytest.param(_QUANT_AT + 16, "B", 0, id="half_bits_0"),
         pytest.param(_ENORM_AT + 16, "B", 8, id="enorm_bits_8_not_compact"),
@@ -569,6 +587,16 @@ class TestFailClosed:
     def test_simhash_compact_rejected(self):
         with pytest.raises(UsageError):
             RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64, compact=True)
+
+    @pytest.mark.parametrize("routed", [False, True], ids=["plain", "peos"])
+    def test_bytes_after_last_section(self, small, small_peos, tmp_path, routed):
+        ds, _, idx = small
+        path = tmp_path / "long.idx"
+        save_index(small_peos if routed else idx, path)
+        raw = path.read_bytes()[:-8] + bytes(16)
+        path.write_bytes(raw + hashlib.blake2b(raw, digest_size=8).digest())
+        with pytest.raises(FormatError):
+            load_index(path, ds)
 
     def test_truncated_header(self, small, tmp_path):
         ds, _, idx = small
@@ -671,7 +699,7 @@ class TestGoldenAttach:
         """The old one-chunk size, and a chunk size that leaves a 1-edge tail."""
         E = golden_graphs["small"].n_base_edges
         chunk = 1 << 16 if tail is None else next(c for c in range(64, E) if E % c == tail)
-        monkeypatch.setattr(graph_mod, "_ATTACH_CHUNK", chunk)
+        monkeypatch.setattr(edgestore, "_ATTACH_CHUNK", chunk)
         for name, (_, _, _, digest) in GOLDEN_ATTACH.items():
             assert _attach_digest(golden_graphs, name) == digest, name
 
@@ -710,9 +738,9 @@ class TestGoldenAttach:
     @pytest.mark.parametrize("n_edges", [0, 1, 700, 1024, 1025, 3000, 4096])
     def test_every_span_is_full_length(self, n_edges):
         """A matmul of few rows rounds differently, so no span may be a short tail."""
-        full = min(graph_mod._ATTACH_CHUNK, n_edges)
+        full = min(edgestore._ATTACH_CHUNK, n_edges)
         covered = np.zeros(n_edges, dtype=bool)
-        for lo, hi in graph_mod._attach_spans(n_edges):
+        for lo, hi in edgestore._attach_spans(n_edges):
             assert hi - lo == full
             covered[lo:hi] = True
         assert covered.all()
@@ -738,15 +766,15 @@ class TestSignedPick:
     ])
     def test_rows(self, row, expect):
         prods = np.array([row])
-        assert graph_mod._signed_argmax_rows(prods)[0] == expect
-        np.testing.assert_array_equal(graph_mod._signed_argmax_rows(prods), _reference_signed_pick(prods))
+        assert edgestore._signed_argmax_rows(prods)[0] == expect
+        np.testing.assert_array_equal(edgestore._signed_argmax_rows(prods), _reference_signed_pick(prods))
 
     def test_minus_128_maps_to_null(self):
         """The pick keeps -128; its encoding, of the pick or of a negated +128, is the null byte."""
         prods = np.zeros((2, 128))
         prods[0, 127] = -2.0  # id -128 does not fit a byte
         prods[1, 127] = 2.0  # id +128 does
-        out = graph_mod._signed_argmax_rows(prods)
+        out = edgestore._signed_argmax_rows(prods)
         assert out.dtype == np.int16
         np.testing.assert_array_equal(out, [-128, 128])
         np.testing.assert_array_equal(encode_id_bytes(out), [0, 128])
@@ -759,4 +787,4 @@ class TestSignedPick:
         ties = rng.integers(-3, 4, size=(500, width)).astype(np.float64)  # many |max| == |min| ties
         ties[ties == 0.0] = -0.0
         for prods in (smooth, ties, -ties):
-            np.testing.assert_array_equal(graph_mod._signed_argmax_rows(prods), _reference_signed_pick(prods))
+            np.testing.assert_array_equal(edgestore._signed_argmax_rows(prods), _reference_signed_pick(prods))
