@@ -8,8 +8,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import bench as bench_mod
 from .errors import FormatError, UsageError
 from .edgestore import attach

@@ -36,7 +36,7 @@ class EdgeMetaStore:
     """Routing records for every directed base-layer edge, kept in their stored form.
 
     The per-edge arrays hold the file's record fields and nothing else
-    (see wire_bytes):
+    (see wire_records):
 
     * peos/rceos: rec, (E, L+4) uint8, the L+1 extreme-id bytes in their
       wire encoding (column 0 the residual id), then the w_reg, w_res and
@@ -56,30 +56,34 @@ class EdgeMetaStore:
     EdgeMetaBlock).
     """
 
-    def __init__(self, mode: RoutingMode, L: int, m: int, compact: bool,
-                 simhash_bits: int, quant: EdgeQuantizers, n_edges: int):
+    def __init__(self, mode: RoutingMode, L: int, compact: bool, quant: EdgeQuantizers | None,
+                 lead: np.ndarray, norm_q: np.ndarray):
         self.mode = mode
         self.L = L
-        self.m = m
         self.compact = compact
-        self.simhash_bits = simhash_bits
         self.quant = quant
-        self.n_edges = n_edges
-        self.norm_q = np.zeros((n_edges, 2), dtype=np.uint8 if compact else np.dtype("<u2"))
-        self.norm_base = np.array([0, 1 << (8 * self.norm_q.itemsize)])
+        self.n_edges = norm_q.shape[0]
+        self.norm_q = norm_q
+        self.norm_base = np.array([0, 1 << (8 * norm_q.itemsize)])
         self.norm_tab = self.w_tab = None
         self.enorm_min = 0.0
-        self.rec = self.rec_base = self.var_idx = None
+        self.rec = self.rec_base = self.var_idx = self.sketches = None
         if mode == RoutingMode.SIMHASH:
-            self.sketches = np.zeros((n_edges, simhash_bits // 8), dtype=np.uint8)
+            self.sketches = lead
         elif compact:
-            self.rec = np.zeros((n_edges, L), dtype=np.uint8)
+            self.rec = lead
             self.rec_base = np.arange(1, L + 1) * ID_BYTES
             self.var_idx = int(var_row_indices(1.0, 0.0, L))
         else:
-            self.rec = np.zeros((n_edges, L + 4), dtype=np.uint8)
+            self.rec = lead
             # id bytes to their signed-table rows, w_res codes to the second half of w_tab
             self.rec_base = np.concatenate((np.arange(L + 1) * ID_BYTES, [0, 256, 0]))
+
+    @classmethod
+    def zeros(cls, mode: RoutingMode, L: int, compact: bool, simhash_bits: int, n_edges: int) -> "EdgeMetaStore":
+        """A store of n_edges zero records, for attach to fill."""
+        lead = np.zeros((n_edges, _lead_width(mode, L, compact, simhash_bits)), dtype=np.uint8)
+        return cls(mode, L, compact, None, lead, np.zeros((n_edges, 2), dtype=_norm_dtype(compact)))
 
     @property
     def ids(self) -> np.ndarray:
@@ -123,30 +127,40 @@ class EdgeMetaStore:
     def _lead(self) -> np.ndarray:
         return self.sketches if self.mode == RoutingMode.SIMHASH else self.rec
 
+    def wire_records(self) -> np.ndarray:
+        """Per-edge records in adjacency order, one row each: the lead fields, then the two norm codes little-endian."""
+        norms = self.norm_q.view(np.uint8).reshape(self.n_edges, 2 * self.norm_q.itemsize)
+        return np.concatenate((self._lead(), norms), axis=1)
+
     def wire_bytes(self) -> bytes:
-        """Per-edge records in adjacency order: the lead fields, then the two norm codes little-endian."""
-        E = self.n_edges
-        norms = self.norm_q.view(np.uint8).reshape(E, 2 * self.norm_q.itemsize)
-        return np.concatenate((self._lead(), norms), axis=1).tobytes()
+        return self.wire_records().tobytes()
 
     @classmethod
-    def from_wire(cls, raw: bytes, mode: RoutingMode, L: int, m: int, compact: bool,
+    def from_wire(cls, raw: memoryview, mode: RoutingMode, L: int, m: int, compact: bool,
                   simhash_bits: int, quant: EdgeQuantizers, n_edges: int) -> "EdgeMetaStore":
-        store = cls(mode, L, m, compact, simhash_bits, quant, n_edges)
-        width = store._lead().shape[1]
-        mat = _wire_matrix(raw, n_edges, width + 2 * store.norm_q.itemsize)
-        lead = mat[:, :width].copy()
-        if mode == RoutingMode.SIMHASH:
-            store.sketches = lead
-        else:
-            store.rec = lead
+        """A store from the record section of a file, each field copied out of it once."""
+        width = _lead_width(mode, L, compact, simhash_bits)
+        norm_dtype = _norm_dtype(compact)
+        mat = _wire_matrix(raw, n_edges, width + 2 * norm_dtype.itemsize)
+        store = cls(mode, L, compact, quant, mat[:, :width].copy(), mat[:, width:].copy().view(norm_dtype))
+        if mode != RoutingMode.SIMHASH:
             check_id_bytes(store.ids, m)
-        store.norm_q = np.ascontiguousarray(mat[:, width:]).view(store.norm_q.dtype)
         store.finalize()
         return store
 
 
-def _wire_matrix(raw: bytes, n_edges: int, rec: int) -> np.ndarray:
+def _lead_width(mode: RoutingMode, L: int, compact: bool, simhash_bits: int) -> int:
+    """Bytes of a record before its norm codes: the sketch, or the id bytes and weight codes."""
+    if mode == RoutingMode.SIMHASH:
+        return simhash_bits // 8
+    return L if compact else L + 4
+
+
+def _norm_dtype(compact: bool) -> np.dtype:
+    return np.dtype(f"<u{_norm_bits(compact) // 8}")
+
+
+def _wire_matrix(raw: memoryview, n_edges: int, rec: int) -> np.ndarray:
     if len(raw) != n_edges * rec:
         raise FormatError(f"edge metadata section has {len(raw)} bytes, expected {n_edges * rec}")
     return np.frombuffer(raw, dtype=np.uint8).reshape(n_edges, rec)
@@ -252,7 +266,7 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     if cfg.mode == RoutingMode.SIMHASH:
         seed = idx.seed
         hashes = generate_simhash_hashes(seed, idx.dim, cfg.simhash_bits)
-        store = EdgeMetaStore(cfg.mode, cfg.L, cfg.m, False, cfg.simhash_bits, None, n_edges)
+        store = EdgeMetaStore.zeros(cfg.mode, cfg.L, False, cfg.simhash_bits, n_edges)
         hperm = hashes[:, plan.perm]  # hash the permuted residuals
         att_ens = None
         for lo, hi in _attach_spans(n_edges):
@@ -268,7 +282,7 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
         if ens.d != idx.dim or ens.L != cfg.L or ens.m != cfg.m:
             raise UsageError("ensemble does not match index/config")
         seed = ens.seed
-        store = EdgeMetaStore(cfg.mode, cfg.L, cfg.m, cfg.compact, cfg.simhash_bits, None, n_edges)
+        store = EdgeMetaStore.zeros(cfg.mode, cfg.L, cfg.compact, cfg.simhash_bits, n_edges)
         att_ens = ens
         canon, mirrors, source = _reverse_pairs(idx.n, src, dst.astype(np.int64))
         for lo, hi in _attach_spans(canon.size):

@@ -21,6 +21,7 @@ if TYPE_CHECKING:
     from .edgestore import RoutingAttachment
 
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
+_NORM_ROWS = 1 << 10  # vectors widened to float64 at a time for their norms
 
 
 def ordering_keys(metric: Metric, dots, row, qsq, qn):
@@ -99,8 +100,13 @@ class HnswIndex:
         self.base_indices = base_indices
         self.upper = upper
         self.routing: RoutingAttachment | None = None
-        vf = dataset.vectors.astype(np.float64)
-        self._sqn = np.einsum("ij,ij->i", vf, vf)
+        # widened a span of rows at a time: a row's sum does not depend on the
+        # other rows, so the norms equal those of the whole matrix widened at once
+        V = dataset.vectors
+        self._sqn = np.empty(V.shape[0])
+        for lo in range(0, V.shape[0], _NORM_ROWS):
+            vf = V[lo : lo + _NORM_ROWS].astype(np.float64)
+            np.einsum("ij,ij->i", vf, vf, out=self._sqn[lo : lo + _NORM_ROWS])
         self._norms = np.sqrt(self._sqn)
         self._row = self._sqn if metric == Metric.L2 else self._norms  # ordering_keys' row term
         self._qtables: dict[float, QuantileTable] = {}
@@ -173,7 +179,7 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
     upper: dict[int, dict[int, list[int]]] = {}
 
     def _keys_to(q: np.ndarray, qsq: float, qn: float, ids) -> np.ndarray:
-        return ordering_keys(metric, vf[ids] @ q, rows[ids], qsq, qn)
+        return ordering_keys(metric, vf.take(ids, axis=0) @ q, rows.take(ids), qsq, qn)
 
     def _neigh(v: int, lev: int):
         if lev == 0:
@@ -204,6 +210,9 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
                 continue
             visited[fresh] = epoch
             keys = _keys_to(q, qsq, qn, fresh)
+            if len(res) == ef:  # the worst key only falls, so a key not below it now never enters
+                keep = keys < -res[0][0]
+                keys, fresh = keys[keep], fresh[keep]
             for k2, u in zip(keys.tolist(), fresh.tolist()):
                 if len(res) < ef:
                     heapq.heappush(res, (-k2, u))

@@ -28,12 +28,17 @@ _MODE_FROM = {v: k for k, v in _MODE_CODE.items()}
 
 
 def dataset_fingerprint(ds: Dataset) -> int:
-    return int.from_bytes(hashlib.blake2b(ds.vectors.tobytes(), digest_size=8).digest(), "little")
+    # the vectors are C-contiguous, so the hash reads their buffer in place
+    return int.from_bytes(hashlib.blake2b(memoryview(ds.vectors), digest_size=8).digest(), "little")
 
 
 def save_index(idx: HnswIndex, path) -> None:
-    """Serialize graph, header, and edge metadata; vectors stay with the dataset."""
-    parts: list[bytes] = [INDEX_MAGIC, struct.pack("<I", INDEX_VERSION)]
+    """Serialize graph, header, and edge metadata; vectors stay with the dataset.
+
+    Each section is hashed and written from its own buffer, in file
+    order, so the file is never assembled in memory.
+    """
+    parts: list = [INDEX_MAGIC, struct.pack("<I", INDEX_VERSION)]
     att = idx.routing
     parts.append(struct.pack(
         "<BIQIIQQIQ",
@@ -52,27 +57,27 @@ def save_index(idx: HnswIndex, path) -> None:
             q.half_u_sq.lo, q.half_u_sq.hi, q.half_u_sq.bits,
             q.enorm.lo, q.enorm.hi, q.enorm.bits,
         ))
-        parts.append(att.plan.perm.astype("<u4").tobytes())
-        parts.append(att.plan.subspace_of.astype("<u4").tobytes())
+        parts.append(att.plan.perm.astype("<u4"))
+        parts.append(att.plan.subspace_of.astype("<u4"))
 
-    degs = np.diff(idx.base_indptr).astype("<u4")
-    parts.append(degs.tobytes())
-    parts.append(_delta_encode(idx.base_indices, idx.base_indptr).tobytes())
+    parts.append(np.diff(idx.base_indptr).astype("<u4"))
+    parts.append(_delta_encode(idx.base_indices, idx.base_indptr))
     parts.append(struct.pack("<I", idx.max_level))
     for lev in range(1, idx.max_level + 1):
         nodes = sorted(idx.upper.get(lev, {}).items())
         parts.append(struct.pack("<Q", len(nodes)))
         for v, row in nodes:
             parts.append(struct.pack("<QI", v, len(row)))
-            parts.append(np.diff(np.asarray(row, dtype=np.int64), prepend=0).astype("<u4").tobytes())
+            parts.append(np.diff(np.asarray(row, dtype=np.int64), prepend=0).astype("<u4"))
     if att is not None:
-        wire = att.store.wire_bytes()
         parts.append(struct.pack("<Q", att.store.n_edges))
-        parts.append(wire)
-    payload = b"".join(parts)
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
+        parts.append(att.store.wire_records())
+    h = hashlib.blake2b(digest_size=8)
     with open(path, "wb") as f:
-        f.write(payload + digest)
+        for part in parts:
+            h.update(part)
+            f.write(part)
+        f.write(h.digest())
 
 
 def _delta_encode(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -85,20 +90,22 @@ def _delta_encode(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 
 
 class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
+    """Fields, byte slices and array views of one buffer; nothing is copied."""
+
+    def __init__(self, buf: memoryview):
+        self.buf = buf
         self.pos = 0
 
     def take(self, fmt: str):
         try:
-            vals = struct.unpack_from("<" + fmt, self.raw, self.pos)
+            vals = struct.unpack_from("<" + fmt, self.buf, self.pos)
         except struct.error as exc:
             raise FormatError("index file truncated") from exc
         self.pos += struct.calcsize("<" + fmt)
         return vals if len(vals) > 1 else vals[0]
 
-    def bytes(self, count: int) -> bytes:
-        out = self.raw[self.pos : self.pos + count]
+    def bytes(self, count: int) -> memoryview:
+        out = self.buf[self.pos : self.pos + count]
         if len(out) != count:
             raise FormatError("index file truncated")
         self.pos += count
@@ -112,14 +119,16 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
     """Reload an index; projections regenerate from the stored seed.
 
     When a dataset is supplied its content hash must match the one
-    recorded at save time.
+    recorded at save time. The file is read once; the checksum and every
+    section read views of that one buffer, and each array the index
+    keeps is copied out of it once, so none of them holds the file.
     """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 16 or raw[:4] != INDEX_MAGIC:
         raise FormatError("not an index file (bad magic)")
-    payload, digest = raw[:-8], raw[-8:]
-    if hashlib.blake2b(payload, digest_size=8).digest() != digest:
+    payload = memoryview(raw)[:-8]
+    if hashlib.blake2b(payload, digest_size=8).digest() != raw[-8:]:
         raise CorruptionError("index checksum mismatch")
     r = _Reader(payload)
     r.bytes(4)
@@ -145,7 +154,7 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
         if L < 1 or d % L:
             raise FormatError(f"bad routing header: L={L} does not divide d={d}")
         rng_len = r.take("H")
-        stored_rng_id = r.bytes(rng_len).decode(errors="replace")
+        stored_rng_id = bytes(r.bytes(rng_len)).decode(errors="replace")
         if stored_rng_id != RNG_ID:
             # regenerated projections would not match the stored extreme ids
             raise FormatError(
@@ -161,27 +170,8 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
         except UsageError as exc:
             raise FormatError(f"bad permutation: {exc}") from exc
 
-    degs = r.array("<u4", n).astype(np.int64)
-    if degs.size and degs.max() > 2 * M:
-        raise FormatError(f"a base-layer degree exceeds 2M={2 * M}")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degs, out=indptr[1:])
-    deltas = r.array("<u4", int(indptr[-1])).astype(np.int64)
-    indices = _delta_decode(deltas, indptr, degs)
-    if indices.size and indices.max() >= n:
-        raise FormatError("a base-layer neighbor id is out of range")
-    file_max_level = r.take("I")
-    upper: dict[int, dict[int, np.ndarray]] = {}
-    for lev in range(1, file_max_level + 1):
-        count = r.take("Q")
-        nodes = {}
-        for _ in range(count):
-            v, deg = r.take("QI")
-            row = np.cumsum(r.array("<u4", deg).astype(np.int64)) if deg else np.empty(0, dtype=np.int64)
-            if v >= n or (deg and row[-1] >= n):
-                raise FormatError(f"an upper-layer id at level {lev} is out of range")
-            nodes[int(v)] = row.astype(np.int32)
-        upper[lev] = nodes
+    indptr, indices = _read_base_layer(r, n, M)
+    upper = {lev: _read_upper_level(r, n, lev) for lev in range(1, r.take("I") + 1)}
 
     if dataset is None:
         raise UsageError("load_index needs the dataset the index was built on")
@@ -192,14 +182,14 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
 
     idx = HnswIndex(
         dataset=dataset, metric=metric, M=M, efc=efc, seed=seed, entry=int(entry), max_level=int(max_level),
-        base_indptr=indptr, base_indices=indices.astype(np.int32), upper=upper,
+        base_indptr=indptr, base_indices=indices, upper=upper,
     )
     if mode != RoutingMode.NONE:
         n_edges = r.take("Q")
         if n_edges != int(indptr[-1]):
             raise FormatError("edge metadata count does not match adjacency")
         # the records fill the rest of the payload; from_wire checks their count and width
-        store = EdgeMetaStore.from_wire(payload[r.pos :], mode, L, m, cfg.compact, shbits, quant, n_edges)
+        store = EdgeMetaStore.from_wire(r.buf[r.pos :], mode, L, m, cfg.compact, shbits, quant, n_edges)
         ens = None
         hashes = None
         if mode == RoutingMode.SIMHASH:
@@ -224,12 +214,63 @@ def _checked_quantizer(name: str, lo: float, hi: float, bits: int, want_bits: in
     return quant
 
 
-def _delta_decode(deltas: np.ndarray, indptr: np.ndarray, degs: np.ndarray) -> np.ndarray:
-    if deltas.size == 0:
-        return deltas
-    g = np.cumsum(deltas)
-    row_of = np.repeat(np.arange(degs.shape[0]), degs)
-    starts = indptr[:-1][row_of]
-    base = np.where(starts > 0, g[np.maximum(starts - 1, 0)], 0)
-    return g - base
+def _read_base_layer(r: _Reader, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The base layer's CSR pair: int64 row offsets and int32 neighbor ids."""
+    degs = r.array("<u4", n).astype(np.int64)
+    if degs.size and degs.max() > 2 * M:
+        raise FormatError(f"a base-layer degree exceeds 2M={2 * M}")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degs, out=indptr[1:])
+    ids = _delta_decode(r.array("<u4", int(indptr[-1])).astype(np.int64), indptr[:-1][degs > 0])
+    if ids.size and ids.max() >= n:
+        raise FormatError("a base-layer neighbor id is out of range")
+    return indptr, ids.astype(np.int32)
 
+
+_NODE_HEAD = struct.Struct("<QI")  # an upper-layer node's id and degree; its delta-coded row follows
+
+
+def _read_upper_level(r: _Reader, n: int, lev: int) -> dict[int, np.ndarray]:
+    """One upper level: the node headers are walked in Python, then every row decodes in one pass."""
+    count = r.take("Q")
+    start = pos = r.pos
+    nodes, degs, at = [], [], []
+    try:
+        for _ in range(count):
+            v, deg = _NODE_HEAD.unpack_from(r.buf, pos)
+            pos += _NODE_HEAD.size
+            nodes.append(v)
+            degs.append(deg)
+            at.append(pos)
+            pos += 4 * deg
+    except struct.error as exc:
+        raise FormatError("index file truncated") from exc
+    words = r.array("<u4", (pos - start) // 4)  # headers and rows alike are whole words
+    in_row = np.ones(words.size, dtype=bool)
+    # a header is the three words before its row: id low, id high, degree
+    in_row[(np.asarray(at, dtype=np.int64)[:, None] - start) // 4 - (1, 2, 3)] = False
+    degs = np.asarray(degs, dtype=np.int64)
+    bounds = np.zeros(degs.size + 1, dtype=np.int64)
+    np.cumsum(degs, out=bounds[1:])
+    ids = _delta_decode(words[in_row].astype(np.int64), bounds[:-1][degs > 0])
+    if (nodes and max(nodes) >= n) or (ids.size and ids.max() >= n):
+        raise FormatError(f"an upper-layer id at level {lev} is out of range")
+    ids = ids.astype(np.int32)  # each row is a slice of this one array
+    return {v: ids[a:b] for v, a, b in zip(nodes, bounds[:-1].tolist(), bounds[1:].tolist())}
+
+
+def _delta_decode(ids: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Decode int64 deltas in place into ids; starts are the offsets of the non-empty rows.
+
+    A row stores its first id as is and every other id as the step from
+    the one before. Each row's first entry becomes its first id minus the
+    last id of the row before, which is that row's delta sum, so one
+    running sum over all rows gives every id. The sums are exact in
+    int64, nothing wraps, so the caller's range check sees each id as its
+    row's delta sum.
+    """
+    if ids.size:
+        last = np.add.reduceat(ids, starts)
+        ids[starts[1:]] -= last[:-1]
+        np.cumsum(ids, out=ids)
+    return ids

@@ -65,6 +65,7 @@ def generate_ensemble(seed: int, d: int, L: int, m: int) -> ProjectionEnsemble:
 
 
 ID_BYTES = 256  # entries per row of a query's signed table: one per extreme-id byte
+_CHECK_ROWS = 1 << 16  # rows of id bytes per check_id_bytes span
 
 
 def encode_id_bytes(ids) -> np.ndarray:
@@ -83,10 +84,18 @@ def decode_id_bytes(b) -> np.ndarray:
 
 
 def check_id_bytes(b: np.ndarray, m: int) -> None:
-    """Reject stored id bytes that name a projection beyond the m an ensemble has."""
+    """Reject stored id bytes that name a projection beyond the m an ensemble has.
+
+    Rows are checked _CHECK_ROWS at a time, so the masks stay small
+    beside a store's records.
+    """
+    if m >= np.abs(_BYTE_IDS).max():  # every byte names an id within m
+        return
     # bytes m+1..128 hold the ids above m, bytes 129+m..255 the ids below -m
-    if b.size and np.any((b > m) & ((b <= 128) | (b > 128 + min(m, 127)))):
-        raise FormatError(f"edge metadata holds an extreme id beyond m={m}")
+    for lo in range(0, b.shape[0], _CHECK_ROWS):
+        c = b[lo : lo + _CHECK_ROWS]
+        if np.any((c > m) & ((c <= 128) | (c > 128 + min(m, 127)))):
+            raise FormatError(f"edge metadata holds an extreme id beyond m={m}")
 
 
 _BYTE_IDS = decode_id_bytes(np.arange(ID_BYTES))  # the signed id each byte holds

@@ -9,7 +9,7 @@ better" ordering contract.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -81,7 +81,7 @@ def _load_vecs(path, payload_dtype):
     mat = np.frombuffer(raw, dtype="<i4").reshape(n, 1 + d)
     if not np.all(mat[:, 0] == d):
         raise FormatError(f"{path}: inconsistent dimension prefixes")
-    return mat[:, 1:].copy().view(np.dtype(payload_dtype).newbyteorder("<")).astype(payload_dtype)
+    return mat[:, 1:].copy().view(np.dtype(payload_dtype).newbyteorder("<")).astype(payload_dtype, copy=False)
 
 
 def _save_vecs(mat: np.ndarray, path) -> None:

@@ -14,7 +14,6 @@ import hashlib
 import inspect
 import os
 
-import numpy as np
 import pytest
 
 import annroute as ar

@@ -16,8 +16,6 @@ import annroute as ar
 from annroute import (
     Metric,
     PermutationPlan,
-    RoutingConfig,
-    RoutingMode,
     SearchParams,
     ThresholdState,
     apply_permutation,

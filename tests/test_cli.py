@@ -3,9 +3,6 @@
 import hashlib
 import struct
 
-import numpy as np
-import pytest
-
 from annroute import Metric, build_hnsw, save_fvecs, save_index
 from annroute.bench import CSV_HEADER, synthetic_dataset
 from annroute.cli import main

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from annroute import (
     synthetic_dataset,
 )
 import annroute.edgestore as edgestore
+import annroute.hnsw as hnsw_mod
 import annroute.query as query_mod
 from annroute.projections import RNG_ID, encode_id_bytes
 from annroute.vecstore import PermutationPlan
@@ -459,6 +461,115 @@ def _twin_graph(metric):
 @pytest.fixture(scope="module", params=[Metric.L2, Metric.ANGULAR, Metric.IP], ids=lambda m: m.value)
 def twins(request):
     return (request.param, *_twin_graph(request.param))
+
+
+def _array_roots(obj) -> list[np.ndarray]:
+    """Every distinct numpy buffer reachable from obj through annroute objects, dicts, lists and tuples."""
+    roots, seen = {}, set()
+
+    def walk(x):
+        if id(x) in seen:
+            return
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            roots[id(x)] = x
+        elif isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, (list, tuple)):
+            for v in x:
+                walk(v)
+        elif type(x).__module__.startswith("annroute"):
+            for v in getattr(x, "__dict__", {}).values():
+                walk(v)
+
+    walk(obj)
+    return list(roots.values())
+
+
+def _traced_load(path, ds):
+    """load_index under tracemalloc: (peak bytes allocated while loading, the index)."""
+    tracemalloc.start()
+    try:
+        idx = load_index(path, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, idx
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_LOAD_CONFIGS = {"none": RoutingConfig(), **_STORE_CONFIGS}
+
+
+class TestLoadPath:
+    """load_index reads the file once and keeps only owned copies of what the index holds."""
+
+    @pytest.mark.parametrize("m", [128, 16])  # below m=128 the loader also scans every id byte
+    def test_peos_peak_within_file_and_held_bytes(self, desk_data, desk_index, desk_peos, tmp_path, m):
+        ds, _ = desk_data
+        routed = desk_peos if m == 128 else attach(desk_index, RoutingConfig(mode=RoutingMode.PEOS, L=8, m=m))
+        assert routed.n_base_edges >= 100_000
+        path = tmp_path / "desk_peos.idx"
+        save_index(routed, path)
+        peak, loaded = _traced_load(path, ds)
+        # the dataset was allocated before tracing began; everything else the index holds was not
+        held = sum(b.nbytes for b in _array_roots(loaded) if b is not ds.vectors)
+        assert peak <= path.stat().st_size + held + 5_000_000
+
+    def test_plain_desk_graph_peak(self, desk_data, desk_index, tmp_path):
+        ds, _ = desk_data
+        path = tmp_path / "desk.idx"
+        save_index(desk_index, path)
+        peak, _ = _traced_load(path, ds)
+        assert peak <= 40_000_000
+
+    @pytest.mark.parametrize("name", list(_LOAD_CONFIGS))
+    def test_loaded_arrays_own_their_memory(self, small, name, tmp_path):
+        ds, _, idx = small
+        path = tmp_path / "routed.idx"
+        save_index(attach(idx, _LOAD_CONFIGS[name]), path)
+        loaded = load_index(path, ds)
+        # a view into the file's buffer would keep the whole file alive, uncounted
+        assert all(b.flags.owndata for b in _array_roots(loaded))
+        per_edge = [(loaded.base_indptr, np.int64), (loaded.base_indices, np.int32)]
+        per_edge += [(row, np.int32) for nodes in loaded.upper.values() for row in nodes.values()]
+        store = loaded.routing.store if loaded.routing else None
+        if store is not None:
+            per_edge.append((store.norm_q, np.uint8 if store.compact else np.dtype("<u2")))
+            per_edge.append((store.sketches if store.rec is None else store.rec, np.uint8))
+        for arr, dtype in per_edge:
+            assert arr.dtype == dtype and arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", list(_LOAD_CONFIGS))
+    def test_loaded_equals_saved_bitwise(self, twins, name, tmp_path, monkeypatch):
+        metric, _, idx = twins
+        routed = attach(idx, _LOAD_CONFIGS[name])
+        path = tmp_path / "routed.idx"
+        save_index(routed, path)
+        monkeypatch.setattr(hnsw_mod, "_NORM_ROWS", idx.n - 1)  # the loaded norms end on a one-row span
+        loaded = load_index(path, idx.dataset)
+        vf = idx.dataset.vectors.astype(np.float64)
+        assert _same_bits(loaded._sqn, np.einsum("ij,ij->i", vf, vf))
+        for a, b in [(loaded._sqn, routed._sqn), (loaded._norms, routed._norms),
+                     (loaded.base_indptr, routed.base_indptr), (loaded.base_indices, routed.base_indices)]:
+            assert _same_bits(a, b)
+        assert loaded.upper.keys() == routed.upper.keys()
+        for lev, nodes in routed.upper.items():
+            assert loaded.upper[lev].keys() == nodes.keys()
+            assert all(_same_bits(loaded.upper[lev][v], row) for v, row in nodes.items())
+        if routed.routing is None:
+            assert loaded.routing is None
+            return
+        got, want = loaded.routing.store, routed.routing.store
+        for field in ("rec", "sketches", "norm_q"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None and b is None) or _same_bits(a, b)
 
 
 class TestLiveGateEquivalence:
