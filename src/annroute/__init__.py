@@ -12,7 +12,6 @@ from .vecstore import (
     Metric,
     PermutationPlan,
     apply_permutation,
-    avg_squared_coordinate,
     build_permutation,
     distance,
     load_fvecs,
@@ -24,16 +23,11 @@ from .vecstore import (
 from .projections import (
     ProjectionEnsemble,
     QueryProjectionTable,
-    NULL_INDEX,
     RNG_ID,
-    extreme_index,
-    extreme_index_full,
     generate_ensemble,
     project_query,
 )
 from .routing import (
-    Decomposition,
-    EdgeMeta,
     EdgeMetaBlock,
     EdgeQuantizers,
     PartitionStats,
@@ -44,21 +38,14 @@ from .routing import (
     SimHashSketch,
     ThresholdState,
     batch_peos_test,
-    build_edge_meta,
     build_quantile_table,
-    collision_count,
-    compute_Ar,
-    decompose,
     estimate_partition_stats,
     generate_simhash_hashes,
-    peos_test,
-    rceos_test,
     required_m_rceos,
     simhash_sketch,
-    simhash_test,
     w_reg_lower_bound,
 )
-from .hnsw import HnswIndex, brute_force_all, brute_force_knn, build_hnsw
+from .hnsw import HnswIndex, brute_force_all, build_hnsw
 from .edgestore import attach, attach_routing, edge_residual_avgs
 from .query import AuditTrace, SearchParams, SearchStats, search
 from .indexfile import load_index, save_index

@@ -13,11 +13,9 @@ import numpy as np
 
 from .errors import FormatError, UsageError
 from .hnsw import HnswIndex
-from .projections import (ID_BYTES, ProjectionEnsemble, check_id_bytes, decode_id_bytes, encode_id_bytes,
-                          generate_ensemble)
+from .projections import ID_BYTES, ProjectionEnsemble, check_id_bytes, encode_id_bytes, generate_ensemble
 from .routing import (
     EdgeMetaBlock,
-    EdgeMeta,
     EdgeQuantizers,
     RoutingConfig,
     RoutingMode,
@@ -106,22 +104,6 @@ class EdgeMetaStore:
         return EdgeMetaBlock(slots, hn[:, 0], hn[:, 1], self.enorm_min,
                              self.rec, self.rec_base, self.w_tab, self.var_idx)
 
-    def meta_at(self, slot: int) -> EdgeMeta:
-        if self.mode == RoutingMode.SIMHASH:
-            raise UsageError("SimHash attachments store sketches, not extreme ids")
-        r = self.rec[slot]
-        L = self.L
-        return EdgeMeta(
-            ext_ids=tuple(int(x) for x in decode_id_bytes(self.ids[slot])),
-            w_reg_q=255 if self.compact else int(r[L + 1]),
-            w_res_q=0 if self.compact else int(r[L + 2]),
-            var_idx=self.var_idx if self.compact else int(r[L + 3]),
-            half_u_sq_q=int(self.norm_q[slot, 0]),
-            enorm_q=int(self.norm_q[slot, 1]),
-            quant=self.quant,
-            compact=self.compact,
-        )
-
     # -- wire format -------------------------------------------------------
 
     def _lead(self) -> np.ndarray:
@@ -131,9 +113,6 @@ class EdgeMetaStore:
         """Per-edge records in adjacency order, one row each: the lead fields, then the two norm codes little-endian."""
         norms = self.norm_q.view(np.uint8).reshape(self.n_edges, 2 * self.norm_q.itemsize)
         return np.concatenate((self._lead(), norms), axis=1)
-
-    def wire_bytes(self) -> bytes:
-        return self.wire_records().tobytes()
 
     @classmethod
     def from_wire(cls, raw: memoryview, mode: RoutingMode, L: int, m: int, compact: bool,

@@ -384,11 +384,6 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
 # ---------------------------------------------------------------------------
 
 
-def brute_force_knn(ds: Dataset, q: np.ndarray, K: int, metric: Metric) -> np.ndarray:
-    """Exact top-K by full scan; ties broken by lower id."""
-    return brute_force_all(ds, np.asarray(q)[None, :], K, metric)[0]
-
-
 def brute_force_all(ds: Dataset, queries: np.ndarray, K: int, metric: Metric) -> np.ndarray:
     """Ground truth for a query batch: one row of K ascending-distance ids per query.
 

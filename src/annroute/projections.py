@@ -17,10 +17,6 @@ from .errors import DegenerateInputError, FormatError, UsageError
 
 RNG_ID = "philox4x64/u53-ndtri/v1"
 
-# Reserved extreme index for an all-zero block; consumers treat its
-# projection contribution as zero.
-NULL_INDEX = 0
-
 
 def _seeded_normal(seed: int, key: int, shape) -> np.ndarray:
     """Standard normals from the named Philox/inverse-CDF stream."""
@@ -118,7 +114,6 @@ class QueryProjectionTable:
     sub_proj: np.ndarray
     full_proj: np.ndarray
     qnorm: float
-    qn: np.ndarray
     table: np.ndarray
 
 
@@ -137,33 +132,5 @@ def project_query(q: np.ndarray, ens: ProjectionEnsemble) -> QueryProjectionTabl
     proj[0, 1 : ens.m + 1] = full_proj
     proj[1:, 1 : ens.m + 1] = sub_proj
     table = proj.take(_BYTE_COL, axis=1) * _BYTE_SIGN
-    return QueryProjectionTable(sub_proj=sub_proj, full_proj=full_proj, qnorm=qnorm, qn=qn,
-                                table=table.ravel())
+    return QueryProjectionTable(sub_proj=sub_proj, full_proj=full_proj, qnorm=qnorm, table=table.ravel())
 
-
-def extreme_index(x: np.ndarray, ens: ProjectionEnsemble, i: int) -> int:
-    """Signed 1-based index of the subspace-i projection with the largest |inner product|.
-
-    Returns NULL_INDEX for an all-zero sub-vector.
-    """
-    if not 1 <= i <= ens.L:
-        raise UsageError(f"subspace index {i} out of range 1..{ens.L}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (ens.sub_dim,):
-        raise UsageError(f"sub-vector dim {x.shape} does not match d'={ens.sub_dim}")
-    return _signed_argmax(ens.sub[i - 1] @ x)
-
-
-def extreme_index_full(x: np.ndarray, ens: ProjectionEnsemble) -> int:
-    """As extreme_index, but over the m full-space projections."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (ens.d,):
-        raise UsageError(f"vector dim {x.shape} does not match d={ens.d}")
-    return _signed_argmax(ens.full @ x)
-
-
-def _signed_argmax(prods: np.ndarray) -> int:
-    if not np.any(prods):
-        return NULL_INDEX
-    j = int(np.argmax(np.abs(prods)))
-    return (j + 1) if prods[j] >= 0 else -(j + 1)

@@ -209,9 +209,9 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
 def _threshold_state(idx: HnswIndex, worst_key: float, qsq: float, qnorm: float,
                      vq: float, worst_id: int) -> ThresholdState:
     if idx.metric == Metric.L2:
-        return ThresholdState(r=(worst_key - qsq) / 2.0, delta=math.sqrt(max(worst_key, 0.0)), vq=vq)
+        return ThresholdState(r=(worst_key - qsq) / 2.0, vq=vq)
     if idx.metric == Metric.ANGULAR:
         p_dot_q = (1.0 - worst_key) * idx._norms[worst_id] * qnorm
-        return ThresholdState(r=-p_dot_q, delta=worst_key, vq=vq)
-    return ThresholdState(r=worst_key, delta=worst_key, vq=vq)
+        return ThresholdState(r=-p_dot_q, vq=vq)
+    return ThresholdState(r=worst_key, vq=vq)
 

@@ -1,9 +1,9 @@
-"""Edge metadata, quantile tables, and the probabilistic routing tests.
+"""Quantile tables, quantizers, and the batch routing gates.
 
-Three gates share one calling convention: given per-edge metadata, the
-query projection table, and the current result-list threshold state,
-decide whether a neighbor's exact distance is worth computing. A gated
-neighbor whose true distance beats the threshold must pass with
+Each gate takes a block of edges with their stored records, the query's
+projections or sketch, and the result-list threshold state, and decides
+for every edge whether the neighbor's exact distance is worth computing.
+A gated neighbor whose true distance beats the threshold must pass with
 probability at least 1 - eps.
 
 Every quantization in this module rounds in the direction that loosens
@@ -22,23 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DegenerateInputError, UsageError
-from .projections import (
-    NULL_INDEX,
-    ProjectionEnsemble,
-    QueryProjectionTable,
-    _seeded_normal,
-    decode_id_bytes,
-    encode_id_bytes,
-    extreme_index,
-    extreme_index_full,
-)
-from .vecstore import Metric, PermutationPlan, apply_permutation
+from .errors import UsageError
+from .projections import QueryProjectionTable, _seeded_normal
+from .vecstore import Metric
 
 VAR_ROWS = 256
 X_COLS = 1024  # cells of width 1/512 over x in [-1, 1)
@@ -87,49 +77,6 @@ class RoutingConfig:
 
 
 # ---------------------------------------------------------------------------
-# Orthogonal decomposition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Split e = |e| * w_reg * reg_dir + res with reg_dir orthogonal to res."""
-
-    w_reg: float
-    w_res: float
-    reg_dir: np.ndarray
-    res: np.ndarray
-
-
-def decompose(e: np.ndarray, L: int) -> Decomposition:
-    """Regular/residual split of an edge vector across L equal blocks.
-
-    The regular direction is the block-normalized unit vector; zero
-    blocks contribute a zero direction block and the remaining blocks
-    are renormalized.
-    """
-    e = np.asarray(e, dtype=np.float64)
-    d = e.shape[0]
-    if L < 1 or d % L != 0:
-        raise UsageError(f"d={d} not divisible by L={L}")
-    enorm = float(np.linalg.norm(e))
-    if enorm == 0.0:
-        raise UsageError("cannot decompose the zero vector")
-    blocks = e.reshape(L, d // L)
-    bn = np.linalg.norm(blocks, axis=1)
-    nz = bn > 0.0
-    nnz = int(np.count_nonzero(nz))
-    reg_dir = np.zeros_like(blocks)
-    reg_dir[nz] = blocks[nz] / (math.sqrt(nnz) * bn[nz, None])
-    reg_dir = reg_dir.reshape(d)
-    w_reg = float(bn.sum() / (math.sqrt(nnz) * enorm))
-    w_reg = min(w_reg, 1.0)
-    w_res = math.sqrt(max(0.0, 1.0 - w_reg * w_reg))
-    res = e - (enorm * w_reg) * reg_dir
-    return Decomposition(w_reg=w_reg, w_res=w_res, reg_dir=reg_dir, res=res)
-
-
-# ---------------------------------------------------------------------------
 # Quantile table
 # ---------------------------------------------------------------------------
 
@@ -169,9 +116,6 @@ class QuantileTable:
     v_grid: np.ndarray
     q: np.ndarray
 
-    def var_index(self, v: float) -> int:
-        return int(min(np.searchsorted(self.v_grid, v, side="left"), len(self.v_grid) - 1))
-
     def columns(self, x):
         """Column of the cell whose left edge is the largest grid point <= x, for x in [-1, 1).
 
@@ -180,9 +124,6 @@ class QuantileTable:
         """
         half = len(self.x_grid) // 2
         return (np.floor(np.multiply(x, half)) + half).astype(np.intp)
-
-    def threshold(self, var_idx: int, x: float) -> float:
-        return float(self.q[var_idx, self.columns(x)])
 
 
 def build_quantile_table(
@@ -222,7 +163,7 @@ def build_quantile_table(
 
 
 # ---------------------------------------------------------------------------
-# Scalar quantizers and edge metadata
+# Scalar quantizers
 # ---------------------------------------------------------------------------
 
 
@@ -266,194 +207,22 @@ class EdgeQuantizers:
     enorm: ScalarQuantizer
 
 
-def canonical_extreme_id(sid: int) -> int:
-    """The id a stored record gives back: -128 degrades to the null (zero contribution) id."""
-    return int(decode_id_bytes(encode_id_bytes(sid)))
-
-
-@dataclass(frozen=True)
-class EdgeMeta:
-    """Packed per-edge record: signed extreme ids, quantized weights and norms.
-
-    ext_ids has L+1 entries led by the residual id, or L entries in
-    compact mode (weights are then pinned to (1, 0) and not stored).
-    """
-
-    ext_ids: tuple
-    w_reg_q: int
-    w_res_q: int
-    var_idx: int
-    half_u_sq_q: int
-    enorm_q: int
-    quant: EdgeQuantizers
-    compact: bool = False
-
-    @property
-    def w_reg(self) -> float:
-        return self.w_reg_q / 255.0
-
-    @property
-    def w_res(self) -> float:
-        return self.w_res_q / 255.0
-
-    @property
-    def half_u_sq(self) -> float:
-        return float(self.quant.half_u_sq.decode(self.half_u_sq_q))
-
-    @property
-    def enorm(self) -> float:
-        return float(self.quant.enorm.decode(self.enorm_q))
-
-    @property
-    def L(self) -> int:
-        return len(self.ext_ids) if self.compact else len(self.ext_ids) - 1
-
-
-def build_edge_meta(
-    u: np.ndarray,
-    v: np.ndarray,
-    ens: ProjectionEnsemble,
-    plan: PermutationPlan,
-    quant: EdgeQuantizers,
-    compact: bool = False,
-) -> EdgeMeta:
-    """Metadata for the directed edge v -> u built from the residual e = u - v."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    e = u - v
-    if not np.any(e):
-        raise DegenerateInputError("coincident endpoints give a degenerate edge")
-    ep = apply_permutation(e, plan)
-    if ep.shape[0] != ens.d or plan.L != ens.L:
-        raise UsageError("permutation plan does not match the projection ensemble")
-    dec = decompose(ep, ens.L)
-    dp = ens.sub_dim
-    ids = [
-        canonical_extreme_id(extreme_index(ep[(i - 1) * dp : i * dp], ens, i))
-        for i in range(1, ens.L + 1)
-    ]
-    if compact:
-        w_reg_q, w_res_q = 255, 0
-        var_idx = int(var_row_indices(1.0, 0.0, ens.L))
-        ext_ids = tuple(ids)
-    else:
-        id0 = (
-            canonical_extreme_id(extreme_index_full(dec.res, ens))
-            if dec.w_res >= _RES_EPS
-            else NULL_INDEX
-        )
-        w_reg_q = int(round(dec.w_reg * 255))
-        w_res_q = int(round(dec.w_res * 255))
-        var_idx = int(var_row_indices(dec.w_reg, dec.w_res, ens.L))
-        ext_ids = (id0, *ids)
-    half = 0.5 * float(np.dot(u, u))
-    return EdgeMeta(
-        ext_ids=ext_ids,
-        w_reg_q=w_reg_q,
-        w_res_q=w_res_q,
-        var_idx=var_idx,
-        half_u_sq_q=int(quant.half_u_sq.encode(half, "down")),
-        enorm_q=int(quant.enorm.encode(float(np.linalg.norm(e)), "up")),
-        quant=quant,
-        compact=compact,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Threshold state and the routing tests
+# Threshold state
 # ---------------------------------------------------------------------------
 
 
 class ThresholdState:
-    """Pruning scalar r, distance threshold delta, and the cached v.q dot product.
+    """Pruning scalar r and the cached v.q dot product.
 
     A plain slotted class, as search builds one per gated hop.
     """
 
-    __slots__ = ("r", "delta", "vq")
+    __slots__ = ("r", "vq")
 
-    def __init__(self, r: float, delta: float, vq: float):
+    def __init__(self, r: float, vq: float):
         self.r = r
-        self.delta = delta
         self.vq = vq
-
-    @classmethod
-    def unbounded(cls, vq: float = 0.0) -> "ThresholdState":
-        return cls(r=math.inf, delta=math.inf, vq=vq)
-
-    @classmethod
-    def for_l2(cls, delta: float, qnorm: float, vq: float) -> "ThresholdState":
-        # delta^2 - 2r = |q|^2 when delta is the L2 distance to the worst result
-        return cls(r=(delta * delta - qnorm * qnorm) / 2.0, delta=delta, vq=vq)
-
-
-def compute_Ar(meta: EdgeMeta, ts: ThresholdState, qnorm: float, metric: Metric) -> float:
-    """Query-dependent cosine threshold the edge must beat; -inf when unbounded."""
-    if math.isinf(ts.r):
-        return -math.inf
-    enorm = meta.enorm
-    if enorm <= 0.0:
-        return -math.inf
-    if metric == Metric.L2:
-        num = meta.half_u_sq - ts.r - ts.vq
-    else:
-        num = -ts.r - ts.vq
-    return num / (qnorm * enorm)
-
-
-def _edge_statistic(meta: EdgeMeta, qpt: QueryProjectionTable) -> float:
-    block_ids = meta.ext_ids if meta.compact else meta.ext_ids[1:]
-    h1 = 0.0
-    for i, sid in enumerate(block_ids):
-        if sid != NULL_INDEX:
-            h1 += math.copysign(1.0, sid) * qpt.sub_proj[i, abs(sid) - 1]
-    if meta.compact:
-        return h1
-    sid0 = meta.ext_ids[0]
-    h2 = 0.0
-    if sid0 != NULL_INDEX:
-        h2 = math.copysign(1.0, sid0) * qpt.full_proj[abs(sid0) - 1]
-    return meta.w_reg * h1 + math.sqrt(meta.L) * meta.w_res * h2
-
-
-def peos_test(
-    meta: EdgeMeta,
-    tbl: QuantileTable,
-    qpt: QueryProjectionTable,
-    ts: ThresholdState,
-    metric: Metric = Metric.L2,
-) -> bool:
-    """Pass iff the projected statistic clears the eps-quantile at x = A_r.
-
-    A_r >= 1 cannot be beaten and always fails; A_r <= -1 is beaten by
-    every neighbor and always passes. Every A_r in (-1, 1), negative
-    ones included, is decided by the statistic against the table.
-    """
-    ar = compute_Ar(meta, ts, qpt.qnorm, metric)
-    if ar >= 1.0:
-        return False
-    if ar <= -1.0:
-        return True
-    return bool(_edge_statistic(meta, qpt) >= tbl.threshold(meta.var_idx, ar))
-
-
-@lru_cache(maxsize=8)
-def _rceos_table(eps: float, m: int) -> QuantileTable:
-    return build_quantile_table(eps, 1, m)
-
-
-def rceos_test(
-    meta: EdgeMeta,
-    qpt: QueryProjectionTable,
-    ts: ThresholdState,
-    eps: float,
-    m: int,
-    metric: Metric = Metric.L2,
-) -> bool:
-    """The L=1 special case of the partitioned test, with its own cached table."""
-    if meta.compact or meta.L != 1:
-        raise UsageError("rceos_test needs single-block (L=1) metadata")
-    return peos_test(meta, _rceos_table(eps, m), qpt, ts, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -485,28 +254,6 @@ def simhash_sketch(e: np.ndarray, hashes: np.ndarray) -> SimHashSketch:
         raise UsageError("hash ensemble shape does not match the vector")
     bits = (hashes @ e) >= 0.0
     return SimHashSketch(bits=np.packbits(bits), n=hashes.shape[0])
-
-
-def collision_count(a: SimHashSketch, b: SimHashSketch) -> int:
-    if a.n != b.n:
-        raise UsageError("sketch lengths differ")
-    return a.n - int(_POPCOUNT8[np.bitwise_xor(a.bits, b.bits)].sum())
-
-
-def simhash_threshold(n: int, ar: float, eps: float) -> float:
-    """Hoeffding collision bound at the angle implied by A_r."""
-    theta = math.acos(min(1.0, max(-1.0, ar)))
-    return n * (1.0 - theta / math.pi) - math.sqrt(n * math.log(1.0 / eps) / 2.0)
-
-
-def simhash_test(sketch_e: SimHashSketch, sketch_q: SimHashSketch, ar: float, eps: float) -> bool:
-    if not 0.0 < eps < 1.0:
-        raise UsageError("SimHash error bound must lie in (0, 1)")
-    if ar >= 1.0:
-        return False
-    if ar <= 0.0:
-        return True
-    return collision_count(sketch_e, sketch_q) >= simhash_threshold(sketch_e.n, ar, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +362,6 @@ class EdgeMetaBlock:
 
 def batch_ar(block: EdgeMetaBlock, ts: ThresholdState, qnorm: float, metric: Metric) -> np.ndarray:
     n = len(block)
-    if math.isinf(ts.r):
-        return np.full(n, -math.inf)
     if metric == Metric.L2:
         num = block.half_u_sq - ts.r - ts.vq
     else:
@@ -637,7 +382,7 @@ def batch_peos_test(
     ts: ThresholdState,
     metric: Metric = Metric.L2,
 ) -> np.ndarray:
-    """Vectorized gate for one popped node's edge block; matches peos_test elementwise.
+    """Vectorized gate for one popped node's edge block.
 
     A_r comes first; only edges with |A_r| < 1 read their records. Their
     statistic is one gather from the query's signed table and one from

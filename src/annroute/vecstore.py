@@ -120,16 +120,6 @@ def normalize(q: np.ndarray) -> np.ndarray:
     return q / n
 
 
-def avg_squared_coordinate(edges: np.ndarray, j: int) -> float:
-    """Mean of squared j-th coordinates over a collection of residual vectors."""
-    edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 2 or edges.shape[0] == 0:
-        raise UsageError("need a non-empty 2-D collection of edge residuals")
-    if not 0 <= j < edges.shape[1]:
-        raise UsageError(f"dimension index {j} out of range")
-    return float(np.mean(edges[:, j] ** 2))
-
-
 @dataclass(frozen=True)
 class PermutationPlan:
     """Bijection on dimensions grouping them into L equal-size subspace blocks.

@@ -15,26 +15,21 @@ import pytest
 import annroute as ar
 from annroute import (
     Metric,
-    PermutationPlan,
+    RoutingConfig,
+    RoutingMode,
     SearchParams,
-    ThresholdState,
     apply_permutation,
-    build_edge_meta,
     build_quantile_table,
     compute_recall,
     distance,
-    generate_ensemble,
-    peos_test,
-    project_query,
-    rceos_test,
     required_m_rceos,
     run_audit,
     search,
 )
-from annroute.routing import EdgeQuantizers, ScalarQuantizer
 
 from conftest import DESK_K
-from oracles import expected_max_abs_normal, make_gate_trials
+from oracles import expected_max_abs_normal
+from scalar_gate import collision_count
 
 EPS = 0.2
 GUARANTEE_BAR = 1.0 - EPS - 0.02  # 0.78
@@ -106,28 +101,23 @@ def test_c3_w_reg_bound():
 # -- 4. RCEOs/PEOs collapse --------------------------------------------------
 
 
-def test_c4_rceos_peos_collapse():
-    d, m = 64, 128
-    ens = generate_ensemble(61, d, 1, m)
-    plan = PermutationPlan.identity(d, 1)
-    tbl = build_quantile_table(EPS, 1, m)
-    trials = make_gate_trials(10_500, d, seed=71, gap_lo=-0.3, gap_hi=0.4)
-    n = min(10_000, len(trials["u"]))
-    half = 0.5 * np.einsum("ij,ij->i", trials["u"], trials["u"])
-    quant = EdgeQuantizers(
-        half_u_sq=ScalarQuantizer.fit(half, 16),
-        enorm=ScalarQuantizer.fit(trials["enorm"], 16),
-    )
-    mismatches = 0
-    for i in range(n):
-        meta = build_edge_meta(trials["u"][i], trials["v"][i], ens, plan, quant)
-        qpt = project_query(trials["q"][i], ens)
-        ts = ThresholdState(r=trials["r"][i], delta=math.nan, vq=trials["vq"][i])
-        a = rceos_test(meta, qpt, ts, EPS, m)
-        b = peos_test(meta, tbl, qpt, ts)
-        mismatches += a != b
-    ok = mismatches == 0 and n >= 10_000
-    _report("C4 rceos/peos collapse", ok, f"mismatches={mismatches} over {n} evaluations")
+def test_c4_rceos_peos_collapse(desk_data, desk_index, desk_rceos):
+    """RCEOs is peos at L=1: the same records, and the same ids and counters on every query."""
+    _, queries = desk_data
+    cfg = desk_rceos.routing.cfg
+    peos_cfg = RoutingConfig(mode=RoutingMode.PEOS, eps=cfg.eps, L=1, m=cfg.m)
+    peos = ar.attach(desk_index, peos_cfg)
+    same_records = desk_rceos.routing.store.wire_records().tobytes() == peos.routing.store.wire_records().tobytes()
+    s0, s1 = desk_rceos.make_scratch(), peos.make_scratch()
+    mismatches = n = 0
+    for q in queries:
+        a, sa = search(desk_rceos, q, SearchParams(K=DESK_K, efs=500, routing=cfg), scratch=s0)
+        b, sb = search(peos, q, SearchParams(K=DESK_K, efs=500, routing=peos_cfg), scratch=s1)
+        mismatches += not (np.array_equal(a, b) and sa == sb)
+        n += sa.tests_evaluated
+    ok = same_records and mismatches == 0 and n >= 10_000
+    _report("C4 rceos/peos collapse", ok,
+            f"records identical={same_records} mismatched queries={mismatches} over {n} evaluations")
 
 
 # -- 5. Required-m table row -------------------------------------------------
@@ -189,7 +179,7 @@ def test_c6_distributional_checks():
     total = 0
     for _ in range(trials):
         hashes = gen.standard_normal((n_bits, 8))
-        total += ar.collision_count(ar.simhash_sketch(ev, hashes), ar.simhash_sketch(qv, hashes))
+        total += collision_count(ar.simhash_sketch(ev, hashes), ar.simhash_sketch(qv, hashes))
     frac = total / (n_bits * trials)
     p = 1.0 - theta / math.pi
     se_col = math.sqrt(p * (1 - p) / (n_bits * trials))

@@ -1,0 +1,50 @@
+"""The package holds no code that only the tests call.
+
+Every top-level function and class in src/annroute, and every method of
+those classes, must be named somewhere it does not define itself: in
+the package (the re-exports of __init__.py do not count), in the
+benchmark's modules, or among the targets its tracer wraps. Code that
+only the tests use, such as the per-edge gate in scalar_gate.py, lives
+in the tests.
+"""
+
+import ast
+import collections
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+# Public helpers for users of the library that nothing in the tree calls.
+ALLOWED = {"save_fvecs", "HnswIndex.neighbors", "apply_permutation", "distance", "normalize", "required_m_rceos"}
+
+
+def _names(node) -> collections.Counter:
+    """The bare names and attribute names a subtree reads."""
+    return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr
+                               for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _definitions(tree):
+    """(qualified name, name, node) of each top-level function and class and each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def test_every_package_name_has_a_caller_outside_the_tests(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    src = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "annroute").glob("*.py"))
+           if p.name != "__init__.py"}
+    bench = [ast.parse(p.read_text()) for p in sorted(PERFBENCH.glob("*.py")) if not p.name.startswith("test_")]
+    refs = sum((_names(t) for t in [*src.values(), *bench]), collections.Counter())
+    refs.update(attr for _, _, attr in tracing.TARGETS)
+    unused = [f"{path.name}:{qual}" for path, tree in src.items() for qual, name, node in _definitions(tree)
+              if qual not in ALLOWED and refs[name] - _names(node)[name] <= 0]
+    assert not unused, f"named only by the tests: {unused}"

@@ -50,7 +50,7 @@ def _sections(idx, size: int) -> dict:
     deg_at = _HEADER if att is None else _QUANT_AT + _QUANT_LEN + 2 * 4 * idx.dim  # after perm, subspace_of
     delta_at = deg_at + 4 * idx.n
     upper_at = delta_at + 4 * idx.n_base_edges
-    tail = 0 if att is None else 8 + len(att.store.wire_bytes())  # the record count, then the records
+    tail = 0 if att is None else 8 + att.store.wire_records().nbytes  # the record count, then the records
     out = {"degrees": (deg_at, 4 * idx.n), "deltas": (delta_at, 4 * idx.n_base_edges),
            "upper": (upper_at, size - tail - upper_at)}
     if att is not None:
@@ -141,12 +141,12 @@ def test_adjacency_edits(files, name, section, edits):
                 search(routed, q, SearchParams(K=5, efs=20, routing=cfg))
         except AnnRouteError:
             continue
-        wire = routed.routing.store.wire_bytes()
-        assert wire == _attach_direct(idx, cfg).routing.store.wire_bytes()
+        wire = routed.routing.store.wire_records().tobytes()
+        assert wire == _attach_direct(idx, cfg).routing.store.wire_records().tobytes()
         save_index(routed, path)
         loaded = load_index(path, ds)
         np.testing.assert_array_equal(loaded.base_indices, routed.base_indices)
-        assert loaded.routing.store.wire_bytes() == wire
+        assert loaded.routing.store.wire_records().tobytes() == wire
 
 
 def test_cli_bad_neighbor_delta_exits_2(files, tmp_path, capsys):

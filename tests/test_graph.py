@@ -20,17 +20,15 @@ from annroute import (
     RoutingConfig,
     RoutingMode,
     SearchParams,
+    SimHashSketch,
     UsageError,
     attach,
     attach_routing,
-    brute_force_knn,
-    build_edge_meta,
+    brute_force_all,
     build_hnsw,
-    compute_Ar,
     compute_recall,
     generate_ensemble,
     load_index,
-    peos_test,
     save_index,
     search,
     synthetic_dataset,
@@ -42,6 +40,7 @@ from annroute.projections import RNG_ID, encode_id_bytes
 from annroute.vecstore import PermutationPlan
 
 from oracles import brute_force_reference
+from scalar_gate import EdgeMeta, build_edge_meta, compute_Ar, meta_at, peos_test, simhash_test
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +129,7 @@ class TestAttach:
     def test_reattach_byte_identical(self, small, small_peos):
         _, _, idx = small
         again = attach(idx, RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64))
-        assert again.routing.store.wire_bytes() == small_peos.routing.store.wire_bytes()
+        assert again.routing.store.wire_records().tobytes() == small_peos.routing.store.wire_records().tobytes()
 
     def test_spot_check_against_single_edge_builder(self, small, small_peos):
         ds, _, idx = small
@@ -143,7 +142,7 @@ class TestAttach:
                 ds.vectors[u].astype(np.float64), ds.vectors[v].astype(np.float64),
                 att.ens, att.plan, att.store.quant,
             )
-            assert att.store.meta_at(int(slot)) == expect
+            assert meta_at(att.store, int(slot)) == expect
 
     def test_duplicate_points_get_null_meta(self):
         vecs = np.random.default_rng(0).standard_normal((40, 16)).astype(np.float32)
@@ -217,7 +216,7 @@ class TestSearch:
 
     def test_recall_on_small_set(self, small):
         ds, queries, idx = small
-        truth = np.stack([brute_force_knn(ds, q, 10, Metric.L2) for q in queries])
+        truth = brute_force_all(ds, queries, 10, Metric.L2)
         results = [search(idx, q, SearchParams(K=10, efs=100))[0] for q in queries]
         assert compute_recall(results, truth, 10) >= 0.95
 
@@ -259,7 +258,7 @@ class TestSearch:
         ds, queries, idx = small
         cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64, L=4)
         sh = attach(idx, cfg)
-        truth = np.stack([brute_force_knn(ds, q, 10, Metric.L2) for q in queries])
+        truth = brute_force_all(ds, queries, 10, Metric.L2)
         results = []
         dist_none, dist_sh = 0, 0
         pn = SearchParams(K=10, efs=100)
@@ -272,13 +271,6 @@ class TestSearch:
             dist_sh += s1.dist_computations
         assert dist_sh <= dist_none
         assert compute_recall(results, truth, 10) >= 0.9
-
-    def test_rceos_mode_runs(self, small):
-        ds, queries, idx = small
-        cfg = RoutingConfig(mode=RoutingMode.RCEOS, eps=0.2, L=1, m=64)
-        rc = attach(idx, cfg)
-        ids, stats = search(rc, queries[0], SearchParams(K=10, efs=100, routing=cfg))
-        assert stats.tests_evaluated > 0
 
 
 class TestMetricVariants:
@@ -293,7 +285,7 @@ class TestMetricVariants:
         idx = build_hnsw(ds, M=8, efc=60, metric=metric, seed=5)
         cfg = RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64)
         gated = attach(idx, cfg)
-        truth = np.stack([brute_force_knn(ds, q, 10, metric) for q in queries])
+        truth = brute_force_all(ds, queries, 10, metric)
         res_n, res_g = [], []
         dn = dg = 0
         for q in queries:
@@ -312,7 +304,7 @@ class TestBruteForce:
     def test_K_equals_n_sorted(self):
         ds, _ = synthetic_dataset(50, 8, 1, seed=9)
         q = np.zeros(8)
-        ids = brute_force_knn(ds, q, 50, Metric.L2)
+        ids = brute_force_all(ds, q[None], 50, Metric.L2)[0]
         dists = [float(np.linalg.norm(ds.vectors[i].astype(np.float64) - q)) for i in ids]
         assert dists == sorted(dists)
         assert sorted(ids.tolist()) == list(range(50))
@@ -321,18 +313,18 @@ class TestBruteForce:
         ds, queries = synthetic_dataset(300, 12, 20, seed=10)
         for metric in Metric:
             for q in queries:
-                mine = brute_force_knn(ds, q, 7, metric).tolist()
+                mine = brute_force_all(ds, q[None], 7, metric)[0].tolist()
                 ref = brute_force_reference(ds.vectors, q, 7, metric.value)
                 assert mine == ref
 
     def test_query_equal_to_point_first(self):
         ds, _ = synthetic_dataset(100, 6, 1, seed=11)
-        assert brute_force_knn(ds, ds.vectors[17], 3, Metric.L2)[0] == 17
+        assert brute_force_all(ds, ds.vectors[17][None], 3, Metric.L2)[0, 0] == 17
 
     def test_K_bounds(self):
         ds, _ = synthetic_dataset(10, 4, 1, seed=12)
         with pytest.raises(UsageError):
-            brute_force_knn(ds, np.zeros(4), 11, Metric.L2)
+            brute_force_all(ds, np.zeros((1, 4)), 11, Metric.L2)
 
 
 class TestPersistence:
@@ -441,7 +433,7 @@ class TestMemory:
         save_index(routed, path)
         for store in (routed.routing.store, load_index(path, ds).routing.store):
             E = store.n_edges
-            record = len(store.wire_bytes()) // E
+            record = store.wire_records().shape[1]
             per_edge = sum(b.nbytes for b in _buffers(store) if b.shape[:1] == (E,))
             fixed = sum(b.nbytes for b in _buffers(store) if b.shape[:1] != (E,))
             assert per_edge <= E * record
@@ -573,7 +565,7 @@ class TestLoadPath:
 
 
 class TestLiveGateEquivalence:
-    """Every fused-gate call that real searches make agrees edge by edge with the scalar peos_test."""
+    """Every batch-gate call that real searches make agrees edge by edge with the scalar reference."""
 
     @pytest.mark.parametrize("cfg", [
         RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=8, m=128),
@@ -589,9 +581,9 @@ class TestLiveGateEquivalence:
 
         def checked(block, tbl, qpt, ts, metric=Metric.L2):
             out = fused(block, tbl, qpt, ts, metric)
-            expect = [peos_test(store.meta_at(int(s)), tbl, qpt, ts, metric) for s in block.slots]
+            expect = [peos_test(meta_at(store, int(s)), tbl, qpt, ts, metric) for s in block.slots]
             np.testing.assert_array_equal(out, expect)
-            ar = np.array([compute_Ar(store.meta_at(int(s)), ts, qpt.qnorm, metric) for s in block.slots])
+            ar = np.array([compute_Ar(meta_at(store, int(s)), ts, qpt.qnorm, metric) for s in block.slots])
             seen["edges"] += len(out)
             seen["tested"] += int(np.count_nonzero(np.abs(ar) < 1.0))
             seen["zero_norm"] += int(np.count_nonzero(ar == -math.inf))
@@ -602,6 +594,43 @@ class TestLiveGateEquivalence:
         for q in queries:
             search(routed, q, params)
         assert seen["tested"] >= 200 and seen["zero_norm"] > 0
+
+    def test_simhash_matches_scalar_on_every_hop(self, twins, monkeypatch):
+        metric, queries, idx = twins
+        cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64)
+        routed = attach(idx, cfg)
+        store = routed.routing.store
+        seen = collections.Counter()
+        hop = {}
+        batch_ar, fused = query_mod.batch_ar, query_mod.batch_simhash_test
+
+        def recorded_ar(block, ts, qnorm, m):
+            hop.update(slots=block.slots, ts=ts, qnorm=qnorm)
+            return batch_ar(block, ts, qnorm, m)
+
+        def checked(sketches, qsketch, ar, eps):
+            out = fused(sketches, qsketch, ar, eps)
+            assert len(out) == hop["slots"].size
+            for s, got in zip(hop["slots"].tolist(), out):
+                # compute_Ar reads only the norm codes of a record
+                meta = EdgeMeta(ext_ids=(), w_reg_q=255, w_res_q=0, var_idx=0, half_u_sq_q=int(store.norm_q[s, 0]),
+                                enorm_q=int(store.norm_q[s, 1]), quant=store.quant)
+                ar_ref = compute_Ar(meta, hop["ts"], hop["qnorm"], metric)
+                sketch = SimHashSketch(bits=store.sketches[s], n=cfg.simhash_bits)
+                assert got == simhash_test(sketch, qsketch, ar_ref, eps)
+                seen["edges"] += 1
+                seen["tested"] += 0.0 < ar_ref < 1.0
+            return out
+
+        monkeypatch.setattr(query_mod, "batch_ar", recorded_ar)
+        monkeypatch.setattr(query_mod, "batch_simhash_test", checked)
+        params = SearchParams(K=5, efs=12, routing=cfg)
+        for q in queries:
+            search(routed, q, params)
+        if metric == Metric.IP:  # the popped node's key beats the worst result's, so every A_r <= 0
+            assert seen["edges"] >= 200 and seen["tested"] == 0
+        else:
+            assert seen["tested"] >= 200
 
 
 # byte positions in the index header (see save_index)
@@ -692,7 +721,7 @@ class TestFailClosed:
         loaded = load_index(path, ds)
         assert not loaded.routing.cfg.compact
         assert loaded.routing.store.quant.enorm.bits == 8
-        assert loaded.routing.store.wire_bytes() == routed.routing.store.wire_bytes()
+        assert loaded.routing.store.wire_records().tobytes() == routed.routing.store.wire_records().tobytes()
         search(loaded, queries[0], SearchParams(K=5, efs=20, routing=cfg))
 
     def test_simhash_compact_rejected(self):
@@ -766,7 +795,7 @@ def golden_graphs(small, tmp_path_factory):
     return {"small": idx, "twins": _twin_graph(Metric.L2)[1], "handmade": load_index(path, ds)}
 
 
-# blake2b-128 of store.wire_bytes(), recorded with every edge's record computed
+# blake2b-128 of the store's wire records, recorded with every edge's record computed
 # from its own residual, before attach derived a reverse edge's record from its
 # pair. The `small` cases were recorded with the 65,536-edge attach chunks,
 # before attach streamed 1,024-edge chunks through a signed argmax/argmin pick.
@@ -796,7 +825,7 @@ GOLDEN_ATTACH = {
 
 def _attach_digest(graphs, name) -> str:
     graph, cfg, permute, _ = GOLDEN_ATTACH[name]
-    wire = attach(graphs[graph], cfg, permute=permute).routing.store.wire_bytes()
+    wire = attach(graphs[graph], cfg, permute=permute).routing.store.wire_records().tobytes()
     return hashlib.blake2b(wire, digest_size=16).hexdigest()
 
 

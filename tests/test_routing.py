@@ -14,37 +14,38 @@ from annroute import (
     RoutingConfig,
     RoutingMode,
     ScalarQuantizer,
+    SearchParams,
     ThresholdState,
     UsageError,
     attach,
     batch_peos_test,
-    build_edge_meta,
     build_hnsw,
     build_quantile_table,
-    collision_count,
-    compute_Ar,
-    decompose,
     estimate_partition_stats,
     generate_ensemble,
     generate_simhash_hashes,
-    peos_test,
     project_query,
-    rceos_test,
     required_m_rceos,
+    search,
     simhash_sketch,
-    simhash_test,
+    synthetic_dataset,
     w_reg_lower_bound,
 )
 from annroute.projections import decode_id_bytes, encode_id_bytes
-from annroute.routing import (
-    _edge_statistic,
-    canonical_extreme_id,
-    simhash_threshold,
-    variance_grid,
-    var_row_indices,
-)
+from annroute.routing import variance_grid, var_row_indices
 
 from oracles import expected_max_abs_normal, inv_norm_cdf, make_gate_trials
+from scalar_gate import (
+    _edge_statistic,
+    build_edge_meta,
+    collision_count,
+    compute_Ar,
+    decompose,
+    meta_at,
+    peos_test,
+    simhash_test,
+    simhash_threshold,
+)
 
 
 def exact_quantizers(*values, bits=16):
@@ -115,9 +116,9 @@ class TestQuantileTable:
 
     def test_L1_x0_entry_is_normal_quantile(self):
         tbl = build_quantile_table(0.2, 1, 128)
-        row = tbl.var_index(1.0)
+        row = int(var_row_indices(1.0, 0.0, 1))
         assert tbl.v_grid[row] == pytest.approx(1.0)
-        assert tbl.threshold(row, 1e-9) == pytest.approx(inv_norm_cdf(0.2), abs=1e-6)
+        assert tbl.q[row, tbl.columns(1e-9)] == pytest.approx(inv_norm_cdf(0.2), abs=1e-6)
         assert inv_norm_cdf(0.2) == pytest.approx(-0.8416, abs=1e-4)
 
     def test_monotone_in_x(self):
@@ -153,7 +154,7 @@ class TestQuantileTable:
         for x in (0.126, -0.3):
             col = int(np.nonzero(tbl.x_grid <= x)[0][-1])
             assert tbl.x_grid[col] < x < tbl.x_grid[col + 1]
-            assert tbl.threshold(4, x) == tbl.q[4, col] < tbl.q[4, col + 1]
+            assert tbl.q[4, tbl.columns(x)] == tbl.q[4, col] < tbl.q[4, col + 1]
 
     @pytest.mark.parametrize("x_cols", [16, 32, 64, 128, 256, 512, 1024])
     def test_arithmetic_column_matches_searchsorted(self, x_cols):
@@ -233,11 +234,6 @@ class TestExtremeIdCodec:
         assert b.dtype == np.uint8 and np.unique(b).size == 256
         np.testing.assert_array_equal(decode_id_bytes(b), sids)
 
-    def test_minus_128_canonicalizes_to_null(self):
-        assert canonical_extreme_id(-128) == 0
-        assert canonical_extreme_id(128) == 128
-        assert canonical_extreme_id(-127) == -127
-
 
 class TestBuildEdgeMeta:
     def setup_method(self):
@@ -286,7 +282,7 @@ class TestComputeAr:
         ens = generate_ensemble(2, 8, 2, 4)
         meta = build_edge_meta(np.ones(8), np.zeros(8), ens, PermutationPlan.identity(8, 2),
                                exact_quantizers(4.0, math.sqrt(8.0)))
-        ar = compute_Ar(meta, ThresholdState.unbounded(), 1.0, Metric.L2)
+        ar = compute_Ar(meta, ThresholdState(r=math.inf, vq=0.0), 1.0, Metric.L2)
         assert ar == -math.inf
 
     def test_worked_example(self):
@@ -295,8 +291,8 @@ class TestComputeAr:
         u, v, q, p = np.array([0.0, 2.0]), np.zeros(2), np.array([1.0, 0.0]), np.array([3.0, 0.0])
         meta = build_edge_meta(u, v, ens, PermutationPlan.identity(2, 1),
                                exact_quantizers(2.0, 2.0))
-        delta = np.linalg.norm(p - q)
-        ts = ThresholdState.for_l2(float(delta), 1.0, vq=0.0)
+        delta = float(np.linalg.norm(p - q))
+        ts = ThresholdState(r=(delta * delta - 1.0) / 2.0, vq=0.0)  # delta^2 - 2r = |q|^2
         assert ts.r == pytest.approx(1.5)
         ar = compute_Ar(meta, ts, 1.0, Metric.L2)
         assert ar == pytest.approx(0.25)
@@ -310,14 +306,10 @@ class TestComputeAr:
         meta = build_edge_meta(u, v, ens, PermutationPlan.identity(16, 2),
                                exact_quantizers(0.5 * float(u @ u), float(np.linalg.norm(e))))
         r = 0.5 * float(u @ u) - float(u @ q)  # p == u
-        ts = ThresholdState(r=r, delta=math.nan, vq=float(v @ q))
+        ts = ThresholdState(r=r, vq=float(v @ q))
         ar = compute_Ar(meta, ts, float(np.linalg.norm(q)), Metric.L2)
         cos = float(e @ q) / (np.linalg.norm(e) * np.linalg.norm(q))
         assert ar == pytest.approx(cos, abs=1e-9)
-
-
-def _meta_for(u, v, ens, quant, compact=False):
-    return build_edge_meta(u, v, ens, PermutationPlan.identity(ens.d, ens.L), quant, compact)
 
 
 class TestPeosTest:
@@ -330,15 +322,14 @@ class TestPeosTest:
         self.u = rng.standard_normal(32)
         self.v = rng.standard_normal(32)
         e = self.u - self.v
-        self.meta = _meta_for(self.u, self.v, self.ens,
-                              exact_quantizers(0.5 * float(self.u @ self.u),
-                                               float(np.linalg.norm(e))))
+        self.meta = build_edge_meta(self.u, self.v, self.ens, PermutationPlan.identity(32, 4),
+                                    exact_quantizers(0.5 * float(self.u @ self.u), float(np.linalg.norm(e))))
 
     def _ts_at(self, scale):
         # r such that A_r = -scale (the stored norms decode exactly)
         enorm = self.meta.enorm
         r = self.meta.half_u_sq - float(self.v @ self.q) + scale * self.qpt.qnorm * enorm
-        ts = ThresholdState(r=r, delta=math.nan, vq=float(self.v @ self.q))
+        ts = ThresholdState(r=r, vq=float(self.v @ self.q))
         assert compute_Ar(self.meta, ts, self.qpt.qnorm, Metric.L2) == pytest.approx(-scale)
         return ts
 
@@ -349,7 +340,7 @@ class TestPeosTest:
         )
 
     def test_auto_pass_when_ar_nonpositive(self):
-        ts = ThresholdState.unbounded(vq=float(self.v @ self.q))
+        ts = ThresholdState(r=math.inf, vq=float(self.v @ self.q))
         assert peos_test(self.meta, self.tbl, self.qpt, ts) is True
         # at A_r <= -1 every neighbor beats the threshold: pass even against a table that rejects all
         h = _edge_statistic(self.meta, self.qpt)
@@ -366,7 +357,7 @@ class TestPeosTest:
         # choose r so the numerator overwhelms the denominator
         enorm = self.meta.enorm
         r = self.meta.half_u_sq - float(self.v @ self.q) - 5.0 * self.qpt.qnorm * enorm
-        ts = ThresholdState(r=r, delta=math.nan, vq=float(self.v @ self.q))
+        ts = ThresholdState(r=r, vq=float(self.v @ self.q))
         assert compute_Ar(self.meta, ts, self.qpt.qnorm, Metric.L2) >= 1.0
         assert peos_test(self.meta, self.tbl, self.qpt, ts) is False
 
@@ -376,7 +367,7 @@ class TestPeosTest:
         const = self._const_table(h)
         enorm = self.meta.enorm
         r = self.meta.half_u_sq - float(self.v @ self.q) - 0.5 * self.qpt.qnorm * enorm
-        ts = ThresholdState(r=r, delta=math.nan, vq=float(self.v @ self.q))
+        ts = ThresholdState(r=r, vq=float(self.v @ self.q))
         assert 0.0 < compute_Ar(self.meta, ts, self.qpt.qnorm, Metric.L2) < 1.0
         assert peos_test(self.meta, const, self.qpt, ts) is True
 
@@ -393,20 +384,16 @@ class GateHarness:
         half = 0.5 * np.einsum("ij,ij->i", t["u"], t["u"])
         self.quant = fitted_quantizers(half, t["enorm"])
 
-    def peos_pass_rate(self, tbl=None, mode="peos"):
+    def peos_pass_rate(self):
         t = self.trials
-        tbl = tbl or build_quantile_table(self.eps, self.L, self.m)
+        tbl = build_quantile_table(self.eps, self.L, self.m)
         passes = 0
         n = len(t["u"])
         for i in range(n):
             meta = build_edge_meta(t["u"][i], t["v"][i], self.ens, self.plan, self.quant)
             qpt = project_query(t["q"][i], self.ens)
-            ts = ThresholdState(r=t["r"][i], delta=math.nan, vq=t["vq"][i])
-            if mode == "rceos":
-                ok = rceos_test(meta, qpt, ts, self.eps, self.m)
-            else:
-                ok = peos_test(meta, tbl, qpt, ts)
-            passes += ok
+            ts = ThresholdState(r=t["r"][i], vq=t["vq"][i])
+            passes += peos_test(meta, tbl, qpt, ts)
         return passes / n
 
     def simhash_pass_rate(self, n_bits=64):
@@ -455,7 +442,7 @@ class TestGuaranteeMonteCarlo:
         assert rate >= 0.78
 
     def test_rceos_true_positive_rate(self, gate_harness_L1):
-        rate = gate_harness_L1.peos_pass_rate(mode="rceos")
+        rate = gate_harness_L1.peos_pass_rate()
         assert rate >= 0.78
 
     def test_simhash_true_positive_rate(self, gate_harness):
@@ -469,40 +456,53 @@ class TestGuaranteeMonteCarlo:
 
     def test_rceos_true_positive_rate_negative_band(self, gate_harness_L1_neg):
         assert np.all(gate_harness_L1_neg.trials["x"] < 0.0)
-        rate = gate_harness_L1_neg.peos_pass_rate(mode="rceos")
+        rate = gate_harness_L1_neg.peos_pass_rate()
         assert rate >= 0.78
 
 
+@pytest.fixture(scope="module")
+def collapse_graphs():
+    """A 1,000-point graph of each metric and 40 queries, for the rceos/peos L=1 comparison."""
+    ds, queries = synthetic_dataset(1000, 32, 40, seed=13)
+    return {metric: (queries, build_hnsw(ds, M=8, efc=40, metric=metric, seed=13)) for metric in Metric}
+
+
 class TestRceosCollapse:
-    def test_decision_equality_with_L1_peos(self):
-        d, m, eps = 64, 64, 0.2
-        ens = generate_ensemble(41, d, 1, m)
-        plan = PermutationPlan.identity(d, 1)
-        tbl = build_quantile_table(eps, 1, m)
-        rng = np.random.default_rng(12)
-        trials = make_gate_trials(10_000, d, 55, gap_lo=-0.3, gap_hi=0.4)
-        half = 0.5 * np.einsum("ij,ij->i", trials["u"], trials["u"])
-        quant = fitted_quantizers(half, trials["enorm"])
-        mism = 0
-        for i in range(len(trials["u"])):
-            meta = build_edge_meta(trials["u"][i], trials["v"][i], ens, plan, quant)
-            qpt = project_query(trials["q"][i], ens)
-            ts = ThresholdState(r=trials["r"][i], delta=math.nan, vq=trials["vq"][i])
-            mism += rceos_test(meta, qpt, ts, eps, m) != peos_test(meta, tbl, qpt, ts)
-        assert mism == 0
+    """RCEOs is the L=1 case of the partitioned gate: attach and search cannot tell the two configs apart."""
 
-    def test_rceos_auto_pass_when_unbounded(self):
-        ens = generate_ensemble(2, 16, 1, 8)
-        meta = _meta_for(np.ones(16), np.zeros(16), ens, exact_quantizers(8.0, 4.0))
-        qpt = project_query(np.arange(1.0, 17.0), ens)
-        assert rceos_test(meta, qpt, ThresholdState.unbounded(), 0.2, 8) is True
+    M = 64
 
-    def test_rceos_rejects_multiblock_meta(self):
-        ens = generate_ensemble(1, 16, 2, 8)
-        meta = _meta_for(np.ones(16), np.zeros(16), ens, exact_quantizers(8.0, 4.0))
-        qpt = project_query(np.ones(16), ens)
-        with pytest.raises(UsageError):
-            rceos_test(meta, qpt, ThresholdState.unbounded(), 0.2, 8)
+    def _cfg(self, mode, L=1):
+        return RoutingConfig(mode=mode, eps=0.2, L=L, m=self.M)
+
+    def test_decision_equality_with_L1_peos(self, collapse_graphs):
+        rc_cfg, pe_cfg = self._cfg(RoutingMode.RCEOS), self._cfg(RoutingMode.PEOS)
+        for metric, (queries, idx) in collapse_graphs.items():
+            rc, pe = attach(idx, rc_cfg), attach(idx, pe_cfg)
+            assert rc.routing.store.wire_records().tobytes() == pe.routing.store.wire_records().tobytes()
+            evaluated = 0
+            for q in queries:
+                a, sa = search(rc, q, SearchParams(K=10, efs=64, routing=rc_cfg))
+                b, sb = search(pe, q, SearchParams(K=10, efs=64, routing=pe_cfg))
+                np.testing.assert_array_equal(a, b)
+                assert sa == sb
+                evaluated += sa.tests_evaluated
+            assert evaluated >= 10_000, metric
+
+    def test_rceos_auto_pass_when_unbounded(self, collapse_graphs):
+        """An infinite r puts every A_r at -inf, so every edge passes."""
+        queries, idx = collapse_graphs[Metric.L2]
+        att = attach(idx, self._cfg(RoutingMode.RCEOS)).routing
+        out = batch_peos_test(att.store.block(np.arange(att.store.n_edges)), build_quantile_table(0.2, 1, self.M),
+                              project_query(queries[0], att.ens), ThresholdState(r=math.inf, vq=0.0))
+        assert out.shape == (att.store.n_edges,) and out.all()
+
+    def test_rceos_rejects_multiblock_meta(self, collapse_graphs):
+        """search refuses rceos params on an index whose projection records have L > 1 blocks."""
+        queries, idx = collapse_graphs[Metric.L2]
+        routed = attach(idx, self._cfg(RoutingMode.PEOS, L=4))
+        with pytest.raises(UsageError, match="L=1"):
+            search(routed, queries[0], SearchParams(K=10, efs=64, routing=self._cfg(RoutingMode.RCEOS)))
 
 
 class TestSimHash:
@@ -621,7 +621,7 @@ class TestBatchPeos:
         # r spread so that A_r lands on both sides of 0 and of +-1
         r = float(np.median(att.store.block(np.arange(att.store.n_edges)).half_u_sq)
                   - v0 @ q - rng.uniform(-1.5, 1.5) * qpt.qnorm * 5.0)
-        return att.store, qpt, ThresholdState(r=r, delta=math.nan, vq=float(v0 @ q))
+        return att.store, qpt, ThresholdState(r=r, vq=float(v0 @ q))
 
     def test_bitmap_matches_elementwise(self, routed_L4):
         tbl = build_quantile_table(0.2, 4, 16)
@@ -631,9 +631,9 @@ class TestBatchPeos:
             slots = np.sort(np.random.default_rng(seed).choice(store.n_edges, 16, replace=False))
             block = store.block(slots)
             bitmap = batch_peos_test(block, tbl, qpt, ts)
-            single = np.array([peos_test(store.meta_at(int(s)), tbl, qpt, ts) for s in slots])
+            single = np.array([peos_test(meta_at(store, int(s)), tbl, qpt, ts) for s in slots])
             np.testing.assert_array_equal(bitmap, single)
-            ar = np.array([compute_Ar(store.meta_at(int(s)), ts, qpt.qnorm, Metric.L2) for s in slots])
+            ar = np.array([compute_Ar(meta_at(store, int(s)), ts, qpt.qnorm, Metric.L2) for s in slots])
             seen["tested"] += int(np.count_nonzero(np.abs(ar) < 1.0))
             seen["passed"] += int(bitmap.sum())
             seen["edges"] += len(slots)
@@ -734,7 +734,6 @@ class TestStatisticDistribution:
         e = (dec_blocks / math.sqrt(L)).reshape(-1)
         e += 0.02 * rng.standard_normal(d)
         e /= np.linalg.norm(e)
-        from annroute import decompose
         dec = decompose(e, L)
         assert dec.w_res <= 1.0 / (L + 1)
         q = rng.standard_normal(d)

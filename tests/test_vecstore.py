@@ -16,7 +16,6 @@ from annroute import (
     PermutationPlan,
     UsageError,
     apply_permutation,
-    avg_squared_coordinate,
     build_permutation,
     distance,
     load_fvecs,
@@ -136,26 +135,6 @@ class TestNormalize:
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateInputError):
             normalize(np.zeros(4))
-
-
-class TestAvgSquaredCoordinate:
-    def test_hand_values(self):
-        edges = np.array([[1.0, 0.0], [3.0, 0.0]])
-        assert avg_squared_coordinate(edges, 0) == pytest.approx(5.0)
-        assert avg_squared_coordinate(edges, 1) == pytest.approx(0.0)
-
-    def test_two_pass_oracle(self):
-        rng = np.random.default_rng(7)
-        edges = rng.standard_normal((100, 12))
-        for j in (0, 5, 11):
-            acc = 0.0
-            for row in edges:  # independent accumulation order
-                acc += float(row[j]) ** 2
-            assert avg_squared_coordinate(edges, j) == pytest.approx(acc / 100, rel=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            avg_squared_coordinate(np.zeros((0, 3)), 0)
 
 
 class TestBuildPermutation:
