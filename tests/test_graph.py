@@ -272,6 +272,13 @@ class TestSearch:
         assert dist_sh <= dist_none
         assert compute_recall(results, truth, 10) >= 0.9
 
+    def test_rceos_mode_runs(self, small):
+        ds, queries, idx = small
+        cfg = RoutingConfig(mode=RoutingMode.RCEOS, eps=0.2, L=1, m=64)
+        rc = attach(idx, cfg)
+        ids, stats = search(rc, queries[0], SearchParams(K=10, efs=100, routing=cfg))
+        assert stats.tests_evaluated > 0
+
 
 class TestMetricVariants:
     @pytest.mark.parametrize("metric", [Metric.ANGULAR, Metric.IP])
