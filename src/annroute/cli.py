@@ -68,10 +68,15 @@ def _routing_config(mode_text: str, args) -> RoutingConfig:
     )
 
 
-def _spec(args, routings) -> bench_mod.BenchmarkSpec:
+def _synthetic_shape(args) -> tuple[int, int, int]:
+    """The n,d,nq of --synthetic: three integers, d positive (stats reads d alone, so n and nq may be 0)."""
     synth = _parse_ints(args.synthetic)
-    if len(synth) != 3:
-        raise UsageError("--synthetic needs n,d,nq")
+    if len(synth) != 3 or synth[1] < 1:
+        raise UsageError(f"--synthetic needs three integers n,d,nq with d >= 1, got {args.synthetic!r}")
+    return synth
+
+
+def _spec(args, routings) -> bench_mod.BenchmarkSpec:
     return bench_mod.BenchmarkSpec(
         routings=tuple(routings),
         efs_list=_parse_ints(args.efs),
@@ -85,7 +90,7 @@ def _spec(args, routings) -> bench_mod.BenchmarkSpec:
         repetitions=args.repetitions,
         seed=args.seed if args.seed is not None else 42,
         permute=args.permute,
-        synthetic=synth,
+        synthetic=_synthetic_shape(args),
         out=args.out,
     )
 
@@ -93,7 +98,7 @@ def _spec(args, routings) -> bench_mod.BenchmarkSpec:
 def _load_base(args):
     if args.base:
         return load_fvecs(args.base)
-    n, d, nq = _parse_ints(args.synthetic)
+    n, d, nq = _synthetic_shape(args)
     ds, _ = bench_mod.synthetic_dataset(n, d, nq, args.seed if args.seed is not None else 42)
     return ds
 
@@ -129,12 +134,13 @@ def _cmd_attach(args) -> int:
 def _cmd_search(args) -> int:
     if not args.index or not args.query:
         raise UsageError("search needs --index and --query")
+    efs_list = _parse_ints(args.efs)
+    if len(efs_list) != 1:
+        raise UsageError(f"search takes one --efs value, got {args.efs!r}")
     ds = _load_base(args)
     idx = load_index(args.index, ds)
     queries = load_fvecs(args.query).vectors
-    cfg = _routing_config(args.routing, args)
-    efs_list = _parse_ints(args.efs)
-    params = SearchParams(K=args.K, efs=efs_list[0], routing=cfg)
+    params = SearchParams(K=args.K, efs=efs_list[0], routing=_routing_config(args.routing, args))
     scratch = idx.make_scratch()
     total_dist = 0
     for qi, q in enumerate(queries):
@@ -174,7 +180,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    d = _parse_ints(args.synthetic)[1] if args.base is None else load_fvecs(args.base).dim
+    d = _synthetic_shape(args)[1] if args.base is None else load_fvecs(args.base).dim
     L_list = (args.L,) if args.L is not None else (1, 2, 4, 8, 16)
     samples = max(args.trials, 10_000)
     print("L,mean_w_reg,mean_w_res_sq,j_rel,j_opt,delta,lower_bound")

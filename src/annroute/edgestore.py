@@ -7,7 +7,7 @@ popped node's whole edge block at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,9 +17,11 @@ from .projections import ID_BYTES, ProjectionEnsemble, check_id_bytes, encode_id
 from .routing import (
     EdgeMetaBlock,
     EdgeQuantizers,
+    QuantileTable,
     RoutingConfig,
     RoutingMode,
     ScalarQuantizer,
+    build_quantile_table,
     generate_simhash_hashes,
     var_row_indices,
     _RES_EPS,
@@ -154,6 +156,14 @@ class RoutingAttachment:
     store: EdgeMetaStore
     ens: ProjectionEnsemble | None = None
     hashes: np.ndarray | None = None
+    _qtables: dict[float, QuantileTable] = field(default_factory=dict, repr=False)
+
+    def quantile_table(self, eps: float) -> QuantileTable:
+        """The peos quantile table for eps, built on first use; cfg's L and m never change."""
+        tbl = self._qtables.get(eps)
+        if tbl is None:
+            tbl = self._qtables[eps] = build_quantile_table(eps, self.cfg.L, self.cfg.m)
+        return tbl
 
 
 def _norm_bits(compact: bool) -> int:
@@ -222,13 +232,14 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
 
     The residual of v->u is exactly minus that of u->v, since float
     subtraction is sign-symmetric, and so are its products with the
-    projections. Every id is odd in the residual and every other code
-    (weights, variance row, edge norm) is even, so peos and rceos compute
-    one edge of each reciprocal pair and write the other's record with
-    the ids negated (see encode_id_bytes for the one asymmetry, -128);
-    the records are byte-identical to computing every edge. half_u_sq
-    comes from each edge's own target. SimHash computes every edge: the
-    sign of an exactly zero product does not flip.
+    projections and the SimHash hyperplanes. So every mode computes one
+    edge of each reciprocal pair and writes the other's record from it:
+    peos and rceos negate the ids, since every id is odd in the residual
+    and every other code (weights, variance row, edge norm) is even (see
+    encode_id_bytes for the one asymmetry, -128); SimHash stores the
+    mirror's >= 0 bit of -p as p <= 0, so a zero product is a one bit on
+    both sides. The records are byte-identical to computing every edge.
+    half_u_sq comes from each edge's own target.
     """
     if cfg.mode == RoutingMode.NONE:
         return idx.with_routing(None)
@@ -241,43 +252,41 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     V = idx.dataset.vectors
     enorm_vals = np.empty(n_edges)
 
-    # the quantizers are fitted once every edge norm is known, after the loop
-    if cfg.mode == RoutingMode.SIMHASH:
+    simhash = cfg.mode == RoutingMode.SIMHASH
+    hashes = att_ens = None
+    if simhash:
         seed = idx.seed
         hashes = generate_simhash_hashes(seed, idx.dim, cfg.simhash_bits)
-        store = EdgeMetaStore.zeros(cfg.mode, cfg.L, False, cfg.simhash_bits, n_edges)
         hperm = hashes[:, plan.perm]  # hash the permuted residuals
-        att_ens = None
-        for lo, hi in _attach_spans(n_edges):
-            e = V[dst[lo:hi]].astype(np.float64)
-            e -= V[src[lo:hi]]
-            enorm_vals[lo:hi] = np.linalg.norm(e, axis=1)
-            if perm is not None:
-                e = e[:, perm]
-            store.sketches[lo:hi] = np.packbits((e @ hperm.T) >= 0.0, axis=1)
     else:
         if ens is None:
             raise UsageError("projection routing needs an ensemble")
         if ens.d != idx.dim or ens.L != cfg.L or ens.m != cfg.m:
             raise UsageError("ensemble does not match index/config")
         seed = ens.seed
-        store = EdgeMetaStore.zeros(cfg.mode, cfg.L, cfg.compact, cfg.simhash_bits, n_edges)
         att_ens = ens
-        canon, mirrors, source = _reverse_pairs(idx.n, src, dst.astype(np.int64))
-        for lo, hi in _attach_spans(canon.size):
-            s = canon[lo:hi]
-            e = V[dst[s]].astype(np.float64)
-            e -= V[src[s]]
-            enorm = pnorm = np.linalg.norm(e, axis=1)
-            if perm is not None:  # the weights take the norm summed in permuted order
-                e = e[:, perm]
-                pnorm = np.linalg.norm(e, axis=1)
+    store = EdgeMetaStore.zeros(cfg.mode, cfg.L, cfg.compact, cfg.simhash_bits, n_edges)
+    lead = store._lead()
+    # the quantizers are fitted once every edge norm is known, after the loop
+    canon, mirrors, source = _reverse_pairs(idx.n, src, dst.astype(np.int64))
+    for lo, hi in _attach_spans(canon.size):
+        s = canon[lo:hi]
+        e = V[dst[s]].astype(np.float64)
+        e -= V[src[s]]
+        enorm = np.linalg.norm(e, axis=1)
+        if perm is not None:
+            e = e[:, perm]
+        a, b = np.searchsorted(source, (lo, hi))
+        t, k = mirrors[a:b], source[a:b] - lo
+        enorm_vals[s], enorm_vals[t] = enorm, enorm[k]
+        if simhash:
+            p = e @ hperm.T
+            lead[s], lead[t] = np.packbits(p >= 0.0, axis=1), np.packbits(p[k] <= 0.0, axis=1)
+        else:
+            pnorm = enorm if perm is None else np.linalg.norm(e, axis=1)  # the weights' norm, permuted order
             ids, codes = _meta_chunk(e, pnorm, ens, cfg.compact)
-            a, b = np.searchsorted(source, (lo, hi))
-            t, k = mirrors[a:b], source[a:b] - lo
-            enorm_vals[s], enorm_vals[t] = enorm, enorm[k]
-            store.rec[s] = np.concatenate((encode_id_bytes(ids), codes), axis=1)
-            store.rec[t] = np.concatenate((encode_id_bytes(-ids[k]), codes[k]), axis=1)
+            lead[s] = np.concatenate((encode_id_bytes(ids), codes), axis=1)
+            lead[t] = np.concatenate((encode_id_bytes(-ids[k]), codes[k]), axis=1)
 
     half_vals = 0.5 * idx._sqn[dst]
     bits = _norm_bits(cfg.compact)
@@ -290,8 +299,7 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     store.finalize()
 
     return idx.with_routing(RoutingAttachment(
-        mode=cfg.mode, cfg=cfg, seed=seed, plan=plan, store=store, ens=att_ens,
-        hashes=hashes if cfg.mode == RoutingMode.SIMHASH else None,
+        mode=cfg.mode, cfg=cfg, seed=seed, plan=plan, store=store, ens=att_ens, hashes=hashes,
     ))
 
 

@@ -1,7 +1,8 @@
 """The HNSW index, its construction, the ordering-key kernel and the brute-force oracle.
 
-The graph is frozen after construction: base-layer adjacency lives in a
-CSR pair (indptr, indices) with neighbor lists sorted ascending.
+The graph is frozen after construction: the base layer is a CSR pair
+(indptr, indices) and each upper level maps a node to its row, a slice of
+one int32 array per level; every neighbor list is sorted ascending.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateInputError, UsageError
-from .routing import QuantileTable, RoutingMode, build_quantile_table
 from .vecstore import Dataset, Metric
 
 if TYPE_CHECKING:
@@ -39,19 +39,18 @@ def ordering_keys(metric: Metric, dots, row, qsq, qn):
     return -dots
 
 
-def upper_descent(upper: dict, keys_of, ep: int, epk: float, top: int, stop: int) -> tuple[int, float, int]:
+def upper_descent(row_of, keys_of, ep: int, epk: float, top: int, stop: int) -> tuple[int, float, int]:
     """Greedy descent through the upper layers, from level top down to level stop + 1.
 
     On each level the walk moves to the neighbor with the smallest key
-    while that key is below the current one. keys_of(ids) scores a
-    neighbor row. Returns the node reached, its key and the number of
-    rows scored.
+    while that key is below the current one. row_of(lev, v) is v's
+    neighbor row on level lev and keys_of(ids) scores a row. Returns the
+    node reached, its key and the number of rows scored.
     """
     scored = 0
     for lev in range(top, stop, -1):
-        nodes = upper.get(lev, {})
         while True:
-            row = nodes.get(ep, _EMPTY_I32)
+            row = row_of(lev, ep)
             if len(row) == 0:
                 break
             keys = keys_of(row)
@@ -109,7 +108,6 @@ class HnswIndex:
             np.einsum("ij,ij->i", vf, vf, out=self._sqn[lo : lo + _NORM_ROWS])
         self._norms = np.sqrt(self._sqn)
         self._row = self._sqn if metric == Metric.L2 else self._norms  # ordering_keys' row term
-        self._qtables: dict[float, QuantileTable] = {}
 
     @property
     def n(self) -> int:
@@ -126,21 +124,14 @@ class HnswIndex:
     def neighbors(self, v: int) -> np.ndarray:
         return self.base_indices[self.base_indptr[v] : self.base_indptr[v + 1]]
 
-    def quantile_table(self, eps: float) -> QuantileTable:
-        att = self.routing
-        if att is None or att.mode == RoutingMode.SIMHASH:
-            raise UsageError("no projection routing attached")
-        tbl = self._qtables.get(eps)
-        if tbl is None or tbl.L != att.cfg.L or tbl.m != att.cfg.m:
-            tbl = build_quantile_table(eps, att.cfg.L, att.cfg.m)
-            self._qtables[eps] = tbl
-        return tbl
+    def upper_row(self, lev: int, v: int) -> np.ndarray:
+        """v's neighbor row on upper level lev; empty if v is not on that level."""
+        return self.upper.get(lev, {}).get(v, _EMPTY_I32)
 
     def with_routing(self, att: RoutingAttachment | None) -> HnswIndex:
         """A view of this index that shares its graph and vectors and carries att."""
         out = copy.copy(self)
         out.routing = att
-        out._qtables = {}
         return out
 
     def make_scratch(self) -> SearchScratch:
@@ -158,7 +149,12 @@ class HnswIndex:
 
 
 def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> HnswIndex:
-    """Standard HNSW construction: geometric levels, beam insertion, diversity pruning."""
+    """Standard HNSW construction: geometric levels, beam insertion, diversity pruning.
+
+    Every level is built as a padded int32 row matrix plus a degree per
+    row, 2M wide on the base level and M above; level lev has a row for
+    each node that drew a level of at least lev, in id order.
+    """
     if M < 2 or efc < 1:
         raise UsageError("need M >= 2 and efc >= 1")
     n = ds.n
@@ -173,18 +169,24 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
     mult = 1.0 / math.log(M)
     levels = np.floor(-np.log(np.clip(1.0 - gen.random(n), 1e-300, None)) * mult).astype(np.int32)
 
-    m_max0 = 2 * M
-    base_adj = np.full((n, m_max0), -1, dtype=np.int32)
-    base_deg = np.zeros(n, dtype=np.int32)
-    upper: dict[int, dict[int, list[int]]] = {}
+    top = int(levels.max())
+    member = levels[None, :] >= np.arange(top + 1)[:, None]
+    at = (np.cumsum(member, axis=1) - 1).tolist()  # at[lev][v]: v's row on level lev, if v is a member
+    width = [2 * M] + [M] * top
+    adj = [np.full((int(member[lev].sum()), width[lev]), n, dtype=np.int32) for lev in range(top + 1)]
+    deg = [np.zeros(a.shape[0], dtype=np.int32) for a in adj]
 
     def _keys_to(q: np.ndarray, qsq: float, qn: float, ids) -> np.ndarray:
         return ordering_keys(metric, vf.take(ids, axis=0) @ q, rows.take(ids), qsq, qn)
 
-    def _neigh(v: int, lev: int):
-        if lev == 0:
-            return base_adj[v, : base_deg[v]]
-        return upper[lev].get(v, _EMPTY_I32)
+    def row_of(lev: int, v: int) -> np.ndarray:
+        r = at[lev][v]
+        return adj[lev][r, : deg[lev][r]]
+
+    def set_row(lev: int, v: int, ids) -> None:
+        r = at[lev][v]
+        deg[lev][r] = len(ids)
+        adj[lev][r, : len(ids)] = ids
 
     scratch = SearchScratch(n)
 
@@ -201,10 +203,7 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
             k, c = heapq.heappop(cand)
             if len(res) == ef and k > -res[0][0]:
                 break
-            row = _neigh(c, lev)
-            if len(row) == 0:
-                continue
-            row = np.asarray(row, dtype=np.int32)
+            row = row_of(lev, c)
             fresh = row[visited[row] != epoch]
             if fresh.size == 0:
                 continue
@@ -259,27 +258,13 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
                 return sel
         return _select_prefix(ids, keys, limit)
 
-    def _link(v: int, targets: list[int], lev: int) -> None:
-        if lev == 0:
-            base_deg[v] = len(targets)
-            base_adj[v, : len(targets)] = targets
-        else:
-            upper[lev][v] = list(targets)
-
     def _add_reverse(s: int, v: int, lev: int) -> None:
-        limit = m_max0 if lev == 0 else M
-        if lev == 0:
-            if base_deg[s] < limit:
-                base_adj[s, base_deg[s]] = v
-                base_deg[s] += 1
-                return
-            ids = np.append(base_adj[s, : base_deg[s]], v)
-        else:
-            cur = upper[lev].setdefault(s, [])
-            if len(cur) < limit:
-                cur.append(v)
-                return
-            ids = np.asarray(cur + [v], dtype=np.int64)
+        r, limit = at[lev][s], width[lev]
+        if deg[lev][r] < limit:
+            adj[lev][r, deg[lev][r]] = v
+            deg[lev][r] += 1
+            return
+        ids = np.append(adj[lev][r], v)
         keys = _keys_to(vf[s], sqn[s], norms[s], ids)
         order = np.argsort(keys, kind="stable")
         ranked = [(float(keys[j]), int(ids[j])) for j in order]
@@ -292,37 +277,32 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
                     chosen.add(c)
                     if len(kept) == limit:
                         break
-        if lev == 0:
-            base_deg[s] = len(kept)
-            base_adj[s, : len(kept)] = kept
-        else:
-            upper[lev][s] = kept
+        set_row(lev, s, kept)
 
     entry = 0
-    max_level = int(levels[0])
-    for lev in range(1, max_level + 1):
-        upper.setdefault(lev, {})[0] = []
-
     for i in range(1, n):
         q, qsq_i, qn_i = vf[i], float(sqn[i]), float(norms[i])
         lvl = int(levels[i])
+        cur_top = int(levels[entry])  # the entry is the first node of the highest level so far
         epk = float(_keys_to(q, qsq_i, qn_i, np.array([entry]))[0])
-        ep, epk, _ = upper_descent(upper, lambda ids: _keys_to(q, qsq_i, qn_i, ids), entry, epk, max_level, lvl)
+        ep, epk, _ = upper_descent(row_of, lambda ids: _keys_to(q, qsq_i, qn_i, ids), entry, epk, cur_top, lvl)
         eps_list = [(epk, ep)]
-        for lev in range(min(lvl, max_level), -1, -1):
-            if lev > 0:
-                upper.setdefault(lev, {}).setdefault(i, [])
+        for lev in range(min(lvl, cur_top), -1, -1):
             cands = _search_layer(q, qsq_i, qn_i, eps_list, efc, lev)
             sel = _select(cands, M)
-            _link(i, sel, lev)
+            set_row(lev, i, sel)
             for s in sel:
                 _add_reverse(s, i, lev)
             eps_list = cands
-        if lvl > max_level:
-            for lev in range(max_level + 1, lvl + 1):
-                upper.setdefault(lev, {})[i] = list(upper.get(lev, {}).get(i, []))
+        if lvl > cur_top:
             entry = i
-            max_level = lvl
+
+    def frozen(lev: int) -> tuple[np.ndarray, np.ndarray]:
+        """Level lev's row offsets and its rows sorted, concatenated in one int32 array."""
+        held = np.arange(width[lev]) < deg[lev][:, None]
+        bounds = np.zeros(held.shape[0] + 1, dtype=np.int64)
+        np.cumsum(deg[lev], out=bounds[1:])
+        return bounds, np.sort(np.where(held, adj[lev], n), axis=1)[held]  # pads sort last
 
     # repair pass: pruning can leave a node with no incoming base edge,
     # making it unreachable; reconnect each orphan through an out-neighbor
@@ -330,52 +310,36 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
     # Repaired edges are protected so competing orphans cannot evict them.
     protected: set[int] = set()
     for _ in range(8):
-        indeg = np.bincount(
-            np.concatenate([base_adj[v, : base_deg[v]] for v in range(n)])
-            if n > 1 else np.empty(0, dtype=np.int64),
-            minlength=n,
-        )
-        orphans = [v for v in range(n) if indeg[v] == 0 and v != entry and base_deg[v] > 0]
+        indeg = np.bincount(frozen(0)[1], minlength=n)
+        orphans = np.flatnonzero((indeg == 0) & (deg[0] > 0) & (np.arange(n) != entry)).tolist()
         if not orphans:
             break
         for o in orphans:
-            row = base_adj[o, : base_deg[o]].astype(np.int64)
+            row = row_of(0, o)
             keys = _keys_to(vf[o], sqn[o], norms[o], row)
             order = np.argsort(keys, kind="stable")
-            target = None
-            for j in order:
-                if base_deg[row[j]] < m_max0:
-                    target = int(row[j])
-                    break
-            if target is not None:
-                base_adj[target, base_deg[target]] = o
-                base_deg[target] += 1
+            spare = [int(row[j]) for j in order if deg[0][row[j]] < width[0]]
+            if spare:
+                _add_reverse(spare[0], o, 0)
             else:
                 nbr = int(row[order[0]])
-                nrow = base_adj[nbr, : base_deg[nbr]].astype(np.int64)
+                nrow = row_of(0, nbr)
                 nkeys = _keys_to(vf[nbr], sqn[nbr], norms[nbr], nrow)
                 evictable = [j for j in np.argsort(-nkeys, kind="stable")
                              if int(nrow[j]) not in protected]
                 slot = evictable[0] if evictable else int(np.argmax(nkeys))
-                base_adj[nbr, int(slot)] = o
+                adj[0][nbr, int(slot)] = o
             protected.add(o)
 
-    # freeze: sorted neighbor lists, CSR base layer
-    for v in range(n):
-        base_adj[v, : base_deg[v]] = np.sort(base_adj[v, : base_deg[v]])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(base_deg, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    for v in range(n):
-        indices[indptr[v] : indptr[v + 1]] = base_adj[v, : base_deg[v]]
-    frozen_upper: dict[int, dict[int, np.ndarray]] = {}
-    for lev, nodes in upper.items():
-        frozen_upper[lev] = {
-            v: np.asarray(sorted(lst), dtype=np.int32) for v, lst in nodes.items()
-        }
+    indptr, indices = frozen(0)
+    upper: dict[int, dict[int, np.ndarray]] = {}
+    for lev in range(1, top + 1):
+        bounds, ids = frozen(lev)
+        upper[lev] = {v: ids[a:b] for v, a, b in
+                      zip(np.flatnonzero(member[lev]).tolist(), bounds[:-1].tolist(), bounds[1:].tolist())}
     return HnswIndex(
-        dataset=ds, metric=metric, M=M, efc=efc, seed=seed, entry=entry, max_level=max_level,
-        base_indptr=indptr, base_indices=indices, upper=frozen_upper,
+        dataset=ds, metric=metric, M=M, efc=efc, seed=seed, entry=entry, max_level=top,
+        base_indptr=indptr, base_indices=indices, upper=upper,
     )
 
 

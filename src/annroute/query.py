@@ -112,7 +112,7 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
         if mode == RoutingMode.RCEOS and att.cfg.L != 1:
             raise UsageError("rceos queries need an L=1 attachment")
         qpt = project_query(q64[att.plan.perm], att.ens)
-        tbl = idx.quantile_table(params.routing.eps)
+        tbl = att.quantile_table(params.routing.eps)
     elif mode == RoutingMode.SIMHASH:
         if att is None or att.mode != RoutingMode.SIMHASH:
             raise UsageError("index has no simhash routing attached")
@@ -124,7 +124,7 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
     visited = scratch.visited
 
     cur = float(idx._keys(q64, qsq, qnorm, np.array([idx.entry]))[0])
-    ep, cur, scored = upper_descent(idx.upper, lambda ids: idx._keys(q64, qsq, qnorm, ids),
+    ep, cur, scored = upper_descent(idx.upper_row, lambda ids: idx._keys(q64, qsq, qnorm, ids),
                                     idx.entry, cur, idx.max_level, 0)
     stats = SearchStats(dist_computations=1 + scored, ungated=1 + scored)
 

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, FormatError, UsageError
 
+_VEC_SPAN = 1 << 12  # fvecs/ivecs records read at a time
+
 
 class Metric(str, Enum):
     L2 = "l2"
@@ -67,21 +69,30 @@ def save_ivecs(ids: np.ndarray, path: str | os.PathLike) -> None:
 
 
 def _load_vecs(path, payload_dtype):
+    """Read the records _VEC_SPAN at a time into one (n, d) array, checking each span's prefixes."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 4:
-        raise OSError(f"{path}: truncated file (no dimension prefix)")
-    d = int(np.frombuffer(raw, dtype="<i4", count=1)[0])
-    if d < 1:
-        raise FormatError(f"{path}: non-positive dimension prefix {d}")
-    rec = 4 * (1 + d)
-    if len(raw) % rec != 0:
-        raise OSError(f"{path}: truncated file ({len(raw)} bytes, record size {rec})")
-    n = len(raw) // rec
-    mat = np.frombuffer(raw, dtype="<i4").reshape(n, 1 + d)
-    if not np.all(mat[:, 0] == d):
-        raise FormatError(f"{path}: inconsistent dimension prefixes")
-    return mat[:, 1:].copy().view(np.dtype(payload_dtype).newbyteorder("<")).astype(payload_dtype, copy=False)
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(4)
+        if len(head) < 4:
+            raise OSError(f"{path}: truncated file (no dimension prefix)")
+        d = int(np.frombuffer(head, dtype="<i4")[0])
+        if d < 1:
+            raise FormatError(f"{path}: non-positive dimension prefix {d}")
+        rec = 4 * (1 + d)
+        if size % rec != 0:
+            raise OSError(f"{path}: truncated file ({size} bytes, record size {rec})")
+        n = size // rec
+        out = np.empty((n, d), dtype=payload_dtype)
+        span = np.empty((min(n, _VEC_SPAN), 1 + d), dtype="<i4")
+        f.seek(0)
+        for lo in range(0, n, _VEC_SPAN):
+            rows = span[: min(_VEC_SPAN, n - lo)]
+            if f.readinto(memoryview(rows).cast("B")) != rows.nbytes:
+                raise OSError(f"{path}: truncated file (shorter than its {size} bytes)")
+            if not np.all(rows[:, 0] == d):
+                raise FormatError(f"{path}: inconsistent dimension prefixes")
+            out[lo : lo + rows.shape[0]] = rows[:, 1:].view(np.dtype(payload_dtype).newbyteorder("<"))
+    return out
 
 
 def _save_vecs(mat: np.ndarray, path) -> None:

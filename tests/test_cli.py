@@ -3,6 +3,8 @@
 import hashlib
 import struct
 
+import pytest
+
 from annroute import Metric, build_hnsw, save_fvecs, save_index
 from annroute.bench import CSV_HEADER, synthetic_dataset
 from annroute.cli import main
@@ -119,6 +121,26 @@ class TestBuildAttachSearch:
         code, _, err = run_cli(capsys, "attach", "--index", str(tmp_path / "x.idx"))
         assert code == 1
 
+    @pytest.mark.parametrize("efs", ["", "20,40"], ids=["none", "two"])
+    def test_search_needs_one_efs(self, capsys, tmp_path, efs):
+        """search answers at one capacity; an empty list or a second value is a usage error."""
+        ds, queries = synthetic_dataset(300, 16, 2, seed=4)
+        base, qpath, index = tmp_path / "base.fvecs", tmp_path / "q.fvecs", tmp_path / "g.idx"
+        save_fvecs(ds, base)
+        save_fvecs(queries, qpath)
+        save_index(build_hnsw(ds, M=4, efc=20, metric=Metric.L2, seed=1), index)
+        code, out, err = run_cli(capsys, "search", "--base", str(base), "--index", str(index),
+                                 "--query", str(qpath), "--K", "5", "--efs", efs)
+        assert code == 1 and "usage error" in err and out == ""
+
+    @pytest.mark.parametrize("synthetic", ["5", "300,16"])
+    def test_build_bad_synthetic_exits_1(self, capsys, tmp_path, synthetic):
+        index = tmp_path / "g.idx"
+        code, _, err = run_cli(capsys, "build", "--synthetic", synthetic, "--index", str(index),
+                               "--M", "4", "--efc", "20")
+        assert code == 1 and "usage error" in err
+        assert not index.exists()
+
 
 class TestAuditCommand:
     def test_audit_prints_verdict(self, capsys):
@@ -138,3 +160,8 @@ class TestStatsCommand:
         lines = out.strip().split("\n")
         assert lines[0].startswith("L,mean_w_reg")
         assert len(lines) >= 4
+
+    @pytest.mark.parametrize("synthetic", ["5", "100,0,1", "100,-8,1"])
+    def test_bad_synthetic_exits_1(self, capsys, synthetic):
+        code, out, err = run_cli(capsys, "stats", "--synthetic", synthetic, "--trials", "10000")
+        assert code == 1 and "usage error" in err and out == ""

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from annroute import (
     save_fvecs,
     save_ivecs,
 )
+import annroute.vecstore as vecstore
 
 from oracles import read_fvecs_reference
 
@@ -88,6 +90,49 @@ class TestFvecs:
         path = tmp_path / "gt.ivecs"
         save_ivecs(ids, path)
         np.testing.assert_array_equal(load_ivecs(path), ids)
+
+    def test_non_positive_dim_prefix(self, tmp_path):
+        path = tmp_path / "zero.fvecs"
+        path.write_bytes(np.array([0, 0], dtype="<i4").tobytes())
+        with pytest.raises(FormatError):
+            load_fvecs(path)
+
+    def test_spans_match_independent_parser(self, tmp_path, monkeypatch):
+        """Records read a few at a time, with a short last span, land in their rows."""
+        monkeypatch.setattr(vecstore, "_VEC_SPAN", 4)
+        mat = np.random.default_rng(5).standard_normal((23, 6)).astype(np.float32)
+        path = tmp_path / "s.fvecs"
+        save_fvecs(mat, path)
+        np.testing.assert_array_equal(load_fvecs(path).vectors, read_fvecs_reference(path))
+        ids = np.arange(23 * 3, dtype=np.int32).reshape(23, 3)
+        save_ivecs(ids, tmp_path / "s.ivecs")
+        np.testing.assert_array_equal(load_ivecs(tmp_path / "s.ivecs"), ids)
+
+    def test_inconsistent_prefix_in_a_later_span(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(vecstore, "_VEC_SPAN", 4)
+        path = tmp_path / "late.fvecs"
+        save_fvecs(np.ones((11, 3), dtype=np.float32), path)
+        raw = bytearray(path.read_bytes())
+        raw[9 * 16 : 9 * 16 + 4] = np.array([5], dtype="<i4").tobytes()  # record 9, in the third span
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            load_fvecs(path)
+
+    def test_load_peak_is_data_plus_one_span(self, tmp_path):
+        """The file is never held whole: the peak is the array, one span of records and
+        Dataset's finiteness mask (one byte per component)."""
+        n, d = 20_000, 64
+        path = tmp_path / "big.fvecs"
+        save_fvecs(np.random.default_rng(2).standard_normal((n, d)).astype(np.float32), path)
+        tracemalloc.start()
+        try:
+            ds = load_fvecs(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n == n
+        bound = 4 * n * d + 4 * (1 + d) * vecstore._VEC_SPAN + n * d + (256 << 10)
+        assert peak <= bound, (peak, bound)
 
 
 class TestDistance:
