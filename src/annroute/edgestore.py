@@ -30,13 +30,14 @@ from .vecstore import PermutationPlan, build_permutation
 
 _ATTACH_CHUNK = 1 << 10  # edges per attach chunk: its residuals and products stay in cache
 _RESIDUAL_AVG_CHUNK = 1 << 16
+_HALF_CHECK_ROWS = 1 << 16  # records whose half-norm codes load checks at a time
 
 
 class EdgeMetaStore:
     """Routing records for every directed base-layer edge, kept in their stored form.
 
-    The per-edge arrays hold the file's record fields and nothing else
-    (see wire_records):
+    The per-edge arrays hold the file's record fields but one (see
+    wire_records):
 
     * peos/rceos: rec, (E, L+4) uint8, the L+1 extreme-id bytes in their
       wire encoding (column 0 the residual id), then the w_reg, w_res and
@@ -44,28 +45,34 @@ class EdgeMetaStore:
       only, the weights pinned to (1, 0) and var_idx the one row of every
       edge;
     * SimHash: sketches, (E, simhash_bits/8) packed sign bits;
-    * every mode: norm_q, (E, 2), the half_u_sq and enorm codes (uint16,
-      uint8 in compact mode).
+    * every mode: enorm_q, (E,), the edge-norm codes (uint16, uint8 in
+      compact mode).
 
-    finalize() builds the small decode tables from the quantizers:
-    norm_tab with the half-norm and then the edge norm of every code, and
+    The half-norm |u|^2/2 depends on the target u alone, so it is held per
+    node: half_code, (n,), the half_u_sq code of every node, and half_val
+    its decoded float64. dst is the adjacency's target array, the same
+    object as HnswIndex.base_indices, so a record's half-norm code is
+    half_code[dst[slot]]. A node that no edge points to gets a code clipped
+    to the quantizer's range that nothing reads.
+
+    finalize() builds the per-node half-norms and the small decode tables
+    from the quantizers: enorm_tab with the edge norm of every code, and
     for full records w_tab with w_reg and sqrt(L)*w_res of every weight
     code. ScalarQuantizer.decode is elementwise, so a table lookup gives
-    the same float64 as decoding the code. rec_base and norm_base, added
-    to a gathered row, point each code at its table entry (see
-    EdgeMetaBlock).
+    the same float64 as decoding the code. rec_base, added to a gathered
+    row, points each code at its table entry (see EdgeMetaBlock).
     """
 
     def __init__(self, mode: RoutingMode, L: int, compact: bool, quant: EdgeQuantizers | None,
-                 lead: np.ndarray, norm_q: np.ndarray):
+                 lead: np.ndarray, enorm_q: np.ndarray, dst: np.ndarray):
         self.mode = mode
         self.L = L
         self.compact = compact
         self.quant = quant
-        self.n_edges = norm_q.shape[0]
-        self.norm_q = norm_q
-        self.norm_base = np.array([0, 1 << (8 * norm_q.itemsize)])
-        self.norm_tab = self.w_tab = None
+        self.n_edges = enorm_q.shape[0]
+        self.enorm_q = enorm_q
+        self.dst = dst
+        self.half_code = self.half_val = self.enorm_tab = self.w_tab = None
         self.enorm_min = 0.0
         self.rec = self.rec_base = self.var_idx = self.sketches = None
         if mode == RoutingMode.SIMHASH:
@@ -80,31 +87,32 @@ class EdgeMetaStore:
             self.rec_base = np.concatenate((np.arange(L + 1) * ID_BYTES, [0, 256, 0]))
 
     @classmethod
-    def zeros(cls, mode: RoutingMode, L: int, compact: bool, simhash_bits: int, n_edges: int) -> "EdgeMetaStore":
-        """A store of n_edges zero records, for attach to fill."""
-        lead = np.zeros((n_edges, _lead_width(mode, L, compact, simhash_bits)), dtype=np.uint8)
-        return cls(mode, L, compact, None, lead, np.zeros((n_edges, 2), dtype=_norm_dtype(compact)))
+    def zeros(cls, mode: RoutingMode, L: int, compact: bool, simhash_bits: int, dst: np.ndarray) -> "EdgeMetaStore":
+        """A store of zero records, one per edge of the target array dst, for attach to fill."""
+        lead = np.zeros((dst.shape[0], _lead_width(mode, L, compact, simhash_bits)), dtype=np.uint8)
+        return cls(mode, L, compact, None, lead, np.zeros(dst.shape[0], dtype=_norm_dtype(compact)), dst)
 
     @property
     def ids(self) -> np.ndarray:
         """Extreme-id bytes, (E, L+1) led by the residual id, or (E, L) in compact mode."""
         return self.rec if self.compact else self.rec[:, : self.L + 1]
 
-    def finalize(self) -> None:
-        """Build the decode tables from the quantizers."""
-        codes = np.arange(self.norm_base[1])
-        self.norm_tab = np.concatenate((self.quant.half_u_sq.decode(codes), self.quant.enorm.decode(codes)))
+    def finalize(self, sqn: np.ndarray) -> None:
+        """Encode every node's half-norm from its squared norm sqn and build the decode tables."""
+        dtype = self.enorm_q.dtype
+        self.half_code = self.quant.half_u_sq.encode(0.5 * sqn, "down").astype(dtype)
+        self.half_val = self.quant.half_u_sq.decode(self.half_code)
+        self.enorm_tab = self.quant.enorm.decode(np.arange(1 << (8 * dtype.itemsize)))
         # decode is monotone in the code, so the smallest code holds the smallest norm
-        self.enorm_min = (float(self.quant.enorm.decode(self.norm_q[:, 1].min()))
-                          if self.n_edges else math.inf)
+        self.enorm_min = float(self.enorm_tab[self.enorm_q.min()]) if self.n_edges else math.inf
         if self.rec is not None and not self.compact:
             w = np.arange(256) / 255.0
             self.w_tab = np.concatenate((w, math.sqrt(self.L) * w))
 
-    def block(self, slots: np.ndarray) -> EdgeMetaBlock:
-        hn = self.norm_tab.take(self.norm_q.take(slots, axis=0) + self.norm_base)
-        return EdgeMetaBlock(slots, hn[:, 0], hn[:, 1], self.enorm_min,
-                             self.rec, self.rec_base, self.w_tab, self.var_idx)
+    def block(self, slots: np.ndarray, targets: np.ndarray) -> EdgeMetaBlock:
+        """The edges at slots, whose targets (dst at those slots) the caller already holds."""
+        return EdgeMetaBlock(slots, self.half_val.take(targets), self.enorm_tab.take(self.enorm_q.take(slots)),
+                             self.enorm_min, self.rec, self.rec_base, self.w_tab, self.var_idx)
 
     # -- wire format -------------------------------------------------------
 
@@ -112,21 +120,35 @@ class EdgeMetaStore:
         return self.sketches if self.mode == RoutingMode.SIMHASH else self.rec
 
     def wire_records(self) -> np.ndarray:
-        """Per-edge records in adjacency order, one row each: the lead fields, then the two norm codes little-endian."""
-        norms = self.norm_q.view(np.uint8).reshape(self.n_edges, 2 * self.norm_q.itemsize)
-        return np.concatenate((self._lead(), norms), axis=1)
+        """Per-edge records in adjacency order, one row each: the lead fields, then the
+        target's half-norm code and the edge-norm code, each little-endian."""
+        width = self.enorm_q.itemsize
+        norms = [a.view(np.uint8).reshape(self.n_edges, width) for a in (self.half_code.take(self.dst), self.enorm_q)]
+        return np.concatenate((self._lead(), *norms), axis=1)
 
     @classmethod
-    def from_wire(cls, raw: memoryview, mode: RoutingMode, L: int, m: int, compact: bool,
-                  simhash_bits: int, quant: EdgeQuantizers, n_edges: int) -> "EdgeMetaStore":
-        """A store from the record section of a file, each field copied out of it once."""
+    def from_wire(cls, raw: memoryview, idx: HnswIndex, mode: RoutingMode, L: int, m: int, compact: bool,
+                  simhash_bits: int, quant: EdgeQuantizers) -> "EdgeMetaStore":
+        """A store from the record section of a file over idx's adjacency.
+
+        The lead fields and the edge-norm column are copied out of the
+        section once. The half-norm column is not kept: it is checked,
+        one span of rows at a time, against the codes the quantizer gives
+        each edge's target, and a mismatch is a format error.
+        """
         width = _lead_width(mode, L, compact, simhash_bits)
-        norm_dtype = _norm_dtype(compact)
-        mat = _wire_matrix(raw, n_edges, width + 2 * norm_dtype.itemsize)
-        store = cls(mode, L, compact, quant, mat[:, :width].copy(), mat[:, width:].copy().view(norm_dtype))
+        dtype = _norm_dtype(compact)
+        dst = idx.base_indices
+        mat = _wire_matrix(raw, dst.shape[0], width + 2 * dtype.itemsize)
+        codes = mat[:, width:].view(dtype)  # the half-norm and edge-norm columns, a view of the section
+        store = cls(mode, L, compact, quant, mat[:, :width].copy(), codes[:, 1].copy(), dst)
         if mode != RoutingMode.SIMHASH:
             check_id_bytes(store.ids, m)
-        store.finalize()
+        store.finalize(idx._sqn)
+        for lo in range(0, store.n_edges, _HALF_CHECK_ROWS):
+            hi = lo + _HALF_CHECK_ROWS
+            if not np.array_equal(codes[lo:hi, 0], store.half_code.take(dst[lo:hi])):
+                raise FormatError("an edge record's half-norm code does not match its target's")
         return store
 
 
@@ -239,7 +261,7 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     encode_id_bytes for the one asymmetry, -128); SimHash stores the
     mirror's >= 0 bit of -p as p <= 0, so a zero product is a one bit on
     both sides. The records are byte-identical to computing every edge.
-    half_u_sq comes from each edge's own target.
+    half_u_sq is fitted to the edges' targets and encoded once per node.
     """
     if cfg.mode == RoutingMode.NONE:
         return idx.with_routing(None)
@@ -265,7 +287,7 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
             raise UsageError("ensemble does not match index/config")
         seed = ens.seed
         att_ens = ens
-    store = EdgeMetaStore.zeros(cfg.mode, cfg.L, cfg.compact, cfg.simhash_bits, n_edges)
+    store = EdgeMetaStore.zeros(cfg.mode, cfg.L, cfg.compact, cfg.simhash_bits, dst)
     lead = store._lead()
     # the quantizers are fitted once every edge norm is known, after the loop
     canon, mirrors, source = _reverse_pairs(idx.n, src, dst.astype(np.int64))
@@ -288,15 +310,13 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
             lead[s] = np.concatenate((encode_id_bytes(ids), codes), axis=1)
             lead[t] = np.concatenate((encode_id_bytes(-ids[k]), codes[k]), axis=1)
 
-    half_vals = 0.5 * idx._sqn[dst]
     bits = _norm_bits(cfg.compact)
     quant = store.quant = EdgeQuantizers(
-        half_u_sq=ScalarQuantizer.fit(half_vals, bits),
+        half_u_sq=ScalarQuantizer.fit(0.5 * idx._sqn[dst], bits),
         enorm=ScalarQuantizer.fit(enorm_vals, bits),
     )
-    store.norm_q[:, 0] = quant.half_u_sq.encode(half_vals, "down")
-    store.norm_q[:, 1] = quant.enorm.encode(enorm_vals, "up")
-    store.finalize()
+    store.enorm_q[:] = quant.enorm.encode(enorm_vals, "up")
+    store.finalize(idx._sqn)
 
     return idx.with_routing(RoutingAttachment(
         mode=cfg.mode, cfg=cfg, seed=seed, plan=plan, store=store, ens=att_ens, hashes=hashes,

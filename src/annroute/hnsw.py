@@ -81,8 +81,9 @@ class HnswIndex:
     The float32 vectors stay in the dataset, the one copy: exact
     distances gather the rows they need and widen them to float64, which
     gives the same float64 row as a widened copy of the whole matrix.
-    Beside them the index keeps the float64 squared norm and norm of
-    every vector.
+    Beside them the index keeps the float64 squared norm of every vector,
+    and for the angular metric, whose keys and gate threshold read it, its
+    norm.
     """
 
     def __init__(self, dataset: Dataset, metric: Metric, M: int, efc: int, seed: int,
@@ -106,8 +107,8 @@ class HnswIndex:
         for lo in range(0, V.shape[0], _NORM_ROWS):
             vf = V[lo : lo + _NORM_ROWS].astype(np.float64)
             np.einsum("ij,ij->i", vf, vf, out=self._sqn[lo : lo + _NORM_ROWS])
-        self._norms = np.sqrt(self._sqn)
-        self._row = self._sqn if metric == Metric.L2 else self._norms  # ordering_keys' row term
+        self._norms = np.sqrt(self._sqn) if metric == Metric.ANGULAR else None
+        self._row = self._sqn if self._norms is None else self._norms  # ordering_keys' row term; IP reads none
 
     @property
     def n(self) -> int:

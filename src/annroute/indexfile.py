@@ -189,7 +189,7 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
         if n_edges != int(indptr[-1]):
             raise FormatError("edge metadata count does not match adjacency")
         # the records fill the rest of the payload; from_wire checks their count and width
-        store = EdgeMetaStore.from_wire(r.buf[r.pos :], mode, L, m, cfg.compact, shbits, quant, n_edges)
+        store = EdgeMetaStore.from_wire(r.buf[r.pos :], idx, mode, L, m, cfg.compact, shbits, quant)
         ens = None
         hashes = None
         if mode == RoutingMode.SIMHASH:

@@ -174,10 +174,10 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
                 ts = _threshold_state(idx, wk, qsq, qnorm, vq, -res[0][1])
                 slots = beg + mask.nonzero()[0]
                 if mode == RoutingMode.SIMHASH:
-                    ar = batch_ar(att.store.block(slots), ts, qnorm, idx.metric)
+                    ar = batch_ar(att.store.block(slots, fresh), ts, qnorm, idx.metric)
                     passes = batch_simhash_test(att.store.sketches[slots], qsketch, ar, eps_cfg)
                 else:
-                    passes = batch_peos_test(att.store.block(slots), tbl, qpt, ts, idx.metric)
+                    passes = batch_peos_test(att.store.block(slots, fresh), tbl, qpt, ts, idx.metric)
                 passers = fresh[passes]
                 stats.tests_evaluated += B
                 stats.tests_passed += passers.size

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, FormatError, UsageError
 
-_VEC_SPAN = 1 << 12  # fvecs/ivecs records read at a time
+_VEC_SPAN = 1 << 12  # fvecs/ivecs records read, or dataset rows checked, at a time
 
 
 class Metric(str, Enum):
@@ -35,7 +35,8 @@ class Dataset:
         v = np.ascontiguousarray(self.vectors, dtype=np.float32)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise UsageError("dataset must be a non-empty 2-D array")
-        if not np.all(np.isfinite(v)):
+        # a span of rows at a time, so the check's mask is never the size of the matrix
+        if not all(np.isfinite(v[lo : lo + _VEC_SPAN]).all() for lo in range(0, v.shape[0], _VEC_SPAN)):
             raise FormatError("dataset contains non-finite components")
         v.flags.writeable = False
         self.vectors = v

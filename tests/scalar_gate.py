@@ -209,8 +209,8 @@ def meta_at(store: EdgeMetaStore, slot: int) -> EdgeMeta:
         w_reg_q=255 if store.compact else int(r[L + 1]),
         w_res_q=0 if store.compact else int(r[L + 2]),
         var_idx=store.var_idx if store.compact else int(r[L + 3]),
-        half_u_sq_q=int(store.norm_q[slot, 0]),
-        enorm_q=int(store.norm_q[slot, 1]),
+        half_u_sq_q=int(store.half_code[store.dst[slot]]),
+        enorm_q=int(store.enorm_q[slot]),
         quant=store.quant,
         compact=store.compact,
     )

@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from annroute import Metric, build_hnsw, save_fvecs, save_index
+from annroute import Metric, RoutingConfig, RoutingMode, attach, build_hnsw, save_fvecs, save_index
 from annroute.bench import CSV_HEADER, synthetic_dataset
 from annroute.cli import main
 
@@ -105,6 +105,26 @@ class TestBuildAttachSearch:
         index.write_bytes(bytes(raw) + hashlib.blake2b(bytes(raw), digest_size=8).digest())
         code, _, err = run_cli(capsys, "search", "--base", str(base), "--index", str(index),
                                "--query", str(qpath), "--K", "5", "--efs", "20")
+        assert code == 2 and "format error" in err
+
+    def test_inconsistent_half_norm_code_exits_2(self, capsys, tmp_path):
+        """An edge record whose half-norm code is not its target's, in a resealed file."""
+        ds, queries = synthetic_dataset(300, 16, 2, seed=4)
+        base, qpath, index = tmp_path / "base.fvecs", tmp_path / "q.fvecs", tmp_path / "g.idx"
+        save_fvecs(ds, base)
+        save_fvecs(queries, qpath)
+        routed = attach(build_hnsw(ds, M=4, efc=20, metric=Metric.L2, seed=1),
+                        RoutingConfig(mode=RoutingMode.PEOS, L=4, m=64))
+        save_index(routed, index)
+        search = ("search", "--base", str(base), "--index", str(index), "--query", str(qpath),
+                  "--routing", "peos", "--L", "4", "--m-proj", "64", "--K", "5", "--efs", "20")
+        assert run_cli(capsys, *search)[0] == 0
+        raw = bytearray(index.read_bytes()[:-8])
+        E, rec = routed.routing.store.wire_records().shape
+        # the records end the payload, each with its half-norm code, then its edge-norm code (2 B each)
+        raw[len(raw) - (E // 2) * rec + rec - 4] ^= 1
+        index.write_bytes(bytes(raw) + hashlib.blake2b(bytes(raw), digest_size=8).digest())
+        code, _, err = run_cli(capsys, *search)
         assert code == 2 and "format error" in err
 
     def test_simhash_compact_exits_1(self, capsys, tmp_path):

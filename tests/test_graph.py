@@ -37,6 +37,7 @@ import annroute.edgestore as edgestore
 import annroute.hnsw as hnsw_mod
 import annroute.query as query_mod
 from annroute.projections import RNG_ID, encode_id_bytes
+from annroute.routing import ScalarQuantizer
 from annroute.vecstore import PermutationPlan
 
 from oracles import brute_force_reference
@@ -445,8 +446,8 @@ class TestMemory:
         for index in (idx, small_peos, load_index(path, ds)):
             assert index.dataset.vectors.dtype == np.float32
             assert all(b.size < ds.vectors.size for b in _buffers(index))
-            # beside the vectors: the squared norm and the norm of each, in float64
-            assert sum(b.nbytes for b in _buffers(index) if b.dtype == np.float64) <= 2 * 8 * ds.n
+            # beside the vectors: the squared norm of each, in float64; an L2 index keeps no norms
+            assert sum(b.nbytes for b in _buffers(index) if b.dtype == np.float64) <= 8 * ds.n
 
     @pytest.mark.parametrize("name", list(_STORE_CONFIGS))
     def test_store_holds_wire_records(self, small, name, tmp_path):
@@ -454,14 +455,21 @@ class TestMemory:
         routed = attach(idx, _STORE_CONFIGS[name])
         path = tmp_path / "routed.idx"
         save_index(routed, path)
-        for store in (routed.routing.store, load_index(path, ds).routing.store):
-            E = store.n_edges
+        loaded = load_index(path, ds)
+        for index in (routed, loaded):
+            store = index.routing.store
+            E, n = store.n_edges, ds.n
+            assert E != n
+            # the target array is the adjacency's, counted with the graph
+            held = [b for b in _buffers(store) if b is not index.base_indices]
             record = store.wire_records().shape[1]
-            per_edge = sum(b.nbytes for b in _buffers(store) if b.shape[:1] == (E,))
-            fixed = sum(b.nbytes for b in _buffers(store) if b.shape[:1] != (E,))
-            assert per_edge <= E * record
-            # the decode tables: both norms at every 16-bit code, both weights at every byte
-            assert fixed <= 8 * (2 * 65536 + 2 * 256) + 1024
+            per_edge = sum(b.nbytes for b in held if b.shape[:1] == (E,))
+            fixed = sum(b.nbytes for b in held if b.shape[:1] != (E,))
+            # every record field but the half-norm code, which is held once per node
+            assert per_edge <= E * (record - (1 if store.compact else 2))
+            # the edge norm at every 16-bit code, both weights at every byte, and per node
+            # the half-norm code and its float64
+            assert fixed <= 8 * (65536 + 512) + 10 * n + 1024
 
 
 def _twin_graph(metric):
@@ -556,7 +564,8 @@ class TestLoadPath:
         per_edge += [(row, np.int32) for nodes in loaded.upper.values() for row in nodes.values()]
         store = loaded.routing.store if loaded.routing else None
         if store is not None:
-            per_edge.append((store.norm_q, np.uint8 if store.compact else np.dtype("<u2")))
+            norm_dtype = np.uint8 if store.compact else np.dtype("<u2")
+            per_edge += [(store.enorm_q, norm_dtype), (store.half_code, norm_dtype), (store.half_val, np.float64)]
             per_edge.append((store.sketches if store.rec is None else store.rec, np.uint8))
         for arr, dtype in per_edge:
             assert arr.dtype == dtype and arr.flags.c_contiguous
@@ -571,9 +580,12 @@ class TestLoadPath:
         loaded = load_index(path, idx.dataset)
         vf = idx.dataset.vectors.astype(np.float64)
         assert _same_bits(loaded._sqn, np.einsum("ij,ij->i", vf, vf))
-        for a, b in [(loaded._sqn, routed._sqn), (loaded._norms, routed._norms),
+        for a, b in [(loaded._sqn, routed._sqn),
                      (loaded.base_indptr, routed.base_indptr), (loaded.base_indices, routed.base_indices)]:
             assert _same_bits(a, b)
+        assert (loaded._norms is None) == (metric != Metric.ANGULAR) == (routed._norms is None)
+        if metric == Metric.ANGULAR:  # the only metric whose keys read the norms
+            assert _same_bits(loaded._norms, routed._norms)
         assert loaded.upper.keys() == routed.upper.keys()
         for lev, nodes in routed.upper.items():
             assert loaded.upper[lev].keys() == nodes.keys()
@@ -582,7 +594,8 @@ class TestLoadPath:
             assert loaded.routing is None
             return
         got, want = loaded.routing.store, routed.routing.store
-        for field in ("rec", "sketches", "norm_q"):
+        assert got.dst is loaded.base_indices and want.dst is routed.base_indices  # shared, not copied
+        for field in ("rec", "sketches", "enorm_q", "half_code", "half_val", "enorm_tab"):
             a, b = getattr(got, field), getattr(want, field)
             assert (a is None and b is None) or _same_bits(a, b)
 
@@ -636,8 +649,9 @@ class TestLiveGateEquivalence:
             assert len(out) == hop["slots"].size
             for s, got in zip(hop["slots"].tolist(), out):
                 # compute_Ar reads only the norm codes of a record
-                meta = EdgeMeta(ext_ids=(), w_reg_q=255, w_res_q=0, var_idx=0, half_u_sq_q=int(store.norm_q[s, 0]),
-                                enorm_q=int(store.norm_q[s, 1]), quant=store.quant)
+                meta = EdgeMeta(ext_ids=(), w_reg_q=255, w_res_q=0, var_idx=0,
+                                half_u_sq_q=int(store.half_code[store.dst[s]]), enorm_q=int(store.enorm_q[s]),
+                                quant=store.quant)
                 ar_ref = compute_Ar(meta, hop["ts"], hop["qnorm"], metric)
                 sketch = SimHashSketch(bits=store.sketches[s], n=cfg.simhash_bits)
                 assert got == simhash_test(sketch, qsketch, ar_ref, eps)
@@ -685,6 +699,22 @@ def _bad_upper_id(idx):
     v, row = next((v, row) for v, row in bad.upper[1].items() if row.size)
     bad.upper[1][v] = np.append(row[:-1], idx.n).astype(np.int32)
     return bad
+
+
+def _reseal_half_norm_code(path, store, slot: int) -> None:
+    """Flip the low bit of the half-norm code of the record at slot in store's saved file, resealed.
+
+    The edge records end the payload; each ends with the half-norm code
+    and the edge-norm code, of equal width.
+    """
+    wire = store.wire_records()
+    E, rec = wire.shape
+    col = rec - (2 if store.compact else 4)
+    raw = bytearray(path.read_bytes()[:-8])
+    at = len(raw) - (E - slot) * rec + col
+    assert raw[at] == wire[slot, col]
+    raw[at] ^= 1
+    path.write_bytes(bytes(raw) + hashlib.blake2b(bytes(raw), digest_size=8).digest())
 
 
 class TestFailClosed:
@@ -741,10 +771,25 @@ class TestFailClosed:
         _reseal(path, _L_AT + 8, "B", 1)
         _reseal(path, _QUANT_AT + 16, "B", 8)
         _reseal(path, _ENORM_AT + 16, "B", 8)
+        # the header alone changed, so the half-norm codes are not the 8-bit quantizer's
+        with pytest.raises(FormatError):
+            load_index(path, ds)
+        # such a file holds the 8-bit quantizers' codes in the 16-bit columns
+        q = routed.routing.store.quant
+        src, dst = np.repeat(np.arange(idx.n), np.diff(idx.base_indptr)), idx.base_indices
+        V = ds.vectors.astype(np.float64)
+        enorm = np.linalg.norm(V[dst] - V[src], axis=1)
+        codes = np.stack((ScalarQuantizer(q.half_u_sq.lo, q.half_u_sq.hi, 8).encode(0.5 * idx._sqn[dst], "down"),
+                          ScalarQuantizer(q.enorm.lo, q.enorm.hi, 8).encode(enorm, "up")), axis=1)
+        wire = routed.routing.store.wire_records()
+        wire[:, -4:] = codes.astype("<u2").view(np.uint8)
+        raw = bytearray(path.read_bytes()[:-8])
+        raw[-wire.size :] = wire.tobytes()
+        path.write_bytes(bytes(raw) + hashlib.blake2b(bytes(raw), digest_size=8).digest())
         loaded = load_index(path, ds)
         assert not loaded.routing.cfg.compact
         assert loaded.routing.store.quant.enorm.bits == 8
-        assert loaded.routing.store.wire_records().tobytes() == routed.routing.store.wire_records().tobytes()
+        assert loaded.routing.store.wire_records().tobytes() == wire.tobytes()
         search(loaded, queries[0], SearchParams(K=5, efs=20, routing=cfg))
 
     def test_simhash_compact_rejected(self):
@@ -758,6 +803,18 @@ class TestFailClosed:
         save_index(small_peos if routed else idx, path)
         raw = path.read_bytes()[:-8] + bytes(16)
         path.write_bytes(raw + hashlib.blake2b(raw, digest_size=8).digest())
+        with pytest.raises(FormatError):
+            load_index(path, ds)
+
+    @pytest.mark.parametrize("name", ["peos_L4", "compact_L4", "simhash_64"])
+    def test_half_norm_code_differs_from_target(self, small, tmp_path, name):
+        """One record's half-norm code no longer equals its target's, resealed: load recomputes it and refuses."""
+        ds, _, idx = small
+        path = tmp_path / "bad.idx"
+        routed = attach(idx, _STORE_CONFIGS[name])
+        save_index(routed, path)
+        load_index(path, ds)
+        _reseal_half_norm_code(path, routed.routing.store, idx.n_base_edges // 2)
         with pytest.raises(FormatError):
             load_index(path, ds)
 
@@ -869,6 +926,21 @@ class TestGoldenAttach:
             assert _attach_digest(golden_graphs, name) == digest, name
 
     @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
+    def test_half_norm_column_is_target_code(self, golden_graphs, name):
+        """The wire's half-norm column is half_code[dst], the per-edge code of each edge's own target."""
+        graph, cfg, permute, _ = GOLDEN_ATTACH[name]
+        idx = golden_graphs[graph]
+        store = attach(idx, cfg, permute=permute).routing.store
+        wire = store.wire_records()
+        width = store.enorm_q.itemsize
+        at = wire.shape[1] - 2 * width
+        column = np.ascontiguousarray(wire[:, at : at + width]).view(store.enorm_q.dtype)[:, 0]
+        np.testing.assert_array_equal(column, store.half_code[idx.base_indices])
+        half = 0.5 * idx._sqn[idx.base_indices]
+        assert store.quant.half_u_sq == ScalarQuantizer.fit(half, store.quant.half_u_sq.bits)
+        np.testing.assert_array_equal(column, store.quant.half_u_sq.encode(half, "down"))
+
+    @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
     def test_reverse_edge_holds_negated_ids(self, golden_graphs, name):
         """The residual of v->u is minus that of u->v: every id flips sign, every other code is equal.
 
@@ -889,7 +961,7 @@ class TestGoldenAttach:
             slots[edge].append(s)
         pairs = [(s, r) for s, (v, u) in enumerate(zip(src, dst)) for r in slots[u, v]]
         fwd, rev = np.array(pairs).T
-        np.testing.assert_array_equal(store.norm_q[fwd, 1], store.norm_q[rev, 1])
+        np.testing.assert_array_equal(store.enorm_q[fwd], store.enorm_q[rev])
         if cfg.mode == RoutingMode.SIMHASH:
             V = idx.dataset.vectors.astype(np.float64)
             e = V[np.array(dst)[fwd]] - V[np.array(src)[fwd]]
@@ -908,7 +980,7 @@ class TestGoldenAttach:
         width = store.ids.shape[1]  # the weight and variance codes follow the ids
         np.testing.assert_array_equal(store.rec[fwd, width:], store.rec[rev, width:])
         if graph == "twins":  # the duplicated points give zero residuals: null ids on both sides
-            assert np.any(store.norm_q[fwd, 1] == 0) and np.all(a[store.norm_q[fwd, 1] == 0] == 0)
+            assert np.any(store.enorm_q[fwd] == 0) and np.all(a[store.enorm_q[fwd] == 0] == 0)
         if graph == "handmade":  # the self-loop is its own reverse
             assert np.any(fwd == rev)
 

@@ -493,7 +493,8 @@ class TestRceosCollapse:
         """An infinite r puts every A_r at -inf, so every edge passes."""
         queries, idx = collapse_graphs[Metric.L2]
         att = attach(idx, self._cfg(RoutingMode.RCEOS)).routing
-        out = batch_peos_test(att.store.block(np.arange(att.store.n_edges)), build_quantile_table(0.2, 1, self.M),
+        block = att.store.block(np.arange(att.store.n_edges), att.store.dst)
+        out = batch_peos_test(block, build_quantile_table(0.2, 1, self.M),
                               project_query(queries[0], att.ens), ThresholdState(r=math.inf, vq=0.0))
         assert out.shape == (att.store.n_edges,) and out.all()
 
@@ -619,7 +620,7 @@ class TestBatchPeos:
         v0 = ds.vectors[rng.integers(ds.n)].astype(np.float64)
         qpt = project_query(q, att.ens)
         # r spread so that A_r lands on both sides of 0 and of +-1
-        r = float(np.median(att.store.block(np.arange(att.store.n_edges)).half_u_sq)
+        r = float(np.median(att.store.block(np.arange(att.store.n_edges), att.store.dst).half_u_sq)
                   - v0 @ q - rng.uniform(-1.5, 1.5) * qpt.qnorm * 5.0)
         return att.store, qpt, ThresholdState(r=r, vq=float(v0 @ q))
 
@@ -629,7 +630,7 @@ class TestBatchPeos:
         for seed in range(40):
             store, qpt, ts = self._setup(routed_L4, seed + 1)
             slots = np.sort(np.random.default_rng(seed).choice(store.n_edges, 16, replace=False))
-            block = store.block(slots)
+            block = store.block(slots, store.dst[slots])
             bitmap = batch_peos_test(block, tbl, qpt, ts)
             single = np.array([peos_test(meta_at(store, int(s)), tbl, qpt, ts) for s in slots])
             np.testing.assert_array_equal(bitmap, single)
@@ -643,13 +644,15 @@ class TestBatchPeos:
     def test_empty_block(self, routed_L4):
         tbl = build_quantile_table(0.2, 4, 16)
         store, qpt, ts = self._setup(routed_L4, 5)
-        out = batch_peos_test(store.block(np.empty(0, dtype=np.intp)), tbl, qpt, ts)
+        empty = np.empty(0, dtype=np.intp)
+        out = batch_peos_test(store.block(empty, store.dst[empty]), tbl, qpt, ts)
         assert out.shape == (0,)
 
     def test_identical_edges_uniform(self, routed_L4):
         tbl = build_quantile_table(0.2, 4, 16)
         store, qpt, ts = self._setup(routed_L4, 9)
-        out = batch_peos_test(store.block(np.full(16, 7)), tbl, qpt, ts)
+        slots = np.full(16, 7)
+        out = batch_peos_test(store.block(slots, store.dst[slots]), tbl, qpt, ts)
         assert out.shape == (16,) and len(set(out.tolist())) == 1
 
 

@@ -118,9 +118,11 @@ class TestFvecs:
         with pytest.raises(FormatError):
             load_fvecs(path)
 
-    def test_load_peak_is_data_plus_one_span(self, tmp_path):
-        """The file is never held whole: the peak is the array, one span of records and
-        Dataset's finiteness mask (one byte per component)."""
+    def test_load_peak_is_data_plus_one_span(self, tmp_path, monkeypatch):
+        """Neither the file nor a mask of the whole matrix is ever held: the peak is the
+        array, one span of records and the finiteness mask of one span of rows (one byte
+        per component). The span is small beside the data, so a whole-matrix mask shows."""
+        monkeypatch.setattr(vecstore, "_VEC_SPAN", 1 << 9)
         n, d = 20_000, 64
         path = tmp_path / "big.fvecs"
         save_fvecs(np.random.default_rng(2).standard_normal((n, d)).astype(np.float32), path)
@@ -131,7 +133,7 @@ class TestFvecs:
         finally:
             tracemalloc.stop()
         assert ds.n == n
-        bound = 4 * n * d + 4 * (1 + d) * vecstore._VEC_SPAN + n * d + (256 << 10)
+        bound = 4 * n * d + 4 * (1 + d) * vecstore._VEC_SPAN + d * vecstore._VEC_SPAN + (256 << 10)
         assert peak <= bound, (peak, bound)
 
 
@@ -260,6 +262,15 @@ class TestDataset:
     def test_nonfinite_rejected(self):
         with pytest.raises(FormatError):
             Dataset(np.array([[1.0, np.nan]], dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_in_a_later_span_rejected(self, monkeypatch, bad):
+        """Rows are checked a span at a time; a bad component in the short last span still fails."""
+        monkeypatch.setattr(vecstore, "_VEC_SPAN", 4)
+        vecs = np.ones((11, 3), dtype=np.float32)
+        vecs[9, 2] = bad  # the third span holds rows 8-10
+        with pytest.raises(FormatError):
+            Dataset(vecs)
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
