@@ -30,14 +30,12 @@ from .vecstore import PermutationPlan, build_permutation
 
 _ATTACH_CHUNK = 1 << 10  # edges per attach chunk: its residuals and products stay in cache
 _RESIDUAL_AVG_CHUNK = 1 << 16
-_HALF_CHECK_ROWS = 1 << 16  # records whose half-norm codes load checks at a time
 
 
 class EdgeMetaStore:
     """Routing records for every directed base-layer edge, kept in their stored form.
 
-    The per-edge arrays hold the file's record fields but one (see
-    wire_records):
+    The per-edge arrays hold the file's record fields (see wire_records):
 
     * peos/rceos: rec, (E, L+4) uint8, the L+1 extreme-id bytes in their
       wire encoding (column 0 the residual id), then the w_reg, w_res and
@@ -50,8 +48,10 @@ class EdgeMetaStore:
 
     The half-norm |u|^2/2 depends on the target u alone, so it is held per
     node: half_code, (n,), the half_u_sq code of every node, and half_val
-    its decoded float64. dst is the adjacency's target array, the same
-    object as HnswIndex.base_indices, so a record's half-norm code is
+    its decoded float64. The file holds only the quantizer: attach and load
+    both encode every node's half-norm with it, so the two stores are
+    bitwise equal. dst is the adjacency's target array, the same object as
+    HnswIndex.base_indices, so an edge's half-norm code is
     half_code[dst[slot]]. A node that no edge points to gets a code clipped
     to the quantizer's range that nothing reads.
 
@@ -121,10 +121,9 @@ class EdgeMetaStore:
 
     def wire_records(self) -> np.ndarray:
         """Per-edge records in adjacency order, one row each: the lead fields, then the
-        target's half-norm code and the edge-norm code, each little-endian."""
-        width = self.enorm_q.itemsize
-        norms = [a.view(np.uint8).reshape(self.n_edges, width) for a in (self.half_code.take(self.dst), self.enorm_q)]
-        return np.concatenate((self._lead(), *norms), axis=1)
+        little-endian edge-norm code."""
+        enorm = self.enorm_q.view(np.uint8).reshape(self.n_edges, self.enorm_q.itemsize)
+        return np.concatenate((self._lead(), enorm), axis=1)
 
     @classmethod
     def from_wire(cls, raw: memoryview, idx: HnswIndex, mode: RoutingMode, L: int, m: int, compact: bool,
@@ -132,28 +131,21 @@ class EdgeMetaStore:
         """A store from the record section of a file over idx's adjacency.
 
         The lead fields and the edge-norm column are copied out of the
-        section once. The half-norm column is not kept: it is checked,
-        one span of rows at a time, against the codes the quantizer gives
-        each edge's target, and a mismatch is a format error.
+        section once; finalize encodes the half-norms from idx's norms.
         """
         width = _lead_width(mode, L, compact, simhash_bits)
         dtype = _norm_dtype(compact)
-        dst = idx.base_indices
-        mat = _wire_matrix(raw, dst.shape[0], width + 2 * dtype.itemsize)
-        codes = mat[:, width:].view(dtype)  # the half-norm and edge-norm columns, a view of the section
-        store = cls(mode, L, compact, quant, mat[:, :width].copy(), codes[:, 1].copy(), dst)
+        mat = _wire_matrix(raw, idx.n_base_edges, width + dtype.itemsize)
+        store = cls(mode, L, compact, quant, mat[:, :width].copy(), mat[:, width:].view(dtype)[:, 0].copy(),
+                    idx.base_indices)
         if mode != RoutingMode.SIMHASH:
             check_id_bytes(store.ids, m)
         store.finalize(idx._sqn)
-        for lo in range(0, store.n_edges, _HALF_CHECK_ROWS):
-            hi = lo + _HALF_CHECK_ROWS
-            if not np.array_equal(codes[lo:hi, 0], store.half_code.take(dst[lo:hi])):
-                raise FormatError("an edge record's half-norm code does not match its target's")
         return store
 
 
 def _lead_width(mode: RoutingMode, L: int, compact: bool, simhash_bits: int) -> int:
-    """Bytes of a record before its norm codes: the sketch, or the id bytes and weight codes."""
+    """Bytes of a record before its edge-norm code: the sketch, or the id bytes and weight codes."""
     if mode == RoutingMode.SIMHASH:
         return simhash_bits // 8
     return L if compact else L + 4
@@ -368,13 +360,8 @@ def _signed_argmax_rows(prods: np.ndarray) -> np.ndarray:
     """Signed 1-based index of each row's largest |entry|: the lowest index wins a tie,
     and the sign is that of the entry (-0.0 counts as positive). At m=128 the result
     may be -128, which encode_id_bytes stores as the null id."""
-    rows = np.arange(prods.shape[0])
-    jmax = prods.argmax(axis=1)
-    jmin = prods.argmin(axis=1)
-    top = np.abs(prods[rows, jmax])
-    bot = np.abs(prods[rows, jmin])
-    j = np.where(top > bot, jmax, np.where(bot > top, jmin, np.minimum(jmax, jmin)))
-    return np.where(prods[rows, j] >= 0.0, j + 1, -1 - j).astype(np.int16)
+    j = np.abs(prods).argmax(axis=1)
+    return np.where(prods[np.arange(prods.shape[0]), j] >= 0.0, j + 1, -1 - j).astype(np.int16)
 
 
 def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,

@@ -19,7 +19,7 @@ from .routing import EdgeQuantizers, RoutingConfig, RoutingMode, ScalarQuantizer
 from .vecstore import Dataset, Metric, PermutationPlan
 
 INDEX_MAGIC = b"PEOS"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 _METRIC_CODE = {Metric.L2: 0, Metric.ANGULAR: 1, Metric.IP: 2}
 _METRIC_FROM = {v: k for k, v in _METRIC_CODE.items()}
@@ -147,8 +147,7 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
     if mode != RoutingMode.NONE:
         L, m, compact, shbits, rt_seed = r.take("IIBIQ")
         try:
-            cfg = RoutingConfig(mode=mode, L=L, m=m, compact=bool(compact) and mode != RoutingMode.SIMHASH,
-                                simhash_bits=shbits)
+            cfg = RoutingConfig(mode=mode, L=L, m=m, compact=bool(compact), simhash_bits=shbits)
         except UsageError as exc:
             raise FormatError(f"bad routing header: {exc}") from exc
         if L < 1 or d % L:
@@ -160,7 +159,7 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
             raise FormatError(
                 f"index built with RNG stream {stored_rng_id!r}, this build uses {RNG_ID!r}"
             )
-        bits = _norm_bits(bool(compact))  # attach sizes the codes by the flag even for SimHash
+        bits = _norm_bits(cfg.compact)
         quant = EdgeQuantizers(_checked_quantizer("half_u_sq", *r.take("ddB"), bits),
                                _checked_quantizer("enorm", *r.take("ddB"), bits))
         perm = r.array("<u4", d).astype(np.int64)

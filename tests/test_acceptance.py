@@ -58,6 +58,25 @@ def test_c1_guarantee_audit(mode, desk_data, desk_peos, desk_rceos, desk_simhash
     )
 
 
+_LIVE_AUDITS = {
+    "compact_L4": (Metric.L2, RoutingConfig(mode=RoutingMode.PEOS, eps=EPS, L=4, m=64, compact=True)),
+    "peos_angular": (Metric.ANGULAR, RoutingConfig(mode=RoutingMode.PEOS, eps=EPS, L=8, m=128)),
+    "peos_ip": (Metric.IP, RoutingConfig(mode=RoutingMode.PEOS, eps=EPS, L=8, m=128)),
+}
+
+
+@pytest.mark.parametrize("name", list(_LIVE_AUDITS))
+def test_c1_live_audit(name):
+    """The guarantee audit on live searches beyond the desk's full-record L2 gates."""
+    metric, cfg = _LIVE_AUDITS[name]
+    ds, queries = ar.synthetic_dataset(3000, 64, 200, seed=11)
+    idx = ar.attach(ar.build_hnsw(ds, M=16, efc=80, metric=metric, seed=11), cfg)
+    rep = run_audit(idx, queries, cfg, efs=200, K=10, min_evaluations=10_000)
+    ok = rep.pass_rate >= GUARANTEE_BAR and rep.evaluations >= 10_000
+    _report(f"C1 live audit [{name}]", ok,
+            f"rate={rep.pass_rate:.4f} bound={GUARANTEE_BAR} evals={rep.evaluations} tp={rep.true_positives}")
+
+
 # -- 2. Distance-computation reduction ---------------------------------------
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import struct
 
+import numpy as np
 import pytest
 
 from annroute import Metric, RoutingConfig, RoutingMode, attach, build_hnsw, save_fvecs, save_index
@@ -107,8 +108,9 @@ class TestBuildAttachSearch:
                                "--query", str(qpath), "--K", "5", "--efs", "20")
         assert code == 2 and "format error" in err
 
-    def test_inconsistent_half_norm_code_exits_2(self, capsys, tmp_path):
-        """An edge record whose half-norm code is not its target's, in a resealed file."""
+    def test_version_1_file_exits_2(self, capsys, tmp_path):
+        """A format-1 file: version word 1, and each record the lead fields, then the
+        target's half-norm code and the edge-norm code (2 B each)."""
         ds, queries = synthetic_dataset(300, 16, 2, seed=4)
         base, qpath, index = tmp_path / "base.fvecs", tmp_path / "q.fvecs", tmp_path / "g.idx"
         save_fvecs(ds, base)
@@ -119,13 +121,15 @@ class TestBuildAttachSearch:
         search = ("search", "--base", str(base), "--index", str(index), "--query", str(qpath),
                   "--routing", "peos", "--L", "4", "--m-proj", "64", "--K", "5", "--efs", "20")
         assert run_cli(capsys, *search)[0] == 0
+        store = routed.routing.store
+        v1 = np.concatenate([store.rec] + [a.view(np.uint8).reshape(store.n_edges, 2)
+                                           for a in (store.half_code.take(store.dst), store.enorm_q)], axis=1)
         raw = bytearray(index.read_bytes()[:-8])
-        E, rec = routed.routing.store.wire_records().shape
-        # the records end the payload, each with its half-norm code, then its edge-norm code (2 B each)
-        raw[len(raw) - (E // 2) * rec + rec - 4] ^= 1
-        index.write_bytes(bytes(raw) + hashlib.blake2b(bytes(raw), digest_size=8).digest())
+        struct.pack_into("<I", raw, 4, 1)  # the version word follows the magic
+        raw = bytes(raw[: len(raw) - store.wire_records().nbytes]) + v1.tobytes()  # the records end the payload
+        index.write_bytes(raw + hashlib.blake2b(raw, digest_size=8).digest())
         code, _, err = run_cli(capsys, *search)
-        assert code == 2 and "format error" in err
+        assert code == 2 and "format error" in err and "version 1" in err
 
     def test_simhash_compact_exits_1(self, capsys, tmp_path):
         ds, _ = synthetic_dataset(300, 16, 2, seed=4)

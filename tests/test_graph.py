@@ -59,11 +59,12 @@ def small_peos(small):
 
 # blake2b-128 of save_index bytes for the twins graph of each metric (ten points have
 # exact duplicates, so keys tie), recorded before build took the shared ordering-key
-# kernel and upper-layer descent in place of its own copies.
+# kernel and upper-layer descent in place of its own copies. Format 2 re-recorded them
+# as the same files with the version word set to 2 and the checksum resealed.
 GOLDEN_BUILD = {
-    Metric.L2: "9042a179602075f8c729a541a50eb3bc",
-    Metric.ANGULAR: "4c5fd9ce016634d9330cf0a14fe58e11",
-    Metric.IP: "4ac91977ec5bbb52737f0be3e4a6ceb6",
+    Metric.L2: "30026a91842cada7b10471684da22acb",
+    Metric.ANGULAR: "cb624b7f0caf152f4685032396c57c8c",
+    Metric.IP: "d320f20d6a05bde12963fd9362edc823",
 }
 
 
@@ -82,13 +83,14 @@ class TestBuild:
         repair pass only reconnects nodes with no incoming edge, and a cluster of
         copies larger than the base degree can link only to itself. A fix of that
         changes this digest on purpose; the bytes were recorded before build kept
-        every level in one padded row form.
+        every level in one padded row form, and re-recorded for format 2 as the same
+        file with the version word set to 2 and the checksum resealed.
         """
         ds, _ = synthetic_dataset(133, 16, 1, seed=5)
         idx = build_hnsw(Dataset(np.tile(ds.vectors, (3, 1))), M=4, efc=20, metric=Metric.L2, seed=1)
         path = tmp_path / "copies.idx"
         save_index(idx, path)
-        assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == "97ac272dafb4db1a485d3ee31d31070f"
+        assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == "a4774acebbdfcd0edb9b12013572d372"
 
     def test_single_node(self):
         ds = Dataset(np.ones((1, 8), dtype=np.float32))
@@ -465,8 +467,8 @@ class TestMemory:
             record = store.wire_records().shape[1]
             per_edge = sum(b.nbytes for b in held if b.shape[:1] == (E,))
             fixed = sum(b.nbytes for b in held if b.shape[:1] != (E,))
-            # every record field but the half-norm code, which is held once per node
-            assert per_edge <= E * (record - (1 if store.compact else 2))
+            # the record fields, and nothing else per edge: the half-norm is held once per node
+            assert per_edge <= E * record
             # the edge norm at every 16-bit code, both weights at every byte, and per node
             # the half-norm code and its float64
             assert fixed <= 8 * (65536 + 512) + 10 * n + 1024
@@ -701,20 +703,19 @@ def _bad_upper_id(idx):
     return bad
 
 
-def _reseal_half_norm_code(path, store, slot: int) -> None:
-    """Flip the low bit of the half-norm code of the record at slot in store's saved file, resealed.
+def _v1_records(store) -> np.ndarray:
+    """store's records in format 1's layout: the lead fields, then the target's half-norm
+    code and the edge-norm code, each little-endian."""
+    codes = [a.view(np.uint8).reshape(store.n_edges, store.enorm_q.itemsize)
+             for a in (store.half_code.take(store.dst), store.enorm_q)]
+    return np.concatenate((store._lead(), *codes), axis=1)
 
-    The edge records end the payload; each ends with the half-norm code
-    and the edge-norm code, of equal width.
-    """
-    wire = store.wire_records()
-    E, rec = wire.shape
-    col = rec - (2 if store.compact else 4)
-    raw = bytearray(path.read_bytes()[:-8])
-    at = len(raw) - (E - slot) * rec + col
-    assert raw[at] == wire[slot, col]
-    raw[at] ^= 1
-    path.write_bytes(bytes(raw) + hashlib.blake2b(bytes(raw), digest_size=8).digest())
+
+def _reseal_records(path, store, records: np.ndarray) -> None:
+    """Replace the edge records of store's saved file, which end the payload, and recompute the checksum."""
+    raw = path.read_bytes()[:-8]
+    raw = raw[: len(raw) - store.wire_records().nbytes] + records.tobytes()
+    path.write_bytes(raw + hashlib.blake2b(raw, digest_size=8).digest())
 
 
 class TestFailClosed:
@@ -761,36 +762,20 @@ class TestFailClosed:
         with pytest.raises(FormatError):
             load_index(path, ds)
 
-    def test_simhash_with_compact_flag_loads(self, small, tmp_path):
-        """Older attach took a compact flag for SimHash and fitted 8-bit quantizers to 16-bit codes."""
-        ds, queries, idx = small
-        cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64)
+    def test_simhash_with_compact_flag_refused(self, small, tmp_path):
+        """SimHash has no compact form. Older attach took the flag for SimHash and fitted 8-bit
+        quantizers, and format 1 loaded such files; format 2 refuses the header."""
+        ds, _, idx = small
         path = tmp_path / "sh.idx"
-        routed = attach(idx, cfg)
-        save_index(routed, path)
+        save_index(attach(idx, _STORE_CONFIGS["simhash_64"]), path)
+        load_index(path, ds)
         _reseal(path, _L_AT + 8, "B", 1)
+        with pytest.raises(FormatError, match="bad routing header"):
+            load_index(path, ds)
         _reseal(path, _QUANT_AT + 16, "B", 8)
         _reseal(path, _ENORM_AT + 16, "B", 8)
-        # the header alone changed, so the half-norm codes are not the 8-bit quantizer's
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="bad routing header"):
             load_index(path, ds)
-        # such a file holds the 8-bit quantizers' codes in the 16-bit columns
-        q = routed.routing.store.quant
-        src, dst = np.repeat(np.arange(idx.n), np.diff(idx.base_indptr)), idx.base_indices
-        V = ds.vectors.astype(np.float64)
-        enorm = np.linalg.norm(V[dst] - V[src], axis=1)
-        codes = np.stack((ScalarQuantizer(q.half_u_sq.lo, q.half_u_sq.hi, 8).encode(0.5 * idx._sqn[dst], "down"),
-                          ScalarQuantizer(q.enorm.lo, q.enorm.hi, 8).encode(enorm, "up")), axis=1)
-        wire = routed.routing.store.wire_records()
-        wire[:, -4:] = codes.astype("<u2").view(np.uint8)
-        raw = bytearray(path.read_bytes()[:-8])
-        raw[-wire.size :] = wire.tobytes()
-        path.write_bytes(bytes(raw) + hashlib.blake2b(bytes(raw), digest_size=8).digest())
-        loaded = load_index(path, ds)
-        assert not loaded.routing.cfg.compact
-        assert loaded.routing.store.quant.enorm.bits == 8
-        assert loaded.routing.store.wire_records().tobytes() == wire.tobytes()
-        search(loaded, queries[0], SearchParams(K=5, efs=20, routing=cfg))
 
     def test_simhash_compact_rejected(self):
         with pytest.raises(UsageError):
@@ -807,14 +792,14 @@ class TestFailClosed:
             load_index(path, ds)
 
     @pytest.mark.parametrize("name", ["peos_L4", "compact_L4", "simhash_64"])
-    def test_half_norm_code_differs_from_target(self, small, tmp_path, name):
-        """One record's half-norm code no longer equals its target's, resealed: load recomputes it and refuses."""
+    def test_v1_record_width_refused(self, small, tmp_path, name):
+        """A format-2 file resealed with format 1's records, one half-norm code wider each."""
         ds, _, idx = small
         path = tmp_path / "bad.idx"
         routed = attach(idx, _STORE_CONFIGS[name])
         save_index(routed, path)
         load_index(path, ds)
-        _reseal_half_norm_code(path, routed.routing.store, idx.n_base_edges // 2)
+        _reseal_records(path, routed.routing.store, _v1_records(routed.routing.store))
         with pytest.raises(FormatError):
             load_index(path, ds)
 
@@ -875,10 +860,11 @@ def golden_graphs(small, tmp_path_factory):
     return {"small": idx, "twins": _twin_graph(Metric.L2)[1], "handmade": load_index(path, ds)}
 
 
-# blake2b-128 of the store's wire records, recorded with every edge's record computed
-# from its own residual, before attach derived a reverse edge's record from its
-# pair. The `small` cases were recorded with the 65,536-edge attach chunks,
-# before attach streamed 1,024-edge chunks through a signed argmax/argmin pick.
+# blake2b-128 of the store's records in format 1's layout (_v1_records), recorded with
+# every edge's record computed from its own residual, before attach derived a reverse
+# edge's record from its pair. The `small` cases were recorded with the 65,536-edge
+# attach chunks, before attach streamed 1,024-edge chunks through a signed argmax/argmin
+# pick.
 # At m=128 the ids +128 and -128 occur, and -128 has no byte.
 _PEOS_L8_M128 = RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=8, m=128)
 GOLDEN_ATTACH = {
@@ -905,16 +891,24 @@ GOLDEN_ATTACH = {
 }
 
 
-def _attach_digest(graphs, name) -> str:
+def _golden_store(graphs, name):
     graph, cfg, permute, _ = GOLDEN_ATTACH[name]
-    wire = attach(graphs[graph], cfg, permute=permute).routing.store.wire_records().tobytes()
-    return hashlib.blake2b(wire, digest_size=16).hexdigest()
+    return attach(graphs[graph], cfg, permute=permute).routing.store
+
+
+def _v1_digest(store) -> str:
+    return hashlib.blake2b(_v1_records(store).tobytes(), digest_size=16).hexdigest()
 
 
 class TestGoldenAttach:
     @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
     def test_wire_bytes(self, golden_graphs, name):
-        assert _attach_digest(golden_graphs, name) == GOLDEN_ATTACH[name][3]
+        store = _golden_store(golden_graphs, name)
+        assert _v1_digest(store) == GOLDEN_ATTACH[name][3]
+        # format 2 writes the lead fields, then the edge-norm code: format 1's records less the half-norm code
+        width = store.enorm_q.itemsize
+        np.testing.assert_array_equal(store.wire_records(),
+                                      np.delete(_v1_records(store), np.s_[-2 * width : -width], axis=1))
 
     @pytest.mark.parametrize("tail", [None, 1], ids=["one_chunk", "tail_1"])
     def test_chunk_size_does_not_change_bytes(self, golden_graphs, monkeypatch, tail):
@@ -923,22 +917,24 @@ class TestGoldenAttach:
         chunk = 1 << 16 if tail is None else next(c for c in range(64, E) if E % c == tail)
         monkeypatch.setattr(edgestore, "_ATTACH_CHUNK", chunk)
         for name, (_, _, _, digest) in GOLDEN_ATTACH.items():
-            assert _attach_digest(golden_graphs, name) == digest, name
+            assert _v1_digest(_golden_store(golden_graphs, name)) == digest, name
 
     @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
-    def test_half_norm_column_is_target_code(self, golden_graphs, name):
-        """The wire's half-norm column is half_code[dst], the per-edge code of each edge's own target."""
+    def test_half_norm_column_is_target_code(self, golden_graphs, name, tmp_path):
+        """The file holds no half-norm codes: a save -> load round trip rebuilds the per-node
+        half_code and half_val bit-equal to attach's, from the saved quantizer, which is the
+        fit over the edges' targets, so half_code[dst] is each edge's own target's code."""
         graph, cfg, permute, _ = GOLDEN_ATTACH[name]
         idx = golden_graphs[graph]
-        store = attach(idx, cfg, permute=permute).routing.store
-        wire = store.wire_records()
-        width = store.enorm_q.itemsize
-        at = wire.shape[1] - 2 * width
-        column = np.ascontiguousarray(wire[:, at : at + width]).view(store.enorm_q.dtype)[:, 0]
-        np.testing.assert_array_equal(column, store.half_code[idx.base_indices])
+        routed = attach(idx, cfg, permute=permute)
+        path = tmp_path / "routed.idx"
+        save_index(routed, path)
+        store, loaded = routed.routing.store, load_index(path, idx.dataset).routing.store
+        assert store.wire_records().shape[1] == store._lead().shape[1] + store.enorm_q.itemsize
         half = 0.5 * idx._sqn[idx.base_indices]
-        assert store.quant.half_u_sq == ScalarQuantizer.fit(half, store.quant.half_u_sq.bits)
-        np.testing.assert_array_equal(column, store.quant.half_u_sq.encode(half, "down"))
+        assert loaded.quant.half_u_sq == store.quant.half_u_sq == ScalarQuantizer.fit(half, store.quant.half_u_sq.bits)
+        assert _same_bits(loaded.half_code, store.half_code) and _same_bits(loaded.half_val, store.half_val)
+        np.testing.assert_array_equal(loaded.half_code[idx.base_indices], store.quant.half_u_sq.encode(half, "down"))
 
     @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
     def test_reverse_edge_holds_negated_ids(self, golden_graphs, name):
