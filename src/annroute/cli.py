@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import bench as bench_mod
 from .errors import FormatError, UsageError
@@ -107,11 +108,12 @@ def _cmd_build(args) -> int:
     if not args.index:
         raise UsageError("build needs --index for the output file")
     ds = _load_base(args)
+    t0 = time.perf_counter()
     idx = build_hnsw(ds, args.M, args.efc, Metric(args.metric),
                      args.seed if args.seed is not None else 42)
     save_index(idx, args.index)
     print(f"built index: n={idx.n} d={idx.dim} M={idx.M} efc={idx.efc} "
-          f"edges={idx.n_base_edges} -> {args.index}")
+          f"edges={idx.n_base_edges} in {time.perf_counter() - t0:.3f} s -> {args.index}")
     return 0
 
 
@@ -122,12 +124,13 @@ def _cmd_attach(args) -> int:
     if cfg.mode == RoutingMode.NONE:
         raise UsageError("attach needs a routing mode other than none")
     ds = _load_base(args)
+    t0 = time.perf_counter()
     idx = load_index(args.index, ds)
     new = attach(idx, cfg, permute=args.permute, seed=args.seed)
     out = args.out or args.index
     save_index(new, out)
     print(f"attached {cfg.mode.value} routing (L={cfg.L}, m={cfg.m}, "
-          f"compact={int(cfg.compact)}) -> {out}")
+          f"compact={int(cfg.compact)}) in {time.perf_counter() - t0:.3f} s -> {out}")
     return 0
 
 

@@ -111,7 +111,8 @@ class EdgeMetaStore:
 
     def block(self, slots: np.ndarray, targets: np.ndarray) -> EdgeMetaBlock:
         """The edges at slots, whose targets (dst at those slots) the caller already holds."""
-        return EdgeMetaBlock(slots, self.half_val.take(targets), self.enorm_tab.take(self.enorm_q.take(slots)),
+        codes = self.enorm_q.take(slots).astype(np.intp)  # numpy casts narrower ids on every gather
+        return EdgeMetaBlock(slots, self.half_val.take(targets), self.enorm_tab.take(codes),
                              self.enorm_min, self.rec, self.rec_base, self.w_tab, self.var_idx)
 
     # -- wire format -------------------------------------------------------

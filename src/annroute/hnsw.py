@@ -152,9 +152,11 @@ class HnswIndex:
 def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> HnswIndex:
     """Standard HNSW construction: geometric levels, beam insertion, diversity pruning.
 
-    Every level is built as a padded int32 row matrix plus a degree per
+    Every level is built as a padded intp row matrix plus a degree per
     row, 2M wide on the base level and M above; level lev has a row for
-    each node that drew a level of at least lev, in id order.
+    each node that drew a level of at least lev, in id order. The rows
+    are intp so that numpy's gathers and scatters by them skip a cast;
+    the frozen graph holds them as int32.
     """
     if M < 2 or efc < 1:
         raise UsageError("need M >= 2 and efc >= 1")
@@ -174,7 +176,7 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
     member = levels[None, :] >= np.arange(top + 1)[:, None]
     at = (np.cumsum(member, axis=1) - 1).tolist()  # at[lev][v]: v's row on level lev, if v is a member
     width = [2 * M] + [M] * top
-    adj = [np.full((int(member[lev].sum()), width[lev]), n, dtype=np.int32) for lev in range(top + 1)]
+    adj = [np.full((int(member[lev].sum()), width[lev]), n, dtype=np.intp) for lev in range(top + 1)]
     deg = [np.zeros(a.shape[0], dtype=np.int32) for a in adj]
 
     def _keys_to(q: np.ndarray, qsq: float, qn: float, ids) -> np.ndarray:
@@ -194,6 +196,7 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
     def _search_layer(q, qsq, qn, entry_points, ef, lev):
         epoch = scratch.next_epoch()
         visited = scratch.visited
+        rows_at, A, D = at[lev], adj[lev], deg[lev]
         cand: list[tuple[float, int]] = []
         res: list[tuple[float, int]] = []
         for k, e in entry_points:
@@ -204,15 +207,13 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
             k, c = heapq.heappop(cand)
             if len(res) == ef and k > -res[0][0]:
                 break
-            row = row_of(lev, c)
+            r = rows_at[c]
+            row = A[r, : D[r]]
             fresh = row[visited[row] != epoch]
             if fresh.size == 0:
                 continue
             visited[fresh] = epoch
             keys = _keys_to(q, qsq, qn, fresh)
-            if len(res) == ef:  # the worst key only falls, so a key not below it now never enters
-                keep = keys < -res[0][0]
-                keys, fresh = keys[keep], fresh[keep]
             for k2, u in zip(keys.tolist(), fresh.tolist()):
                 if len(res) < ef:
                     heapq.heappush(res, (-k2, u))
@@ -303,7 +304,7 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
         held = np.arange(width[lev]) < deg[lev][:, None]
         bounds = np.zeros(held.shape[0] + 1, dtype=np.int64)
         np.cumsum(deg[lev], out=bounds[1:])
-        return bounds, np.sort(np.where(held, adj[lev], n), axis=1)[held]  # pads sort last
+        return bounds, np.sort(np.where(held, adj[lev], n), axis=1)[held].astype(np.int32)  # pads sort last
 
     # repair pass: pruning can leave a node with no incoming base edge,
     # making it unreachable; reconnect each orphan through an out-neighbor

@@ -124,7 +124,9 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
     visited = scratch.visited
 
     cur = float(idx._keys(q64, qsq, qnorm, np.array([idx.entry]))[0])
-    ep, cur, scored = upper_descent(idx.upper_row, lambda ids: idx._keys(q64, qsq, qnorm, ids),
+    # every id array handed to numpy is intp: int32 ids take numpy's slower casting path
+    ep, cur, scored = upper_descent(lambda lev, v: idx.upper_row(lev, v).astype(np.intp),
+                                    lambda ids: idx._keys(q64, qsq, qnorm, ids),
                                     idx.entry, cur, idx.max_level, 0)
     stats = SearchStats(dist_computations=1 + scored, ungated=1 + scored)
 
@@ -145,7 +147,7 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
             break
         stats.hops += 1
         beg, end = indptr[v], indptr[v + 1]
-        row = indices[beg:end]
+        row = indices[beg:end].astype(np.intp)
         mask = visited[row] != epoch
         fresh = row[mask]
         if fresh.size == 0:

@@ -423,7 +423,7 @@ def batch_simhash_test(
     mid = np.nonzero((ar > 0.0) & (ar < 1.0))[0]
     if mid.size:
         xor = np.bitwise_xor(sketches[mid], qsketch.bits[None, :])
-        col = qsketch.n - _POPCOUNT8[xor].sum(axis=1)
+        col = qsketch.n - _POPCOUNT8.take(xor).sum(axis=1)
         theta = np.arccos(ar[mid])
         thr = qsketch.n * (1.0 - theta / math.pi) - math.sqrt(
             qsketch.n * math.log(1.0 / eps) / 2.0

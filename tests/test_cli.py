@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, flag validation, exit codes."""
 
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -94,6 +95,19 @@ class TestBuildAttachSearch:
         lines = out.strip().split("\n")
         assert len(lines) == 6
         assert all(len(line.split(": ")[1].split()) == 5 for line in lines)
+
+    def test_build_and_attach_report_seconds(self, capsys, tmp_path):
+        """Each summary line carries the wall seconds of its stage."""
+        index = tmp_path / "g.idx"
+        code, out, _ = run_cli(capsys, "build", "--synthetic", "300,16,2", "--index", str(index),
+                               "--M", "4", "--efc", "20", "--seed", "1")
+        built = re.fullmatch(r"built index: .* edges=\d+ in (\d+\.\d{3}) s -> (.+)", out.strip())
+        assert code == 0 and built and built[2] == str(index)
+        code, out, _ = run_cli(capsys, "attach", "--synthetic", "300,16,2", "--index", str(index),
+                               "--seed", "1", "--routing", "peos", "--L", "4", "--m-proj", "64")
+        attached = re.fullmatch(r"attached peos routing \(.*\) in (\d+\.\d{3}) s -> (.+)", out.strip())
+        assert code == 0 and attached and attached[2] == str(index)
+        assert float(built[1]) > 0.0 and float(attached[1]) > 0.0
 
     def test_bad_entry_point_exits_2(self, capsys, tmp_path):
         ds, queries = synthetic_dataset(300, 16, 2, seed=4)

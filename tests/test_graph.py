@@ -92,6 +92,16 @@ class TestBuild:
         save_index(idx, path)
         assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == "a4774acebbdfcd0edb9b12013572d372"
 
+    def test_served_dtypes(self, small, tmp_path):
+        """Build holds its rows as intp; the built and the loaded graph serve them as int32."""
+        ds, _, idx = small
+        path = tmp_path / "g.idx"
+        save_index(idx, path)
+        for g in (idx, load_index(path, ds)):
+            assert g.base_indices.dtype == np.int32 and g.base_indptr.dtype == np.int64
+            assert g.max_level > 0
+            assert {row.dtype for rows in g.upper.values() for row in rows.values()} == {np.dtype(np.int32)}
+
     def test_single_node(self):
         ds = Dataset(np.ones((1, 8), dtype=np.float32))
         idx = build_hnsw(ds, M=4, efc=10, metric=Metric.L2, seed=0)
@@ -290,6 +300,26 @@ class TestSearch:
             dist_sh += s1.dist_computations
         assert dist_sh <= dist_none
         assert compute_recall(results, truth, 10) >= 0.9
+
+    @pytest.mark.parametrize("mode", ["none", "peos", "simhash"])
+    def test_keys_get_intp_ids(self, small, mode, monkeypatch):
+        """Every distance call of a search, upper layers included, gets intp ids:
+        numpy casts any other index dtype on each gather."""
+        _, queries, idx = small
+        cfg = RoutingConfig(mode=RoutingMode(mode), eps=0.2, L=4, m=64)
+        routed = idx if mode == "none" else attach(idx, cfg)
+        dtypes = collections.Counter()
+        keys = hnsw_mod.HnswIndex._keys
+
+        def recorded(self, q64, qsq, qnorm, ids):
+            dtypes[ids.dtype] += 1
+            return keys(self, q64, qsq, qnorm, ids)
+
+        monkeypatch.setattr(hnsw_mod.HnswIndex, "_keys", recorded)
+        params = SearchParams(K=5, efs=12, routing=cfg)
+        tested = sum(search(routed, q, params)[1].tests_evaluated for q in queries)
+        assert tested > 0 and idx.max_level > 0
+        assert set(dtypes) == {np.dtype(np.intp)} and sum(dtypes.values()) > 2 * len(queries)
 
     def test_rceos_mode_runs(self, small):
         ds, queries, idx = small
