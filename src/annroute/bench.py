@@ -166,6 +166,8 @@ def load_inputs(spec: BenchmarkSpec) -> tuple[Dataset, np.ndarray, np.ndarray]:
     else:
         n, d, nq = spec.synthetic
         ds, queries = synthetic_dataset(n, d, nq, spec.seed)
+    if len(queries) == 0:
+        raise UsageError("need at least one query")
     if spec.truth is not None and os.path.exists(spec.truth):
         truth = load_ivecs(spec.truth)
     else:
@@ -185,7 +187,7 @@ def run_sweep(spec: BenchmarkSpec, idx: HnswIndex | None = None,
         idx = build_hnsw(ds, spec.M, spec.efc, spec.metric, spec.seed)
     rows: list[RunResult] = []
     for cfg in spec.routings:
-        run_idx = idx if cfg.mode == RoutingMode.NONE else attach(idx, cfg, permute=spec.permute)
+        run_idx = attach(idx, cfg, permute=spec.permute)
         scratch = run_idx.make_scratch()
         for efs in spec.efs_list:
             params = SearchParams(K=spec.K, efs=efs, routing=cfg)
@@ -273,6 +275,6 @@ def audit_guarantee(spec: BenchmarkSpec, trials: int = 10_000,
     efs = max(spec.efs_list)
     reports = []
     for cfg in spec.routings:
-        run_idx = idx if cfg.mode == RoutingMode.NONE else attach(idx, cfg, permute=spec.permute)
-        reports.append(run_audit(run_idx, queries, cfg, efs, spec.K, min_evaluations=trials))
+        reports.append(run_audit(attach(idx, cfg, permute=spec.permute), queries, cfg, efs, spec.K,
+                                 min_evaluations=trials))
     return reports

@@ -184,12 +184,12 @@ def _cmd_audit(args) -> int:
 
 def _cmd_stats(args) -> int:
     d = _synthetic_shape(args)[1] if args.base is None else load_fvecs(args.base).dim
-    L_list = (args.L,) if args.L is not None else (1, 2, 4, 8, 16)
+    if args.L is not None and (args.L < 1 or d % args.L != 0):
+        raise UsageError(f"--L {args.L} must be positive and divide d={d}")
+    L_list = (args.L,) if args.L is not None else tuple(L for L in (1, 2, 4, 8, 16) if d % L == 0)
     samples = max(args.trials, 10_000)
     print("L,mean_w_reg,mean_w_res_sq,j_rel,j_opt,delta,lower_bound")
     for L in L_list:
-        if d % L != 0:
-            continue
         ps = estimate_partition_stats(d, L, samples, seed=args.seed or 0)
         try:
             lb = f"{w_reg_lower_bound(d, L):.6g}"

@@ -39,28 +39,58 @@ def ordering_keys(metric: Metric, dots, row, qsq, qn):
     return -dots
 
 
-def upper_descent(row_of, keys_of, ep: int, epk: float, top: int, stop: int) -> tuple[int, float, int]:
-    """Greedy descent through the upper layers, from level top down to level stop + 1.
+def layer_search(entries, cap: int, row_of, score, visited: np.ndarray,
+                 epoch: int) -> tuple[list[tuple[float, int]], int]:
+    """Best-first search of one graph level: HNSW's SEARCH-LAYER for build and search alike.
 
-    On each level the walk moves to the neighbor with the smallest key
-    while that key is below the current one. row_of(lev, v) is v's
-    neighbor row on level lev and keys_of(ids) scores a row. Returns the
-    node reached, its key and the number of rows scored.
+    entries are at most cap (key, id) pairs, already scored. row_of(v) is
+    v's neighbor row as intp ids; the search marks ids visited[id] = epoch
+    and scores each id once. score(v, mask, fresh, worst) is handed the
+    popped node, the row's mask of unvisited ids, those ids and, once the
+    result list is full, its worst entry (-key, -id), else None; it
+    returns the ids to offer and their keys. A full list's worst key only
+    falls, so offers with a key above it are dropped before the loop.
+
+    The result list is a heap of (-key, -id): its root is the worst entry
+    and, among equal keys, the higher id, so a newcomer with an equal key
+    and a lower id enters. Returns the list sorted ascending by (key, id)
+    and the number of nodes expanded.
     """
-    scored = 0
-    for lev in range(top, stop, -1):
-        while True:
-            row = row_of(lev, ep)
-            if len(row) == 0:
-                break
-            keys = keys_of(row)
-            scored += len(row)
-            j = int(np.argmin(keys))
-            if keys[j] < epk:
-                epk, ep = float(keys[j]), int(row[j])
+    heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
+    cand = list(entries)
+    res = [(-k, -u) for k, u in entries]
+    heapq.heapify(cand)
+    heapq.heapify(res)
+    for _, u in entries:
+        visited[u] = epoch
+    hops = 0
+    while cand:
+        k, v = heappop(cand)
+        full = len(res) == cap
+        if full and k > -res[0][0]:
+            break
+        hops += 1
+        row = row_of(v)
+        mask = visited[row] != epoch
+        fresh = row[mask]
+        if fresh.size == 0:
+            continue
+        visited[fresh] = epoch
+        worst = res[0] if full else None
+        ids, keys = score(v, mask, fresh, worst)
+        if full:
+            near = keys <= -worst[0]
+            ids, keys = ids[near], keys[near]
+        for k2, u in zip(keys.tolist(), ids.tolist()):
+            item = (-k2, -u)
+            if len(res) < cap:
+                heappush(res, item)
+            elif item > res[0]:  # key below the worst, or equal with a lower id
+                heapreplace(res, item)
             else:
-                break
-    return ep, epk, scored
+                continue
+            heappush(cand, (k2, u))
+    return sorted((-nk, -ni) for nk, ni in res), hops
 
 
 class SearchScratch:
@@ -182,46 +212,15 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
     def _keys_to(q: np.ndarray, qsq: float, qn: float, ids) -> np.ndarray:
         return ordering_keys(metric, vf.take(ids, axis=0) @ q, rows.take(ids), qsq, qn)
 
-    def row_of(lev: int, v: int) -> np.ndarray:
-        r = at[lev][v]
-        return adj[lev][r, : deg[lev][r]]
+    def rows_on(lev: int):
+        """Level lev's row function: a view of a node's padded row, up to its degree."""
+        rows_at, A, D = at[lev], adj[lev], deg[lev]
+        return lambda v: A[rows_at[v], : D[rows_at[v]]]
 
     def set_row(lev: int, v: int, ids) -> None:
         r = at[lev][v]
         deg[lev][r] = len(ids)
         adj[lev][r, : len(ids)] = ids
-
-    scratch = SearchScratch(n)
-
-    def _search_layer(q, qsq, qn, entry_points, ef, lev):
-        epoch = scratch.next_epoch()
-        visited = scratch.visited
-        rows_at, A, D = at[lev], adj[lev], deg[lev]
-        cand: list[tuple[float, int]] = []
-        res: list[tuple[float, int]] = []
-        for k, e in entry_points:
-            visited[e] = epoch
-            heapq.heappush(cand, (k, e))
-            heapq.heappush(res, (-k, e))
-        while cand:
-            k, c = heapq.heappop(cand)
-            if len(res) == ef and k > -res[0][0]:
-                break
-            r = rows_at[c]
-            row = A[r, : D[r]]
-            fresh = row[visited[row] != epoch]
-            if fresh.size == 0:
-                continue
-            visited[fresh] = epoch
-            keys = _keys_to(q, qsq, qn, fresh)
-            for k2, u in zip(keys.tolist(), fresh.tolist()):
-                if len(res) < ef:
-                    heapq.heappush(res, (-k2, u))
-                    heapq.heappush(cand, (k2, u))
-                elif k2 < -res[0][0]:
-                    heapq.heapreplace(res, (-k2, u))
-                    heapq.heappush(cand, (k2, u))
-        return sorted((-nk, u) for nk, u in res)
 
     def _pairwise_keys(ids: np.ndarray) -> np.ndarray:
         X = vf[ids]
@@ -281,21 +280,26 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
                         break
         set_row(lev, s, kept)
 
+    row_fns = [rows_on(lev) for lev in range(top + 1)]
+    scratch = SearchScratch(n)
     entry = 0
     for i in range(1, n):
         q, qsq_i, qn_i = vf[i], float(sqn[i]), float(norms[i])
         lvl = int(levels[i])
         cur_top = int(levels[entry])  # the entry is the first node of the highest level so far
-        epk = float(_keys_to(q, qsq_i, qn_i, np.array([entry]))[0])
-        ep, epk, _ = upper_descent(row_of, lambda ids: _keys_to(q, qsq_i, qn_i, ids), entry, epk, cur_top, lvl)
-        eps_list = [(epk, ep)]
-        for lev in range(min(lvl, cur_top), -1, -1):
-            cands = _search_layer(q, qsq_i, qn_i, eps_list, efc, lev)
-            sel = _select(cands, M)
-            set_row(lev, i, sel)
-            for s in sel:
-                _add_reverse(s, i, lev)
-            eps_list = cands
+
+        def score(v, mask, fresh, worst):
+            return fresh, _keys_to(q, qsq_i, qn_i, fresh)
+
+        found = [(float(_keys_to(q, qsq_i, qn_i, np.array([entry]))[0]), entry)]
+        for lev in range(cur_top, -1, -1):
+            found, _ = layer_search(found, efc if lev <= lvl else 1, row_fns[lev], score,
+                                    scratch.visited, scratch.next_epoch())
+            if lev <= lvl:
+                sel = _select(found, M)
+                set_row(lev, i, sel)
+                for s in sel:
+                    _add_reverse(s, i, lev)
         if lvl > cur_top:
             entry = i
 
@@ -317,7 +321,7 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
         if not orphans:
             break
         for o in orphans:
-            row = row_of(0, o)
+            row = row_fns[0](o)
             keys = _keys_to(vf[o], sqn[o], norms[o], row)
             order = np.argsort(keys, kind="stable")
             spare = [int(row[j]) for j in order if deg[0][row[j]] < width[0]]
@@ -325,7 +329,7 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
                 _add_reverse(spare[0], o, 0)
             else:
                 nbr = int(row[order[0]])
-                nrow = row_of(0, nbr)
+                nrow = row_fns[0](nbr)
                 nkeys = _keys_to(vf[nbr], sqn[nbr], norms[nbr], nrow)
                 evictable = [j for j in np.argsort(-nkeys, kind="stable")
                              if int(nrow[j]) not in protected]

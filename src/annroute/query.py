@@ -1,19 +1,19 @@
 """Routing-gated best-first search over a frozen HNSW index.
 
-Upper layers route greedily without tests. Gates apply on the base
-layer only, where nearly all distance computations happen.
+Every level runs hnsw.layer_search. Upper levels keep a result list of
+one and score without tests. Gates apply on the base layer only, where
+nearly all distance computations happen.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateInputError, UsageError
-from .hnsw import HnswIndex, SearchScratch, upper_descent
+from .hnsw import HnswIndex, SearchScratch, layer_search
 from .projections import project_query
 from .routing import (
     RoutingConfig,
@@ -33,11 +33,13 @@ _EMPTY_F64 = np.empty(0)
 class SearchStats:
     """Counters backing every efficiency claim.
 
-    dist_computations counts exact query-to-node distances on all layers.
-    ungated counts evaluations that bypassed the gate (upper layers, the
-    entry point, and base-layer blocks seen while the result list was
-    not yet full), so dist_computations == tests_passed + ungated holds
-    exactly. The per-pop v.q dot products are tracked separately.
+    dist_computations counts exact query-to-node distances on all layers;
+    each upper-layer node is scored at most once per level. ungated
+    counts evaluations that bypassed the gate (upper layers, the entry
+    point, and base-layer blocks seen while the result list was not yet
+    full), so dist_computations == tests_passed + ungated holds exactly.
+    hops counts base-layer expansions. The per-pop v.q dot products are
+    tracked separately.
     """
 
     dist_computations: int = 0
@@ -120,92 +122,57 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
 
     if scratch is None:
         scratch = idx.make_scratch()
-    epoch = scratch.next_epoch()
     visited = scratch.visited
-
-    cur = float(idx._keys(q64, qsq, qnorm, np.array([idx.entry]))[0])
-    # every id array handed to numpy is intp: int32 ids take numpy's slower casting path
-    ep, cur, scored = upper_descent(lambda lev, v: idx.upper_row(lev, v).astype(np.intp),
-                                    lambda ids: idx._keys(q64, qsq, qnorm, ids),
-                                    idx.entry, cur, idx.max_level, 0)
-    stats = SearchStats(dist_computations=1 + scored, ungated=1 + scored)
-
-    # the result list: a heap of (-key, -id), so its root is the worst entry and,
-    # among equal keys, the higher id; a boundary tie goes to the lower id
-    res: list[tuple[float, int]] = [(-cur, -ep)]
-    cap = params.efs
-    cand: list[tuple[float, int]] = [(cur, ep)]
-    visited[ep] = epoch
     indptr, indices = idx.base_indptr, idx.base_indices
-    eps_cfg = params.routing.eps
-    heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
+    stats = SearchStats(dist_computations=1, ungated=1)
 
-    while cand:
-        k, v = heappop(cand)
-        full = len(res) == cap
-        if full and k > -res[0][0]:
-            break
-        stats.hops += 1
-        beg, end = indptr[v], indptr[v + 1]
-        row = indices[beg:end].astype(np.intp)
-        mask = visited[row] != epoch
-        fresh = row[mask]
-        if fresh.size == 0:
-            continue
-        visited[fresh] = epoch
+    def ungated(v, mask, fresh, worst):
+        stats.dist_computations += fresh.size
+        stats.ungated += fresh.size
+        return fresh, idx._keys(q64, qsq, qnorm, fresh)
+
+    # every id array handed to numpy is intp: int32 ids take numpy's slower casting path
+    def base_row(v):
+        return indices[indptr[v] : indptr[v + 1]].astype(np.intp)
+
+    def gated(v, mask, fresh, worst):
+        if worst is None:
+            return ungated(v, mask, fresh, worst)
         B = int(fresh.size)
-
-        if not full:
+        wk = -worst[0]
+        stats.tests_evaluated += B
+        if mode == RoutingMode.NONE:
             keys = idx._keys(q64, qsq, qnorm, fresh)
+            stats.tests_passed += B
             stats.dist_computations += B
-            stats.ungated += B
-            passers, pkeys = fresh, keys
+            if audit is not None:
+                audit.record(keys, wk, np.ones(B, dtype=bool))
+            return fresh, keys
+        vq = float(idx.dataset.vectors[v].astype(np.float64) @ q64)
+        stats.vq_computations += 1
+        ts = _threshold_state(idx, wk, qsq, qnorm, vq, -worst[1])
+        slots = indptr[v] + mask.nonzero()[0]
+        if mode == RoutingMode.SIMHASH:
+            ar = batch_ar(att.store.block(slots, fresh), ts, qnorm, idx.metric)
+            passes = batch_simhash_test(att.store.sketches[slots], qsketch, ar, params.routing.eps)
         else:
-            wk = -res[0][0]
-            if mode == RoutingMode.NONE:
-                stats.tests_evaluated += B
-                stats.tests_passed += B
-                keys = idx._keys(q64, qsq, qnorm, fresh)
-                stats.dist_computations += B
-                if audit is not None:
-                    audit.record(keys, wk, np.ones(B, dtype=bool))
-                passers, pkeys = fresh, keys
-            else:
-                vq = float(idx.dataset.vectors[v].astype(np.float64) @ q64)
-                stats.vq_computations += 1
-                ts = _threshold_state(idx, wk, qsq, qnorm, vq, -res[0][1])
-                slots = beg + mask.nonzero()[0]
-                if mode == RoutingMode.SIMHASH:
-                    ar = batch_ar(att.store.block(slots, fresh), ts, qnorm, idx.metric)
-                    passes = batch_simhash_test(att.store.sketches[slots], qsketch, ar, eps_cfg)
-                else:
-                    passes = batch_peos_test(att.store.block(slots, fresh), tbl, qpt, ts, idx.metric)
-                passers = fresh[passes]
-                stats.tests_evaluated += B
-                stats.tests_passed += passers.size
-                stats.dist_computations += passers.size
-                if audit is not None:
-                    all_keys = idx._keys(q64, qsq, qnorm, fresh)
-                    audit.record(all_keys, wk, passes)
-                    pkeys = all_keys[passes]
-                else:
-                    pkeys = idx._keys(q64, qsq, qnorm, passers) if passers.size else _EMPTY_F64
-            # a full list's worst key only falls, so a key above it now never enters;
-            # a tie may still win on the lower id
-            near = pkeys <= wk
-            passers, pkeys = passers[near], pkeys[near]
-        for k2, u in zip(pkeys.tolist(), passers.tolist()):
-            item = (-k2, -u)
-            if len(res) < cap:
-                heappush(res, item)
-            elif item > res[0]:  # key below the worst, or equal with a lower id
-                heapreplace(res, item)
-            else:
-                continue
-            heappush(cand, (k2, u))
+            passes = batch_peos_test(att.store.block(slots, fresh), tbl, qpt, ts, idx.metric)
+        passers = fresh[passes]
+        stats.tests_passed += passers.size
+        stats.dist_computations += passers.size
+        if audit is not None:
+            all_keys = idx._keys(q64, qsq, qnorm, fresh)
+            audit.record(all_keys, wk, passes)
+            return passers, all_keys[passes]
+        return passers, idx._keys(q64, qsq, qnorm, passers) if passers.size else _EMPTY_F64
 
-    items = sorted((-nk, -ni) for nk, ni in res)[: params.K]
-    return np.asarray([i for _, i in items], dtype=np.int64), stats
+    found = [(float(idx._keys(q64, qsq, qnorm, np.array([idx.entry]))[0]), idx.entry)]
+    for lev in range(idx.max_level, 0, -1):
+        found, _ = layer_search(found, 1, lambda v, lev=lev: idx.upper_row(lev, v).astype(np.intp), ungated,
+                                visited, scratch.next_epoch())
+    found, stats.hops = layer_search(found, params.efs, base_row, gated, visited, scratch.next_epoch())
+    ids = [i for _, i in found[: params.K]]
+    return np.asarray(ids, dtype=np.int64), stats
 
 
 def _threshold_state(idx: HnswIndex, worst_key: float, qsq: float, qnorm: float,

@@ -5,9 +5,10 @@ once per session and cached on disk under tests/_cache, keyed by the
 build parameters and a hash of the source files that define build_hnsw,
 save_index, load_index and Dataset (the rule perfbench's desk graph
 cache uses): a change to construction or to the file format invalidates
-the cache, and so does a change to hnsw.py's search code (HnswIndex._keys,
-upper_descent), which shares the file with build_hnsw. A change to
-query.py or to attach does not. A build deletes the cached graphs of the
+the cache, and so does a change to hnsw.py's search code
+(HnswIndex._keys, and layer_search, the level loop that build runs too),
+which shares the file with build_hnsw. A change to query.py or to attach
+does not. A build deletes the cached graphs of the
 same parameters that other code built.
 """
 

@@ -63,6 +63,12 @@ class TestValidation:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["bench", "audit"])
+    def test_zero_queries_exit_1(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--routing", "peos", "--L", "4", "--m-proj", "64",
+                                 "--synthetic", "200,8,0", "--M", "4", "--efc", "20", "--efs", "30", "--K", "10")
+        assert code == 1 and "usage error: need at least one query" in err and out == ""
+
 
 class TestBuildAttachSearch:
     def test_file_round_trip(self, capsys, tmp_path):
@@ -202,4 +208,10 @@ class TestStatsCommand:
     @pytest.mark.parametrize("synthetic", ["5", "100,0,1", "100,-8,1"])
     def test_bad_synthetic_exits_1(self, capsys, synthetic):
         code, out, err = run_cli(capsys, "stats", "--synthetic", synthetic, "--trials", "10000")
+        assert code == 1 and "usage error" in err and out == ""
+
+    @pytest.mark.parametrize("L", ["0", "-4", "3"])
+    def test_bad_L_exits_1(self, capsys, L):
+        """An --L that is not positive or does not divide d is refused, not skipped."""
+        code, out, err = run_cli(capsys, "stats", "--synthetic", "100,16,1", "--L", L, "--trials", "10000")
         assert code == 1 and "usage error" in err and out == ""
