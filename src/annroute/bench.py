@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,8 +21,6 @@ from .hnsw import HnswIndex, brute_force_all, build_hnsw
 from .query import AuditTrace, SearchParams, search
 from .routing import RoutingConfig, RoutingMode
 from .vecstore import Dataset, Metric, load_fvecs, load_ivecs, save_ivecs
-
-CSV_HEADER = "mode,epsilon,L,m,compact,efs,K,recall,qps,dist_comps,pass_frac,wall_ms"
 
 DEFAULT_SYNTHETIC = (50_000, 128, 100)
 
@@ -71,25 +69,12 @@ class RunResult:
     wall_ms: float
 
     def csv_row(self) -> str:
-        cells = [
-            self.mode,
-            _fmt(self.epsilon),
-            str(self.L),
-            str(self.m),
-            str(int(self.compact)),
-            str(self.efs),
-            str(self.K),
-            _fmt(self.recall),
-            _fmt(self.qps),
-            _fmt(self.dist_comps),
-            _fmt(self.pass_frac),
-            _fmt(self.wall_ms),
-        ]
-        return ",".join(cells)
+        return ",".join(_CSV_CELL[f.type](getattr(self, f.name)) for f in fields(self))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".6g")
+# one CSV column per RunResult field, in field order, each written as its declared type
+_CSV_CELL = {"str": str, "int": str, "bool": lambda x: str(int(x)), "float": lambda x: format(float(x), ".6g")}
+CSV_HEADER = ",".join(f.name for f in fields(RunResult))
 
 
 @dataclass(frozen=True)
@@ -106,35 +91,29 @@ class AuditReport:
         return self.pass_rate >= self.bound or math.isnan(self.pass_rate)
 
 
-DEFAULT_INTRINSIC_DIM = 32
-DEFAULT_AMBIENT_NOISE = 0.1
+INTRINSIC_DIM = 32
+AMBIENT_NOISE = 0.1
 
 
-def synthetic_dataset(n: int, d: int, n_queries: int, seed: int,
-                      intrinsic_dim: int | None = None,
-                      ambient_noise: float = DEFAULT_AMBIENT_NOISE) -> tuple[Dataset, np.ndarray]:
+def synthetic_dataset(n: int, d: int, n_queries: int, seed: int) -> tuple[Dataset, np.ndarray]:
     """Seeded Gaussian corpus and queries with realistic low intrinsic dimension.
 
-    Points are isotropic Gaussians in a random intrinsic_dim-dimensional
-    subspace plus isotropic ambient noise. Fully isotropic d-dimensional
+    Points are isotropic Gaussians in a random INTRINSIC_DIM-dimensional
+    subspace plus isotropic AMBIENT_NOISE. Fully isotropic d-dimensional
     Gaussians concentrate all pairwise distances so tightly that no
     routing method (and barely any graph search) has contrast to work
     with; capping the intrinsic dimension reproduces the distance-rank
-    spread that real corpora show at desk scale. intrinsic_dim >= d
-    degenerates to a plain rotated Gaussian.
+    spread that real corpora show at desk scale. With d <= INTRINSIC_DIM
+    the points are a plain rotated Gaussian.
     """
-    if intrinsic_dim is None:
-        intrinsic_dim = min(DEFAULT_INTRINSIC_DIM, d)
-    k = min(intrinsic_dim, d)
-    if n < 1 or d < 1 or n_queries < 0 or k < 1:
+    k = min(INTRINSIC_DIM, d)
+    if n < 1 or d < 1 or n_queries < 0:
         raise UsageError("synthetic generator needs positive sizes")
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(4,))))
     basis = np.linalg.qr(gen.standard_normal((d, k)))[0]
 
     def make(count: int) -> np.ndarray:
-        pts = gen.standard_normal((count, k)) @ basis.T
-        if ambient_noise > 0.0:
-            pts = pts + ambient_noise * gen.standard_normal((count, d))
+        pts = gen.standard_normal((count, k)) @ basis.T + AMBIENT_NOISE * gen.standard_normal((count, d))
         return pts.astype(np.float32)
 
     vectors = make(n)

@@ -48,27 +48,28 @@ class EdgeMetaStore:
 
     The half-norm |u|^2/2 depends on the target u alone, so it is held per
     node: half_code, (n,), the half_u_sq code of every node, and half_val
-    its decoded float64. The file holds only the quantizer: attach and load
-    both encode every node's half-norm with it, so the two stores are
-    bitwise equal. dst is the adjacency's target array, the same object as
+    its decoded float64. The file holds neither the codes nor their
+    quantizer: attach and load both fit it to the edges' targets and encode
+    every node's half-norm with it, so the two stores are bitwise equal.
+    dst is the adjacency's target array, the same object as
     HnswIndex.base_indices, so an edge's half-norm code is
     half_code[dst[slot]]. A node that no edge points to gets a code clipped
     to the quantizer's range that nothing reads.
 
-    finalize() builds the per-node half-norms and the small decode tables
-    from the quantizers: enorm_tab with the edge norm of every code, and
+    finalize() builds the quantizers, the per-node half-norms and the small
+    decode tables: enorm_tab with the edge norm of every code, and
     for full records w_tab with w_reg and sqrt(L)*w_res of every weight
     code. ScalarQuantizer.decode is elementwise, so a table lookup gives
     the same float64 as decoding the code. rec_base, added to a gathered
     row, points each code at its table entry (see EdgeMetaBlock).
     """
 
-    def __init__(self, mode: RoutingMode, L: int, compact: bool, quant: EdgeQuantizers | None,
-                 lead: np.ndarray, enorm_q: np.ndarray, dst: np.ndarray):
+    def __init__(self, mode: RoutingMode, L: int, compact: bool, lead: np.ndarray, enorm_q: np.ndarray,
+                 dst: np.ndarray):
         self.mode = mode
         self.L = L
         self.compact = compact
-        self.quant = quant
+        self.quant = None
         self.n_edges = enorm_q.shape[0]
         self.enorm_q = enorm_q
         self.dst = dst
@@ -90,19 +91,27 @@ class EdgeMetaStore:
     def zeros(cls, mode: RoutingMode, L: int, compact: bool, simhash_bits: int, dst: np.ndarray) -> "EdgeMetaStore":
         """A store of zero records, one per edge of the target array dst, for attach to fill."""
         lead = np.zeros((dst.shape[0], _lead_width(mode, L, compact, simhash_bits)), dtype=np.uint8)
-        return cls(mode, L, compact, None, lead, np.zeros(dst.shape[0], dtype=_norm_dtype(compact)), dst)
+        return cls(mode, L, compact, lead, np.zeros(dst.shape[0], dtype=_norm_dtype(compact)), dst)
 
     @property
     def ids(self) -> np.ndarray:
         """Extreme-id bytes, (E, L+1) led by the residual id, or (E, L) in compact mode."""
         return self.rec if self.compact else self.rec[:, : self.L + 1]
 
-    def finalize(self, sqn: np.ndarray) -> None:
-        """Encode every node's half-norm from its squared norm sqn and build the decode tables."""
+    def finalize(self, sqn: np.ndarray, enorm: ScalarQuantizer) -> None:
+        """Fit half_u_sq to the half-norms of the edges' targets, encode every node's
+        half-norm from its squared norm sqn, and build the decode tables.
+
+        The fit reads the targets through a node mask, not sqn[dst], which
+        would gather one float64 per edge.
+        """
         dtype = self.enorm_q.dtype
-        self.half_code = self.quant.half_u_sq.encode(0.5 * sqn, "down").astype(dtype)
-        self.half_val = self.quant.half_u_sq.decode(self.half_code)
-        self.enorm_tab = self.quant.enorm.decode(np.arange(1 << (8 * dtype.itemsize)))
+        target = np.zeros(sqn.shape[0], dtype=bool)
+        target[self.dst] = True
+        self.quant = quant = EdgeQuantizers(ScalarQuantizer.fit(0.5 * sqn[target], enorm.bits), enorm)
+        self.half_code = quant.half_u_sq.encode(0.5 * sqn, "down").astype(dtype)
+        self.half_val = quant.half_u_sq.decode(self.half_code)
+        self.enorm_tab = quant.enorm.decode(np.arange(1 << (8 * dtype.itemsize)))
         # decode is monotone in the code, so the smallest code holds the smallest norm
         self.enorm_min = float(self.enorm_tab[self.enorm_q.min()]) if self.n_edges else math.inf
         if self.rec is not None and not self.compact:
@@ -128,20 +137,20 @@ class EdgeMetaStore:
 
     @classmethod
     def from_wire(cls, raw: memoryview, idx: HnswIndex, mode: RoutingMode, L: int, m: int, compact: bool,
-                  simhash_bits: int, quant: EdgeQuantizers) -> "EdgeMetaStore":
+                  simhash_bits: int, enorm: ScalarQuantizer) -> "EdgeMetaStore":
         """A store from the record section of a file over idx's adjacency.
 
         The lead fields and the edge-norm column are copied out of the
-        section once; finalize encodes the half-norms from idx's norms.
+        section once; finalize fits and encodes the half-norms from idx's norms.
         """
         width = _lead_width(mode, L, compact, simhash_bits)
         dtype = _norm_dtype(compact)
         mat = _wire_matrix(raw, idx.n_base_edges, width + dtype.itemsize)
-        store = cls(mode, L, compact, quant, mat[:, :width].copy(), mat[:, width:].view(dtype)[:, 0].copy(),
+        store = cls(mode, L, compact, mat[:, :width].copy(), mat[:, width:].view(dtype)[:, 0].copy(),
                     idx.base_indices)
         if mode != RoutingMode.SIMHASH:
             check_id_bytes(store.ids, m)
-        store.finalize(idx._sqn)
+        store.finalize(idx._sqn, enorm)
         return store
 
 
@@ -164,7 +173,6 @@ def _wire_matrix(raw: memoryview, n_edges: int, rec: int) -> np.ndarray:
 
 @dataclass
 class RoutingAttachment:
-    mode: RoutingMode
     cfg: RoutingConfig
     seed: int
     plan: PermutationPlan
@@ -254,7 +262,7 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     encode_id_bytes for the one asymmetry, -128); SimHash stores the
     mirror's >= 0 bit of -p as p <= 0, so a zero product is a one bit on
     both sides. The records are byte-identical to computing every edge.
-    half_u_sq is fitted to the edges' targets and encoded once per node.
+    finalize fits half_u_sq to the edges' targets and encodes it once per node.
     """
     if cfg.mode == RoutingMode.NONE:
         return idx.with_routing(None)
@@ -303,17 +311,12 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
             lead[s] = np.concatenate((encode_id_bytes(ids), codes), axis=1)
             lead[t] = np.concatenate((encode_id_bytes(-ids[k]), codes[k]), axis=1)
 
-    bits = _norm_bits(cfg.compact)
-    quant = store.quant = EdgeQuantizers(
-        half_u_sq=ScalarQuantizer.fit(0.5 * idx._sqn[dst], bits),
-        enorm=ScalarQuantizer.fit(enorm_vals, bits),
-    )
-    store.enorm_q[:] = quant.enorm.encode(enorm_vals, "up")
-    store.finalize(idx._sqn)
+    enorm = ScalarQuantizer.fit(enorm_vals, _norm_bits(cfg.compact))
+    store.enorm_q[:] = enorm.encode(enorm_vals, "up")
+    store.finalize(idx._sqn, enorm)
 
-    return idx.with_routing(RoutingAttachment(
-        mode=cfg.mode, cfg=cfg, seed=seed, plan=plan, store=store, ens=att_ens, hashes=hashes,
-    ))
+    return idx.with_routing(RoutingAttachment(cfg=cfg, seed=seed, plan=plan, store=store, ens=att_ens,
+                                              hashes=hashes))
 
 
 def _meta_chunk(ep: np.ndarray, enorm: np.ndarray, ens: ProjectionEnsemble,

@@ -1,6 +1,12 @@
-"""Index files: the header, the routing header if a gate is attached, the
-delta-coded base and upper layers, the edge records, and a blake2b
-checksum. The vectors stay with the dataset; the file holds its fingerprint.
+"""Index files, format 3: the header, the routing header if a gate is
+attached, every graph level in one delta-coded layout, the edge records,
+and a blake2b checksum. The vectors stay with the dataset; the file holds
+its fingerprint.
+
+Each fact is written once, and nothing load can derive is written: the
+half-norm quantizer is fitted again from the vectors, the record count is
+the base layer's edge count, and the permutation's subspaces follow from
+perm and L.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ from .edgestore import EdgeMetaStore, RoutingAttachment, _norm_bits
 from .errors import CorruptionError, FormatError, UsageError
 from .hnsw import HnswIndex
 from .projections import RNG_ID, generate_ensemble
-from .routing import EdgeQuantizers, RoutingConfig, RoutingMode, ScalarQuantizer, generate_simhash_hashes
+from .routing import RoutingConfig, RoutingMode, ScalarQuantizer, generate_simhash_hashes
 from .vecstore import Dataset, Metric, PermutationPlan
 
 INDEX_MAGIC = b"PEOS"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 _METRIC_CODE = {Metric.L2: 0, Metric.ANGULAR: 1, Metric.IP: 2}
 _METRIC_FROM = {v: k for k, v in _METRIC_CODE.items()}
@@ -45,32 +51,25 @@ def save_index(idx: HnswIndex, path) -> None:
         _METRIC_CODE[idx.metric], idx.dim, idx.n, idx.M, idx.efc,
         idx.seed, idx.entry, idx.max_level, dataset_fingerprint(idx.dataset),
     ))
-    parts.append(struct.pack("<B", _MODE_CODE[att.mode if att else RoutingMode.NONE]))
+    parts.append(struct.pack("<B", _MODE_CODE[att.cfg.mode if att else RoutingMode.NONE]))
     if att is not None:
         cfg = att.cfg
         parts.append(struct.pack("<IIBIQ", cfg.L, cfg.m, int(cfg.compact), cfg.simhash_bits, att.seed))
         rng_id = (att.ens.rng_id if att.ens is not None else RNG_ID).encode()
         parts.append(struct.pack("<H", len(rng_id)) + rng_id)
-        q = att.store.quant
-        parts.append(struct.pack(
-            "<ddBddB",
-            q.half_u_sq.lo, q.half_u_sq.hi, q.half_u_sq.bits,
-            q.enorm.lo, q.enorm.hi, q.enorm.bits,
-        ))
+        q = att.store.quant.enorm
+        parts.append(struct.pack("<ddB", q.lo, q.hi, q.bits))
         parts.append(att.plan.perm.astype("<u4"))
-        parts.append(att.plan.subspace_of.astype("<u4"))
 
-    parts.append(np.diff(idx.base_indptr).astype("<u4"))
-    parts.append(_delta_encode(idx.base_indices, idx.base_indptr))
-    parts.append(struct.pack("<I", idx.max_level))
+    parts += _level_parts(idx.base_indptr, idx.base_indices)
     for lev in range(1, idx.max_level + 1):
         nodes = sorted(idx.upper.get(lev, {}).items())
+        rows = [np.asarray(row, dtype=np.int64) for _, row in nodes]
         parts.append(struct.pack("<Q", len(nodes)))
-        for v, row in nodes:
-            parts.append(struct.pack("<QI", v, len(row)))
-            parts.append(np.diff(np.asarray(row, dtype=np.int64), prepend=0).astype("<u4"))
+        parts.append(np.array([v for v, _ in nodes], dtype="<u4"))
+        indptr = np.cumsum([0] + [row.size for row in rows], dtype=np.int64)
+        parts += _level_parts(indptr, np.concatenate([np.zeros(0, dtype=np.int64), *rows]))
     if att is not None:
-        parts.append(struct.pack("<Q", att.store.n_edges))
         parts.append(att.store.wire_records())
     h = hashlib.blake2b(digest_size=8)
     with open(path, "wb") as f:
@@ -78,6 +77,11 @@ def save_index(idx: HnswIndex, path) -> None:
             h.update(part)
             f.write(part)
         f.write(h.digest())
+
+
+def _level_parts(indptr: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
+    """One level's rows as written: every degree, then every row delta-coded."""
+    return [np.diff(indptr).astype("<u4"), _delta_encode(indices, indptr)]
 
 
 def _delta_encode(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -159,18 +163,21 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
             raise FormatError(
                 f"index built with RNG stream {stored_rng_id!r}, this build uses {RNG_ID!r}"
             )
-        bits = _norm_bits(cfg.compact)
-        quant = EdgeQuantizers(_checked_quantizer("half_u_sq", *r.take("ddB"), bits),
-                               _checked_quantizer("enorm", *r.take("ddB"), bits))
-        perm = r.array("<u4", d).astype(np.int64)
-        sub_of = r.array("<u4", d).astype(np.int64)
+        enorm = _checked_enorm(*r.take("ddB"), _norm_bits(cfg.compact))
         try:
-            plan = PermutationPlan(perm, sub_of, L)
+            plan = PermutationPlan(r.array("<u4", d).astype(np.int64), L)
         except UsageError as exc:
             raise FormatError(f"bad permutation: {exc}") from exc
 
-    indptr, indices = _read_base_layer(r, n, M)
-    upper = {lev: _read_upper_level(r, n, lev) for lev in range(1, r.take("I") + 1)}
+    indptr, indices = _read_level(r, n, 2 * M, n)
+    upper = {}
+    for lev in range(1, max_level + 1):
+        nodes = r.array("<u4", r.take("Q"))
+        if nodes.size and (nodes[-1] >= n or np.any(nodes[1:] <= nodes[:-1])):
+            raise FormatError(f"the level-{lev} node list is not ascending ids below n")
+        bounds, ids = _read_level(r, nodes.size, M, n)
+        bounds = bounds.tolist()
+        upper[lev] = {v: ids[a:b] for v, a, b in zip(nodes.tolist(), bounds[:-1], bounds[1:])}
 
     if dataset is None:
         raise UsageError("load_index needs the dataset the index was built on")
@@ -184,78 +191,51 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
         base_indptr=indptr, base_indices=indices, upper=upper,
     )
     if mode != RoutingMode.NONE:
-        n_edges = r.take("Q")
-        if n_edges != int(indptr[-1]):
-            raise FormatError("edge metadata count does not match adjacency")
         # the records fill the rest of the payload; from_wire checks their count and width
-        store = EdgeMetaStore.from_wire(r.buf[r.pos :], idx, mode, L, m, cfg.compact, shbits, quant)
+        store = EdgeMetaStore.from_wire(r.buf[r.pos :], idx, mode, L, m, cfg.compact, shbits, enorm)
         ens = None
         hashes = None
         if mode == RoutingMode.SIMHASH:
             hashes = generate_simhash_hashes(rt_seed, d, shbits)
         else:
             ens = generate_ensemble(rt_seed, d, L, m)
-        idx.routing = RoutingAttachment(mode=mode, cfg=cfg, seed=rt_seed, plan=plan,
-                                        store=store, ens=ens, hashes=hashes)
+        idx.routing = RoutingAttachment(cfg=cfg, seed=rt_seed, plan=plan, store=store, ens=ens, hashes=hashes)
     elif r.pos != len(payload):
         raise FormatError(f"{len(payload) - r.pos} bytes after the last section")
     return idx
 
 
-def _checked_quantizer(name: str, lo: float, hi: float, bits: int, want_bits: int) -> ScalarQuantizer:
-    # both quantizers hold norms, so a valid range is ordered and non-negative, and
+def _checked_enorm(lo: float, hi: float, bits: int, want_bits: int) -> ScalarQuantizer:
+    # the quantizer holds norms, so a valid range is ordered and non-negative, and
     # decode's code * (hi - lo) stays finite up to the top code
     if bits != want_bits:
-        raise FormatError(f"{name} quantizer has {bits} bits, expected {want_bits}")
+        raise FormatError(f"edge-norm quantizer has {bits} bits, expected {want_bits}")
     quant = ScalarQuantizer(lo, hi, bits)
     if not (math.isfinite(lo) and math.isfinite(quant.levels * (hi - lo))) or lo < 0.0 or hi < lo:
-        raise FormatError(f"bad {name} quantizer range [{lo}, {hi}]")
+        raise FormatError(f"bad edge-norm quantizer range [{lo}, {hi}]")
     return quant
 
 
-def _read_base_layer(r: _Reader, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The base layer's CSR pair: int64 row offsets and int32 neighbor ids."""
-    degs = r.array("<u4", n).astype(np.int64)
-    if degs.size and degs.max() > 2 * M:
-        raise FormatError(f"a base-layer degree exceeds 2M={2 * M}")
-    indptr = np.zeros(n + 1, dtype=np.int64)
+def _read_level(r: _Reader, count: int, max_deg: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR pair of a level of count rows, each of at most max_deg ids below n:
+    int64 row offsets and int32 neighbor ids.
+
+    Every row is strictly ascending: each step after a row's first id is
+    at least 1, so a zero delta is refused unless it is a row's first id 0.
+    """
+    degs = r.array("<u4", count).astype(np.int64)
+    if degs.size and degs.max() > max_deg:
+        raise FormatError(f"a degree exceeds {max_deg}")
+    indptr = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(degs, out=indptr[1:])
-    ids = _delta_decode(r.array("<u4", int(indptr[-1])).astype(np.int64), indptr[:-1][degs > 0])
+    deltas = r.array("<u4", int(indptr[-1]))
+    starts = indptr[:-1][degs > 0]
+    if np.count_nonzero(deltas == 0) != np.count_nonzero(deltas[starts] == 0):
+        raise FormatError("a neighbor list repeats an id")
+    ids = _delta_decode(deltas.astype(np.int64), starts)
     if ids.size and ids.max() >= n:
-        raise FormatError("a base-layer neighbor id is out of range")
+        raise FormatError("a neighbor id is out of range")
     return indptr, ids.astype(np.int32)
-
-
-_NODE_HEAD = struct.Struct("<QI")  # an upper-layer node's id and degree; its delta-coded row follows
-
-
-def _read_upper_level(r: _Reader, n: int, lev: int) -> dict[int, np.ndarray]:
-    """One upper level: the node headers are walked in Python, then every row decodes in one pass."""
-    count = r.take("Q")
-    start = pos = r.pos
-    nodes, degs, at = [], [], []
-    try:
-        for _ in range(count):
-            v, deg = _NODE_HEAD.unpack_from(r.buf, pos)
-            pos += _NODE_HEAD.size
-            nodes.append(v)
-            degs.append(deg)
-            at.append(pos)
-            pos += 4 * deg
-    except struct.error as exc:
-        raise FormatError("index file truncated") from exc
-    words = r.array("<u4", (pos - start) // 4)  # headers and rows alike are whole words
-    in_row = np.ones(words.size, dtype=bool)
-    # a header is the three words before its row: id low, id high, degree
-    in_row[(np.asarray(at, dtype=np.int64)[:, None] - start) // 4 - (1, 2, 3)] = False
-    degs = np.asarray(degs, dtype=np.int64)
-    bounds = np.zeros(degs.size + 1, dtype=np.int64)
-    np.cumsum(degs, out=bounds[1:])
-    ids = _delta_decode(words[in_row].astype(np.int64), bounds[:-1][degs > 0])
-    if (nodes and max(nodes) >= n) or (ids.size and ids.max() >= n):
-        raise FormatError(f"an upper-layer id at level {lev} is out of range")
-    ids = ids.astype(np.int32)  # each row is a slice of this one array
-    return {v: ids[a:b] for v, a, b in zip(nodes, bounds[:-1].tolist(), bounds[1:].tolist())}
 
 
 def _delta_decode(ids: np.ndarray, starts: np.ndarray) -> np.ndarray:

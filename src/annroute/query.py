@@ -68,17 +68,15 @@ class AuditTrace:
         self.passed: list[np.ndarray] = []
         self.keys: list[np.ndarray] = []
         self.thresholds: list[float] = []
-        self.sizes: list[int] = []
 
     def record(self, keys: np.ndarray, threshold_key: float, passes: np.ndarray) -> None:
         self.keys.append(keys)
         self.passed.append(passes)
         self.thresholds.append(threshold_key)
-        self.sizes.append(len(keys))
 
     @property
     def n_evaluations(self) -> int:
-        return int(sum(self.sizes))
+        return sum(len(keys) for keys in self.keys)
 
     def true_positive_rate(self) -> tuple[float, int]:
         """Pass rate among gated neighbors whose exact distance beat the threshold."""
@@ -109,14 +107,14 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
     att = idx.routing
     qpt = tbl = qsketch = None
     if mode in (RoutingMode.PEOS, RoutingMode.RCEOS):
-        if att is None or att.mode not in (RoutingMode.PEOS, RoutingMode.RCEOS):
+        if att is None or att.cfg.mode not in (RoutingMode.PEOS, RoutingMode.RCEOS):
             raise UsageError(f"index has no {mode.value} routing attached")
         if mode == RoutingMode.RCEOS and att.cfg.L != 1:
             raise UsageError("rceos queries need an L=1 attachment")
         qpt = project_query(q64[att.plan.perm], att.ens)
         tbl = att.quantile_table(params.routing.eps)
     elif mode == RoutingMode.SIMHASH:
-        if att is None or att.mode != RoutingMode.SIMHASH:
+        if att is None or att.cfg.mode != RoutingMode.SIMHASH:
             raise UsageError("index has no simhash routing attached")
         qsketch = simhash_sketch(q64[att.plan.perm], att.hashes)
 

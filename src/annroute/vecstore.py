@@ -137,30 +137,22 @@ class PermutationPlan:
     """Bijection on dimensions grouping them into L equal-size subspace blocks.
 
     ``perm[k]`` is the original dimension placed at permuted position k;
-    block i (0-based) occupies permuted positions [i*d/L, (i+1)*d/L).
+    block i (0-based) occupies permuted positions [i*d/L, (i+1)*d/L), so
+    dimension perm[k] belongs to subspace k // (d/L) + 1.
     """
 
     perm: np.ndarray
-    subspace_of: np.ndarray
     L: int
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.int64)
-        sub = np.asarray(self.subspace_of, dtype=np.int64)
         d = perm.shape[0]
         if self.L < 1 or d % self.L != 0:
             raise UsageError("dimension count must divide evenly into L subspaces")
         if not np.array_equal(np.sort(perm), np.arange(d)):
             raise UsageError("perm is not a bijection on dimensions")
-        if sub.shape[0] != d or sub.min() < 1 or sub.max() > self.L:
-            raise UsageError("subspace labels must cover dimensions with values in 1..L")
-        counts = np.bincount(sub - 1, minlength=self.L)
-        if not np.all(counts == d // self.L):
-            raise UsageError("each subspace must receive exactly d/L dimensions")
         perm.flags.writeable = False
-        sub.flags.writeable = False
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "subspace_of", sub)
 
     @property
     def dim(self) -> int:
@@ -170,7 +162,7 @@ class PermutationPlan:
     def identity(cls, d: int, L: int) -> "PermutationPlan":
         if L < 1 or d % L != 0:
             raise UsageError(f"d={d} not divisible by L={L}")
-        return cls(np.arange(d), np.arange(d) // (d // L) + 1, L)
+        return cls(np.arange(d), L)
 
 
 def build_permutation(avgs: np.ndarray, L: int) -> PermutationPlan:
@@ -198,10 +190,7 @@ def build_permutation(avgs: np.ndarray, L: int) -> PermutationPlan:
             sums[i] += avgs[dim]
             served[i] = True
     perm = np.concatenate([np.sort(np.asarray(s, dtype=np.int64)) for s in sets])
-    subspace_of = np.empty(d, dtype=np.int64)
-    for i, s in enumerate(sets):
-        subspace_of[s] = i + 1
-    return PermutationPlan(perm, subspace_of, L)
+    return PermutationPlan(perm, L)
 
 
 def apply_permutation(x: np.ndarray, plan: PermutationPlan) -> np.ndarray:

@@ -68,6 +68,12 @@ class TestRunSweep:
         assert len(lines) == 7
         assert all(len(line.split(",")) == len(CSV_HEADER.split(",")) for line in lines[1:])
 
+    def test_csv_columns_as_documented(self):
+        """The README's column list, and each cell written as its field's declared type."""
+        assert CSV_HEADER == "mode,epsilon,L,m,compact,efs,K,recall,qps,dist_comps,pass_frac,wall_ms"
+        row = bench_mod.RunResult("peos", 0.2, 4, 64, True, 50, 10, 0.95, 1234.5678, 100.0, 0.5, 12.3456789)
+        assert row.csv_row() == "peos,0.2,4,64,1,50,10,0.95,1234.57,100,0.5,12.3457"
+
     def test_peos_rows_do_fewer_distance_computations(self, tiny_rows):
         by_key = {(r.mode, r.efs): r for r in tiny_rows}
         for efs in (50, 100, 200):

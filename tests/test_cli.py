@@ -151,6 +151,44 @@ class TestBuildAttachSearch:
         code, _, err = run_cli(capsys, *search)
         assert code == 2 and "format error" in err and "version 1" in err
 
+    def test_version_2_file_exits_2(self, capsys, tmp_path):
+        """A format-2 file as format 2 wrote a graph with no gate: the header and the base
+        layer as format 3 writes them, then max_level again, and per upper level its node
+        count and, per node, its id, degree and delta-coded row."""
+        ds, queries = synthetic_dataset(300, 16, 2, seed=4)
+        base, qpath, index = tmp_path / "base.fvecs", tmp_path / "q.fvecs", tmp_path / "g.idx"
+        save_fvecs(ds, base)
+        save_fvecs(queries, qpath)
+        idx = build_hnsw(ds, M=4, efc=20, metric=Metric.L2, seed=1)
+        save_index(idx, index)
+        search = ("search", "--base", str(base), "--index", str(index), "--query", str(qpath),
+                  "--K", "5", "--efs", "20")
+        assert run_cli(capsys, *search)[0] == 0
+        raw = bytearray(index.read_bytes()[: struct.calcsize("<4sIBIQIIQQIQB") + 4 * (idx.n + idx.n_base_edges)])
+        struct.pack_into("<I", raw, 4, 2)  # the version word follows the magic
+        raw += struct.pack("<I", idx.max_level)
+        for lev in range(1, idx.max_level + 1):
+            raw += struct.pack("<Q", len(idx.upper[lev]))
+            for v, row in sorted(idx.upper[lev].items()):
+                raw += struct.pack("<QI", v, row.size) + np.diff(row, prepend=0).astype("<u4").tobytes()
+        index.write_bytes(bytes(raw) + hashlib.blake2b(raw, digest_size=8).digest())
+        code, _, err = run_cli(capsys, *search)
+        assert code == 2 and "format error" in err and "version 2" in err
+
+    def test_repeated_neighbor_id_exits_2(self, capsys, tmp_path):
+        """A graph file whose first row repeats an id: search reports a format error."""
+        ds, queries = synthetic_dataset(300, 16, 2, seed=4)
+        base, qpath, index = tmp_path / "base.fvecs", tmp_path / "q.fvecs", tmp_path / "g.idx"
+        save_fvecs(ds, base)
+        save_fvecs(queries, qpath)
+        idx = build_hnsw(ds, M=4, efc=20, metric=Metric.L2, seed=1)
+        assert idx.base_indptr[1] >= 2
+        idx.base_indices[1] = idx.base_indices[0]  # node 0's row: its first id twice
+        save_index(idx, index)
+        code, _, err = run_cli(capsys, "search", "--base", str(base), "--index", str(index),
+                               "--query", str(qpath), "--K", "5", "--efs", "20")
+        assert code == 2 and "format error" in err and "repeats an id" in err
+
     def test_simhash_compact_exits_1(self, capsys, tmp_path):
         ds, _ = synthetic_dataset(300, 16, 2, seed=4)
         base, index, out = tmp_path / "base.fvecs", tmp_path / "g.idx", tmp_path / "sh.idx"

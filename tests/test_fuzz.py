@@ -38,24 +38,28 @@ CONFIGS = {
     "simhash": RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=32),
 }
 
-# the quantizer header (half_u_sq lo, hi, bits; enorm lo, hi, bits), see save_index
+# the edge-norm quantizer (lo, hi, bits), see save_index
 _HEADER = struct.calcsize("<4sIBIQIIQQIQB")
 _QUANT_AT = _HEADER + struct.calcsize("<IIBIQH") + len(RNG_ID)
-_QUANT_LEN = struct.calcsize("<ddBddB")
+_QUANT_LEN = struct.calcsize("<ddB")
 
 
 def _sections(idx, size: int) -> dict:
     """(start, length) of each section of the payload of a saved index, see save_index."""
     att = idx.routing
-    deg_at = _HEADER if att is None else _QUANT_AT + _QUANT_LEN + 2 * 4 * idx.dim  # after perm, subspace_of
+    deg_at = _HEADER if att is None else _QUANT_AT + _QUANT_LEN + 4 * idx.dim  # after perm
     delta_at = deg_at + 4 * idx.n
     upper_at = delta_at + 4 * idx.n_base_edges
-    tail = 0 if att is None else 8 + att.store.wire_records().nbytes  # the record count, then the records
+    tail = 0 if att is None else att.store.wire_records().nbytes  # the records end the payload
     out = {"degrees": (deg_at, 4 * idx.n), "deltas": (delta_at, 4 * idx.n_base_edges),
            "upper": (upper_at, size - tail - upper_at)}
     if att is not None:
-        out.update(records=(size - tail + 8, tail - 8), quantizers=(_QUANT_AT, _QUANT_LEN))
+        out.update(records=(size - tail, tail), quantizers=(_QUANT_AT, _QUANT_LEN))
     return out
+
+
+def _section(payload: bytes, at: tuple) -> bytes:
+    return payload[at[0] : at[0] + at[1]]
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +74,15 @@ def files(tmp_path_factory):
         routed = attach(idx, cfg)
         save_index(routed, path)
         payload = path.read_bytes()[:-8]
-        out[name] = (payload, _sections(routed, len(payload)))
+        sections = _sections(routed, len(payload))
+        # the offsets must hit their own fields, or an edit lands in the wrong one
+        assert _section(payload, sections["degrees"]) == np.diff(idx.base_indptr).astype("<u4").tobytes()
+        assert _section(payload, sections["upper"])[:8] == struct.pack("<Q", len(idx.upper[1]))
+        if routed.routing is not None:
+            q = routed.routing.store.quant.enorm
+            assert _section(payload, sections["quantizers"]) == struct.pack("<ddB", q.lo, q.hi, q.bits)
+            assert _section(payload, sections["records"]) == routed.routing.store.wire_records().tobytes()
+        out[name] = (payload, sections)
     return ds, queries, work / "edited.idx", out
 
 
@@ -123,8 +135,8 @@ def _edit_words(path, payload: bytes, at: tuple, edits) -> None:
 def test_adjacency_edits(files, name, section, edits):
     """Edited base degrees, neighbor deltas or upper-layer rows: a graph that loads takes every gate.
 
-    Deltas are unsigned, so a loaded row stays sorted but may repeat an id
-    or hold a self-loop. An attach that succeeds must write the records of
+    Deltas are unsigned and load refuses a zero step inside a row, so a
+    loaded row is strictly ascending, but it may hold a self-loop. An attach that succeeds must write the records of
     computing every edge directly, in a file that loads back to them.
     """
     ds, queries, path, saved = files
@@ -163,11 +175,11 @@ def test_cli_bad_neighbor_delta_exits_2(files, tmp_path, capsys):
 
 
 def test_cli_overflowing_quantizer_exits_2(files, tmp_path, capsys):
-    """A half_u_sq range whose top codes decode to inf, resealed: search on the command line reports a format error."""
+    """An edge-norm range whose top codes decode to inf, resealed: search on the command line reports a format error."""
     ds, queries, path, saved = files
     payload, sections = saved["peos"]
     raw = bytearray(payload)
-    struct.pack_into("<d", raw, sections["quantizers"][0] + 8, 1.7e308)  # half_u_sq hi
+    struct.pack_into("<d", raw, sections["quantizers"][0] + 8, 1.7e308)  # enorm hi
     _write(path, bytes(raw))
     base, qpath = tmp_path / "base.fvecs", tmp_path / "q.fvecs"
     save_fvecs(ds, base)
@@ -202,6 +214,6 @@ def test_unedited_files_load(files):
     for name, cfg in CONFIGS.items():
         _write(path, saved[name][0])
         idx = load_index(path, ds)
-        assert idx.routing.mode == cfg.mode
+        assert idx.routing.cfg.mode == cfg.mode
         ids, _ = search(idx, queries[0], SearchParams(K=5, efs=20, routing=cfg))
         assert np.unique(ids).size == 5

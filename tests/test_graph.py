@@ -59,11 +59,13 @@ def small_peos(small):
 # blake2b-128 of save_index bytes for the twins graph of each metric (ten points have
 # exact duplicates, so keys tie), recorded before build took the shared ordering-key
 # kernel and upper-layer descent in place of its own copies. Format 2 re-recorded them
-# as the same files with the version word set to 2 and the checksum resealed.
+# as the same files with the version word set to 2 and the checksum resealed. Format 3
+# re-recorded them once the graph each new file loads to (base offsets and ids, upper
+# rows, entry, max_level) was shown equal to what format 2 loaded from its own file.
 GOLDEN_BUILD = {
-    Metric.L2: "30026a91842cada7b10471684da22acb",
-    Metric.ANGULAR: "cb624b7f0caf152f4685032396c57c8c",
-    Metric.IP: "d320f20d6a05bde12963fd9362edc823",
+    Metric.L2: "18276e5261284345e5488d73a54d55e6",
+    Metric.ANGULAR: "edeaff9e88f5499ac1da12fb6827cbbe",
+    Metric.IP: "127b80598f531b92eef4039464f0faa8",
 }
 
 
@@ -89,12 +91,15 @@ class TestBuild:
         stays, and an equal key with a lower id may enter): 14 of the 399 base rows
         changed, all among copies whose keys tie exactly (29, 162 and 295 are one
         point). No upper row changed, and 9 nodes are still unreachable.
+
+        Re-recorded for format 3 once the graph this file loads to was shown equal
+        to what format 2 loaded from its own file.
         """
         ds, _ = synthetic_dataset(133, 16, 1, seed=5)
         idx = build_hnsw(Dataset(np.tile(ds.vectors, (3, 1))), M=4, efc=20, metric=Metric.L2, seed=1)
         path = tmp_path / "copies.idx"
         save_index(idx, path)
-        assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == "4643152f4b1dbb465dd46b037ab22809"
+        assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == "8117dbf295f31667b74bdb586becc73d"
 
     def test_served_dtypes(self, small, tmp_path):
         """Build holds its rows as intp; the built and the loaded graph serve them as int32."""
@@ -548,6 +553,25 @@ class TestPersistence:
             b, _ = search(loaded, q, SearchParams(K=5, efs=30))
             np.testing.assert_array_equal(a, b)
 
+    def test_top_level_of_one_node_with_empty_row(self, small, tmp_path):
+        """A level of one node and no edges: its node list, one zero degree and no deltas."""
+        ds, queries, idx = small
+        one = copy.copy(idx)
+        one.max_level = idx.max_level + 1
+        one.upper = {**idx.upper, one.max_level: {idx.entry: np.zeros(0, dtype=np.int32)}}
+        p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
+        save_index(one, p1)
+        loaded = load_index(p1, ds)
+        assert loaded.max_level == one.max_level and loaded.entry == idx.entry
+        assert list(loaded.upper[one.max_level]) == [idx.entry] and loaded.upper[one.max_level][idx.entry].size == 0
+        for lev, nodes in idx.upper.items():
+            assert all(_same_bits(loaded.upper[lev][v], row) for v, row in nodes.items())
+        save_index(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        for q in queries[:5]:
+            np.testing.assert_array_equal(search(loaded, q, SearchParams(K=5, efs=30))[0],
+                                          search(idx, q, SearchParams(K=5, efs=30))[0])
+
 
 def _buffers(obj) -> list[np.ndarray]:
     """The distinct numpy buffers held in an object's attributes, each once."""
@@ -805,10 +829,9 @@ class TestLiveGateEquivalence:
 # byte positions in the index header (see save_index)
 _ENTRY_AT = struct.calcsize("<4sIBIQIIQ")
 _M_AT = struct.calcsize("<4sIBIQ")
-_L_AT = struct.calcsize("<4sIBIQIIQQIQB")
-_QUANT_AT = _L_AT + struct.calcsize("<IIBIQH") + len(RNG_ID)  # half_u_sq lo, hi, bits; enorm lo, hi, bits
-_PERM_AT = _QUANT_AT + struct.calcsize("<ddBddB")
-_ENORM_AT = _QUANT_AT + struct.calcsize("<ddB")
+_L_AT = struct.calcsize("<4sIBIQIIQQIQB")  # also where a plain file's base degrees begin
+_ENORM_AT = _L_AT + struct.calcsize("<IIBIQH") + len(RNG_ID)  # the edge-norm quantizer's lo, hi, bits
+_PERM_AT = _ENORM_AT + struct.calcsize("<ddB")
 
 
 def _reseal(path, at: int, fmt: str, value) -> None:
@@ -831,6 +854,27 @@ def _bad_upper_id(idx):
     v, row = next((v, row) for v, row in bad.upper[1].items() if row.size)
     bad.upper[1][v] = np.append(row[:-1], idx.n).astype(np.int32)
     return bad
+
+
+def _repeated_base_id(idx):
+    bad = copy.copy(idx)
+    bad.base_indices = idx.base_indices.copy()
+    beg = int(np.argmax(np.diff(idx.base_indptr) >= 2))
+    bad.base_indices[beg + 1] = idx.base_indices[beg]  # the row stays sorted
+    return bad
+
+
+def _repeated_upper_id(idx):
+    bad = copy.copy(idx)
+    bad.upper = {lev: dict(nodes) for lev, nodes in idx.upper.items()}
+    v, row = next((v, row) for v, row in bad.upper[1].items() if row.size >= 2)
+    bad.upper[1][v] = np.concatenate((row[:1], row[:1], row[2:]))
+    return bad
+
+
+def _upper_nodes_at(idx) -> int:
+    """Where a plain file's level-1 node ids begin: after the base degrees and deltas, and the node count."""
+    return _L_AT + 4 * idx.n + 4 * idx.n_base_edges + 8
 
 
 def _v1_records(store) -> np.ndarray:
@@ -860,11 +904,11 @@ class TestFailClosed:
         pytest.param(_L_AT + 4, "I", 2, id="extreme_id_above_m"),
         pytest.param(_PERM_AT, "I", 1, id="permutation"),  # perm[0] = perm[1] = 1
         pytest.param(_ENORM_AT, "d", math.nan, id="enorm_lo_nan"),
-        pytest.param(_QUANT_AT + 8, "d", math.inf, id="half_hi_inf"),
-        pytest.param(_QUANT_AT, "d", 1e30, id="half_hi_below_lo"),
-        pytest.param(_QUANT_AT + 8, "d", 1.7e308, id="half_decode_overflows"),
+        pytest.param(_ENORM_AT + 8, "d", math.inf, id="enorm_hi_inf"),
+        pytest.param(_ENORM_AT, "d", 1e30, id="enorm_hi_below_lo"),
+        pytest.param(_ENORM_AT + 8, "d", 1.7e308, id="enorm_decode_overflows"),
         pytest.param(_ENORM_AT, "d", -1.0, id="enorm_lo_negative"),
-        pytest.param(_QUANT_AT + 16, "B", 0, id="half_bits_0"),
+        pytest.param(_ENORM_AT + 16, "B", 0, id="enorm_bits_0"),
         pytest.param(_ENORM_AT + 16, "B", 8, id="enorm_bits_8_not_compact"),
     ])
     def test_bad_header_field(self, small, small_peos, tmp_path, at, fmt, value):
@@ -883,18 +927,60 @@ class TestFailClosed:
         with pytest.raises(FormatError):
             load_index(path, ds)
 
+    @pytest.mark.parametrize("corrupt", [_repeated_base_id, _repeated_upper_id], ids=["base", "upper"])
+    def test_repeated_neighbor_id(self, small, tmp_path, corrupt):
+        """A row whose second id equals its first: search would return that id twice."""
+        ds, _, idx = small
+        path = tmp_path / "bad.idx"
+        save_index(corrupt(idx), path)
+        with pytest.raises(FormatError, match="repeats an id"):
+            load_index(path, ds)
+
+    def test_upper_degree_above_M(self, small, tmp_path):
+        ds, _, idx = small
+        bad = copy.copy(idx)
+        bad.upper = {lev: dict(nodes) for lev, nodes in idx.upper.items()}
+        v = next(iter(bad.upper[1]))
+        bad.upper[1][v] = np.array([u for u in range(idx.M + 2) if u != v][: idx.M + 1], dtype=np.int32)
+        path = tmp_path / "bad.idx"
+        save_index(bad, path)
+        with pytest.raises(FormatError, match=f"degree exceeds {idx.M}"):
+            load_index(path, ds)
+
+    @pytest.mark.parametrize("second", ["first", "below_first"])
+    def test_upper_node_list_not_ascending(self, small, tmp_path, second):
+        """The second id of the level-1 node list made equal to, then lower than, the first."""
+        ds, _, idx = small
+        path = tmp_path / "bad.idx"
+        save_index(idx, path)
+        at = _upper_nodes_at(idx)
+        first = struct.unpack_from("<I", path.read_bytes(), at)[0]
+        assert first > 0
+        _reseal(path, at + 4, "I", first if second == "first" else first - 1)
+        with pytest.raises(FormatError, match="not ascending"):
+            load_index(path, ds)
+
+    def test_upper_node_out_of_range(self, small, tmp_path):
+        ds, _, idx = small
+        path = tmp_path / "bad.idx"
+        save_index(idx, path)
+        nodes_at = _upper_nodes_at(idx)
+        _reseal(path, nodes_at + 4 * (len(idx.upper[1]) - 1), "I", idx.n)  # the last, highest id
+        with pytest.raises(FormatError):
+            load_index(path, ds)
+
     def test_compact_quantizer_needs_8_bits(self, small, tmp_path):
         ds, _, idx = small
         path = tmp_path / "compact.idx"
         save_index(attach(idx, RoutingConfig(mode=RoutingMode.PEOS, L=4, m=64, compact=True)), path)
         load_index(path, ds)
-        _reseal(path, _QUANT_AT + 16, "B", 16)
+        _reseal(path, _ENORM_AT + 16, "B", 16)
         with pytest.raises(FormatError):
             load_index(path, ds)
 
     def test_simhash_with_compact_flag_refused(self, small, tmp_path):
         """SimHash has no compact form. Older attach took the flag for SimHash and fitted 8-bit
-        quantizers, and format 1 loaded such files; format 2 refuses the header."""
+        quantizers, and format 1 loaded such files; format 2 and 3 refuse the header."""
         ds, _, idx = small
         path = tmp_path / "sh.idx"
         save_index(attach(idx, _STORE_CONFIGS["simhash_64"]), path)
@@ -902,7 +988,6 @@ class TestFailClosed:
         _reseal(path, _L_AT + 8, "B", 1)
         with pytest.raises(FormatError, match="bad routing header"):
             load_index(path, ds)
-        _reseal(path, _QUANT_AT + 16, "B", 8)
         _reseal(path, _ENORM_AT + 16, "B", 8)
         with pytest.raises(FormatError, match="bad routing header"):
             load_index(path, ds)
@@ -923,7 +1008,7 @@ class TestFailClosed:
 
     @pytest.mark.parametrize("name", ["peos_L4", "compact_L4", "simhash_64"])
     def test_v1_record_width_refused(self, small, tmp_path, name):
-        """A format-2 file resealed with format 1's records, one half-norm code wider each."""
+        """A format-3 file resealed with format 1's records, one half-norm code wider each."""
         ds, _, idx = small
         path = tmp_path / "bad.idx"
         routed = attach(idx, _STORE_CONFIGS[name])
@@ -988,12 +1073,11 @@ def _handmade(idx):
 
 
 @pytest.fixture(scope="module")
-def golden_graphs(small, tmp_path_factory):
-    """The graphs the golden attach cases run on; the hand-made one goes through a file first."""
-    ds, _, idx = small
-    path = tmp_path_factory.mktemp("golden") / "handmade.idx"
-    save_index(_handmade(idx), path)
-    return {"small": idx, "twins": _twin_graph(Metric.L2)[1], "handmade": load_index(path, ds)}
+def golden_graphs(small):
+    """The graphs the golden attach cases run on. The hand-made one repeats ids, which
+    load refuses, so it is attached in memory."""
+    _, _, idx = small
+    return {"small": idx, "twins": _twin_graph(Metric.L2)[1], "handmade": _handmade(idx)}
 
 
 # blake2b-128 of the store's records in format 1's layout (_v1_records), recorded with
@@ -1057,15 +1141,22 @@ class TestGoldenAttach:
 
     @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
     def test_half_norm_column_is_target_code(self, golden_graphs, name, tmp_path):
-        """The file holds no half-norm codes: a save -> load round trip rebuilds the per-node
-        half_code and half_val bit-equal to attach's, from the saved quantizer, which is the
-        fit over the edges' targets, so half_code[dst] is each edge's own target's code."""
+        """The file holds no half-norm codes and no half-norm quantizer: a save -> load round
+        trip fits the quantizer over the edges' targets again and rebuilds the per-node
+        half_code and half_val bit-equal to attach's, so half_code[dst] is each edge's own
+        target's code. The hand-made graph repeats ids, which no file may hold, so its
+        records are read back in memory."""
         graph, cfg, permute, _ = GOLDEN_ATTACH[name]
         idx = golden_graphs[graph]
         routed = attach(idx, cfg, permute=permute)
-        path = tmp_path / "routed.idx"
-        save_index(routed, path)
-        store, loaded = routed.routing.store, load_index(path, idx.dataset).routing.store
+        store = routed.routing.store
+        if graph == "handmade":
+            loaded = edgestore.EdgeMetaStore.from_wire(memoryview(store.wire_records().reshape(-1)), idx, cfg.mode,
+                                                       cfg.L, cfg.m, cfg.compact, cfg.simhash_bits, store.quant.enorm)
+        else:
+            path = tmp_path / "routed.idx"
+            save_index(routed, path)
+            loaded = load_index(path, idx.dataset).routing.store
         assert store.wire_records().shape[1] == store._lead().shape[1] + store.enorm_q.itemsize
         half = 0.5 * idx._sqn[idx.base_indices]
         assert loaded.quant.half_u_sq == store.quant.half_u_sq == ScalarQuantizer.fit(half, store.quant.half_u_sq.bits)

@@ -184,24 +184,31 @@ class TestNormalize:
             normalize(np.zeros(4))
 
 
+def _subspace_of(plan) -> np.ndarray:
+    """Each dimension's 1-based subspace: dimension perm[k] sits in block k // (d/L)."""
+    sub = np.empty(plan.dim, dtype=np.int64)
+    sub[plan.perm] = np.arange(plan.dim) // (plan.dim // plan.L) + 1
+    return sub
+
+
 class TestBuildPermutation:
     def test_d_equals_L(self):
         plan = build_permutation(np.array([7.0, 9.0]), 2)
-        assert plan.subspace_of[0] == 1 and plan.subspace_of[1] == 2
+        assert _subspace_of(plan).tolist() == [1, 2]
 
     def test_hand_simulation_d4_L2(self):
         # round 1: rank1 -> S1, rank2 -> S2; round 2: rank3 -> S2, rank4 -> S1
         plan = build_permutation(np.array([1.0, 2.0, 3.0, 4.0]), 2)
-        assert plan.subspace_of.tolist() == [1, 2, 2, 1]
+        assert _subspace_of(plan).tolist() == [1, 2, 2, 1]
         sums = [0.0, 0.0]
-        for j, s in enumerate(plan.subspace_of):
+        for j, s in enumerate(_subspace_of(plan)):
             sums[s - 1] += float(j + 1)
         assert sums == [5.0, 5.0]
 
     def test_block_sizes(self):
         rng = np.random.default_rng(5)
         plan = build_permutation(rng.random(32), 8)
-        counts = np.bincount(plan.subspace_of - 1, minlength=8)
+        counts = np.bincount(_subspace_of(plan) - 1, minlength=8)
         assert np.all(counts == 4)
 
     def test_deterministic(self):
@@ -212,7 +219,7 @@ class TestBuildPermutation:
     def test_constant_avgs_balance(self):
         plan = build_permutation(np.full(16, 2.5), 4)
         sums = np.zeros(4)
-        for j, s in enumerate(plan.subspace_of):
+        for j, s in enumerate(_subspace_of(plan)):
             sums[s - 1] += 2.5
         assert np.all(sums == sums[0])
 
