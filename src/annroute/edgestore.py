@@ -23,6 +23,7 @@ from .routing import (
     ScalarQuantizer,
     build_quantile_table,
     generate_simhash_hashes,
+    sketch_words,
     var_row_indices,
     _RES_EPS,
 )
@@ -42,7 +43,9 @@ class EdgeMetaStore:
       var_idx codes; in compact mode (E, L) with the L subspace id bytes
       only, the weights pinned to (1, 0) and var_idx the one row of every
       edge;
-    * SimHash: sketches, (E, simhash_bits/8) packed sign bits;
+    * SimHash: sketches, (E, simhash_bits/8) packed sign bits, and words,
+      the same buffer viewed as the unsigned words the gate compares
+      (see sketch_words);
     * every mode: enorm_q, (E,), the edge-norm codes (uint16, uint8 in
       compact mode).
 
@@ -75,9 +78,10 @@ class EdgeMetaStore:
         self.dst = dst
         self.half_code = self.half_val = self.enorm_tab = self.w_tab = None
         self.enorm_min = 0.0
-        self.rec = self.rec_base = self.var_idx = self.sketches = None
+        self.rec = self.rec_base = self.var_idx = self.sketches = self.words = None
         if mode == RoutingMode.SIMHASH:
             self.sketches = lead
+            self.words = sketch_words(lead)
         elif compact:
             self.rec = lead
             self.rec_base = np.arange(1, L + 1) * ID_BYTES

@@ -42,7 +42,10 @@ def save_index(idx: HnswIndex, path) -> None:
     """Serialize graph, header, and edge metadata; vectors stay with the dataset.
 
     Each section is hashed and written from its own buffer, in file
-    order, so the file is never assembled in memory.
+    order, so the file is never assembled in memory. A graph that load
+    would refuse (an entry point or id outside [0, n), a degree above 2M
+    on the base layer or M above it, a row that is not strictly
+    ascending) raises UsageError before the file is opened.
     """
     parts: list = [INDEX_MAGIC, struct.pack("<I", INDEX_VERSION)]
     att = idx.routing
@@ -61,14 +64,18 @@ def save_index(idx: HnswIndex, path) -> None:
         parts.append(struct.pack("<ddB", q.lo, q.hi, q.bits))
         parts.append(att.plan.perm.astype("<u4"))
 
-    parts += _level_parts(idx.base_indptr, idx.base_indices)
+    if idx.entry >= idx.n:
+        raise UsageError(f"entry point {idx.entry} is not a node of a {idx.n}-node graph")
+    parts += _level_parts(idx.base_indptr, idx.base_indices, 2 * idx.M, idx.n, 0)
     for lev in range(1, idx.max_level + 1):
         nodes = sorted(idx.upper.get(lev, {}).items())
+        if nodes and not (nodes[0][0] >= 0 and nodes[-1][0] < idx.n):
+            raise UsageError(f"a level-{lev} node id is outside [0, {idx.n})")
         rows = [np.asarray(row, dtype=np.int64) for _, row in nodes]
         parts.append(struct.pack("<Q", len(nodes)))
         parts.append(np.array([v for v, _ in nodes], dtype="<u4"))
         indptr = np.cumsum([0] + [row.size for row in rows], dtype=np.int64)
-        parts += _level_parts(indptr, np.concatenate([np.zeros(0, dtype=np.int64), *rows]))
+        parts += _level_parts(indptr, np.concatenate([np.zeros(0, dtype=np.int64), *rows]), idx.M, idx.n, lev)
     if att is not None:
         parts.append(att.store.wire_records())
     h = hashlib.blake2b(digest_size=8)
@@ -79,18 +86,38 @@ def save_index(idx: HnswIndex, path) -> None:
         f.write(h.digest())
 
 
-def _level_parts(indptr: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
-    """One level's rows as written: every degree, then every row delta-coded."""
-    return [np.diff(indptr).astype("<u4"), _delta_encode(indices, indptr)]
+def _level_parts(indptr: np.ndarray, indices: np.ndarray, max_deg: int, n: int, lev: int) -> list[np.ndarray]:
+    """One level's rows as written: every degree, then every row delta-coded.
+
+    The rows are checked first against what _read_level accepts, so save
+    refuses a graph that load would refuse.
+    """
+    degs = np.diff(indptr)
+    delta, starts = _delta_encode(indices, indptr)
+    _check_level(degs, indices, delta, starts, max_deg, n, lev)
+    return [degs.astype("<u4"), delta.astype("<u4")]
 
 
-def _delta_encode(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Each neighbor id minus the one before it in its row; a row's first id is stored as is."""
+def _check_level(degs: np.ndarray, indices: np.ndarray, delta: np.ndarray, starts: np.ndarray,
+                 max_deg: int, n: int, lev: int) -> None:
+    """Refuse a level that has a degree above max_deg, an id outside [0, n), or a row that is
+    not strictly ascending: every step after a row's first id must be at least 1."""
+    if degs.size and degs.max() > max_deg:
+        raise UsageError(f"a level-{lev} degree exceeds {max_deg}")
+    if indices.size and not 0 <= indices.min() <= indices.max() < n:
+        raise UsageError(f"a level-{lev} neighbor id is outside [0, {n})")
+    if np.count_nonzero(delta < 1) != np.count_nonzero(delta[starts] < 1):
+        raise UsageError(f"a level-{lev} neighbor list is not strictly ascending")
+
+
+def _delta_encode(indices: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each neighbor id minus the one before it in its row, as int64; a row's first id is
+    stored as is. Also returns the offsets of the non-empty rows, where those first ids sit."""
     flat = indices.astype(np.int64)
     delta = np.diff(flat, prepend=0)
     starts = indptr[:-1][np.diff(indptr) > 0]
     delta[starts] = flat[starts]
-    return delta.astype("<u4")
+    return delta, starts
 
 
 class _Reader:

@@ -116,7 +116,9 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
     elif mode == RoutingMode.SIMHASH:
         if att is None or att.cfg.mode != RoutingMode.SIMHASH:
             raise UsageError("index has no simhash routing attached")
-        qsketch = simhash_sketch(q64[att.plan.perm], att.hashes)
+        # attach hashes permuted residuals with the permuted hyperplanes, so each stored
+        # sketch is that of the residual in natural order; the query is sketched in it too
+        qsketch = simhash_sketch(q64, att.hashes)
 
     if scratch is None:
         scratch = idx.make_scratch()
@@ -152,7 +154,7 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
         slots = indptr[v] + mask.nonzero()[0]
         if mode == RoutingMode.SIMHASH:
             ar = batch_ar(att.store.block(slots, fresh), ts, qnorm, idx.metric)
-            passes = batch_simhash_test(att.store.sketches[slots], qsketch, ar, params.routing.eps)
+            passes = batch_simhash_test(att.store.words.take(slots, axis=0), qsketch, ar, params.routing.eps)
         else:
             passes = batch_peos_test(att.store.block(slots, fresh), tbl, qpt, ts, idx.metric)
         passers = fresh[passes]

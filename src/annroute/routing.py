@@ -14,13 +14,15 @@ additional true positives:
 * the x column rounds the threshold down, and each cell holds the
   minimum of the quantile over that cell and every cell to its right,
 * stored half-norms round down and edge norms round up, shrinking A_r,
-* table cells are nudged a hair below the exact quantile.
+* table cells are nudged a hair below the exact quantile,
+* SimHash bounds on A_r are raised a hair above the exact cosine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -229,15 +231,59 @@ class ThresholdState:
 # SimHash
 # ---------------------------------------------------------------------------
 
-_POPCOUNT8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+_BOUND_NUDGE = 2.0**-50  # four ulps of 1.0, above the float error of a bound
 
 
 @dataclass(frozen=True)
 class SimHashSketch:
-    """n-bit sign signature of a vector under a shared Gaussian ensemble."""
+    """n-bit sign signature of a vector under a shared Gaussian ensemble.
+
+    words views bits as the unsigned words the gate compares (see sketch_words).
+    """
 
     bits: np.ndarray  # packed uint8, big-endian bit order within bytes
     n: int
+    words: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "words", sketch_words(self.bits))
+
+
+def sketch_words(packed: np.ndarray) -> np.ndarray:
+    """C-contiguous packed sketch rows (..., n/8) uint8 viewed as unsigned words over the same buffer.
+
+    The words are uint64 when n is a multiple of 64, else the widest
+    unsigned type whose size divides n/8 bytes; a sketch of one word
+    drops its last axis. Edge and query sketches of the same width get
+    the same view, so the XOR of two views has the differing bits of
+    the two sketches.
+    """
+    width = packed.shape[-1]
+    size = next(s for s in (8, 4, 2, 1) if width % s == 0)
+    words = packed.view(np.dtype(f"u{size}"))
+    return words[..., 0] if width == size else words
+
+
+@functools.lru_cache(maxsize=64)
+def simhash_bounds(n: int, eps: float) -> np.ndarray:
+    """Largest A_r an edge with k differing bits of n passes at, for k = 0..n.
+
+    The Hoeffding test passes an edge with n - k colliding bits iff
+    n - k >= n * (1 - theta / pi) - delta, with theta = arccos(A_r) and
+    delta = sqrt(n ln(1/eps) / 2), that is iff A_r <= cos(pi * max(k -
+    delta, 0) / n). Each bound is raised by _BOUND_NUDGE, so the float
+    table can only loosen the test, then clamped to [0, nextafter(1, 0)]:
+    A_r <= 0 passes and A_r >= 1 fails whatever k is. The table is read
+    only and cached here, not on the attachment, so an index holds no
+    more bytes for it.
+    """
+    if n < 1 or not 0.0 < eps < 1.0:
+        raise UsageError("need n >= 1 bits and a SimHash error bound in (0, 1)")
+    delta = math.sqrt(n * math.log(1.0 / eps) / 2.0)
+    angle = np.pi * np.maximum(np.arange(n + 1) - delta, 0.0) / n
+    bounds = np.clip(np.cos(angle) + _BOUND_NUDGE, 0.0, np.nextafter(1.0, 0.0))
+    bounds.flags.writeable = False
+    return bounds
 
 
 def generate_simhash_hashes(seed: int, d: int, n: int) -> np.ndarray:
@@ -418,15 +464,13 @@ def batch_simhash_test(
     ar: np.ndarray,
     eps: float,
 ) -> np.ndarray:
-    """Vectorized SimHash gate over packed per-edge sketch rows."""
-    passes = ar <= 0.0
-    mid = np.nonzero((ar > 0.0) & (ar < 1.0))[0]
-    if mid.size:
-        xor = np.bitwise_xor(sketches[mid], qsketch.bits[None, :])
-        col = qsketch.n - _POPCOUNT8.take(xor).sum(axis=1)
-        theta = np.arccos(ar[mid])
-        thr = qsketch.n * (1.0 - theta / math.pi) - math.sqrt(
-            qsketch.n * math.log(1.0 / eps) / 2.0
-        )
-        passes[mid] = col >= thr
-    return passes
+    """Vectorized SimHash gate over the edges' sketch words (see sketch_words).
+
+    The differing bits of each edge are the popcount of its words XOR the
+    query's; an edge passes iff its A_r is at most the bound for that
+    count. A_r <= 0 passes and A_r >= 1 fails through the bounds' clamp.
+    """
+    diff = np.bitwise_count(np.bitwise_xor(sketches, qsketch.words))
+    if diff.ndim > 1:
+        diff = diff.sum(axis=1, dtype=np.intp)
+    return ar <= simhash_bounds(qsketch.n, eps).take(diff)

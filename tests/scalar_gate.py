@@ -26,7 +26,6 @@ from annroute.edgestore import EdgeMetaStore
 from annroute.errors import DegenerateInputError, UsageError
 from annroute.projections import ProjectionEnsemble, QueryProjectionTable, decode_id_bytes, encode_id_bytes
 from annroute.routing import (
-    _POPCOUNT8,
     _RES_EPS,
     EdgeQuantizers,
     QuantileTable,
@@ -269,7 +268,7 @@ def peos_test(
 def collision_count(a: SimHashSketch, b: SimHashSketch) -> int:
     if a.n != b.n:
         raise UsageError("sketch lengths differ")
-    return a.n - int(_POPCOUNT8[np.bitwise_xor(a.bits, b.bits)].sum())
+    return a.n - int(np.count_nonzero(np.unpackbits(np.bitwise_xor(a.bits, b.bits))))
 
 
 def simhash_threshold(n: int, ar: float, eps: float) -> float:

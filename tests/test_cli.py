@@ -183,8 +183,11 @@ class TestBuildAttachSearch:
         save_fvecs(queries, qpath)
         idx = build_hnsw(ds, M=4, efc=20, metric=Metric.L2, seed=1)
         assert idx.base_indptr[1] >= 2
-        idx.base_indices[1] = idx.base_indices[0]  # node 0's row: its first id twice
-        save_index(idx, index)
+        save_index(idx, index)  # save refuses such a graph, so the file is edited after
+        raw = bytearray(index.read_bytes()[:-8])
+        # node 0's row: its second delta, after the header and the n base degrees, set to 0
+        struct.pack_into("<I", raw, struct.calcsize("<4sIBIQIIQQIQB") + 4 * idx.n + 4, 0)
+        index.write_bytes(bytes(raw) + hashlib.blake2b(bytes(raw), digest_size=8).digest())
         code, _, err = run_cli(capsys, "search", "--base", str(base), "--index", str(index),
                                "--query", str(qpath), "--K", "5", "--efs", "20")
         assert code == 2 and "format error" in err and "repeats an id" in err

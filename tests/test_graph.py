@@ -34,6 +34,7 @@ from annroute import (
 )
 import annroute.edgestore as edgestore
 import annroute.hnsw as hnsw_mod
+import annroute.indexfile as indexfile
 import annroute.query as query_mod
 from annroute.projections import RNG_ID, encode_id_bytes
 from annroute.routing import ScalarQuantizer
@@ -787,9 +788,10 @@ class TestLiveGateEquivalence:
             search(routed, q, params)
         assert seen["tested"] >= 200 and seen["zero_norm"] > 0
 
-    def test_simhash_matches_scalar_on_every_hop(self, twins, monkeypatch):
+    @pytest.mark.parametrize("bits", [32, 64, 128])
+    def test_simhash_matches_scalar_on_every_hop(self, twins, monkeypatch, bits):
         metric, queries, idx = twins
-        cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64)
+        cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=bits)
         routed = attach(idx, cfg)
         store = routed.routing.store
         seen = collections.Counter()
@@ -824,6 +826,23 @@ class TestLiveGateEquivalence:
             assert seen["edges"] >= 200 and seen["tested"] == 0
         else:
             assert seen["tested"] >= 200
+
+    def test_simhash_query_sketched_as_the_edges_are(self, monkeypatch):
+        """With a permutation plan, the sketch search makes of a vector equals the sketch
+        attach stored for the same vector as an edge residual."""
+        ds, _ = synthetic_dataset(600, 32, 1, seed=5)
+        idx = build_hnsw(ds, M=8, efc=40, metric=Metric.L2, seed=5)
+        cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64)
+        routed = attach(idx, cfg, permute=True)
+        assert not np.array_equal(routed.routing.plan.perm, np.arange(idx.dim))
+        made = []
+        sketch = query_mod.simhash_sketch
+        monkeypatch.setattr(query_mod, "simhash_sketch", lambda q, hashes: made.append(sketch(q, hashes)) or made[-1])
+        store, V = routed.routing.store, ds.vectors.astype(np.float64)
+        src = np.repeat(np.arange(idx.n), np.diff(idx.base_indptr))
+        for s in range(0, idx.n_base_edges, idx.n_base_edges // 20):
+            search(routed, V[store.dst[s]] - V[src[s]], SearchParams(K=5, efs=12, routing=cfg))
+            np.testing.assert_array_equal(made[-1].bits, store.sketches[s])
 
 
 # byte positions in the index header (see save_index)
@@ -870,6 +889,65 @@ def _repeated_upper_id(idx):
     v, row = next((v, row) for v, row in bad.upper[1].items() if row.size >= 2)
     bad.upper[1][v] = np.concatenate((row[:1], row[:1], row[2:]))
     return bad
+
+
+def _unsorted_base_row(idx):
+    bad = copy.copy(idx)
+    bad.base_indices = idx.base_indices.copy()
+    beg = int(np.argmax(np.diff(idx.base_indptr) >= 2))
+    bad.base_indices[beg : beg + 2] = idx.base_indices[beg : beg + 2][::-1]
+    return bad
+
+
+def _unsorted_upper_row(idx):
+    bad = copy.copy(idx)
+    bad.upper = {lev: dict(nodes) for lev, nodes in idx.upper.items()}
+    v, row = next((v, row) for v, row in bad.upper[1].items() if row.size >= 2)
+    bad.upper[1][v] = row[::-1].copy()
+    return bad
+
+
+def _negative_base_id(idx):
+    bad = copy.copy(idx)
+    bad.base_indices = idx.base_indices.copy()
+    bad.base_indices[0] = -1  # the first row stays sorted
+    return bad
+
+
+def _base_degree_above_2M(idx):
+    bad = copy.copy(idx)
+    bad.M = idx.M // 2
+    assert np.diff(idx.base_indptr).max() > 2 * bad.M
+    return bad
+
+
+def _upper_degree_above_M(idx):
+    bad = copy.copy(idx)
+    bad.upper = {lev: dict(nodes) for lev, nodes in idx.upper.items()}
+    v = next(iter(bad.upper[1]))
+    bad.upper[1][v] = np.array([u for u in range(idx.M + 2) if u != v][: idx.M + 1], dtype=np.int32)
+    return bad
+
+
+def _upper_node_out_of_range(idx):
+    bad = copy.copy(idx)
+    bad.upper = {lev: dict(nodes) for lev, nodes in idx.upper.items()}
+    bad.upper[1][idx.n] = np.array([0], dtype=np.int32)
+    return bad
+
+
+def _entry_out_of_range(idx):
+    bad = copy.copy(idx)
+    bad.entry = idx.n
+    return bad
+
+
+def _save_unchecked(idx, path) -> None:
+    """Write idx as save_index does but without its level checks, so a test can hand load
+    a graph that save refuses."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indexfile, "_check_level", lambda *args: None)
+        save_index(idx, path)
 
 
 def _upper_nodes_at(idx) -> int:
@@ -923,7 +1001,7 @@ class TestFailClosed:
     def test_neighbor_id_out_of_range(self, small, tmp_path, corrupt):
         ds, _, idx = small
         path = tmp_path / "bad.idx"
-        save_index(corrupt(idx), path)
+        _save_unchecked(corrupt(idx), path)
         with pytest.raises(FormatError):
             load_index(path, ds)
 
@@ -932,20 +1010,37 @@ class TestFailClosed:
         """A row whose second id equals its first: search would return that id twice."""
         ds, _, idx = small
         path = tmp_path / "bad.idx"
-        save_index(corrupt(idx), path)
+        _save_unchecked(corrupt(idx), path)
         with pytest.raises(FormatError, match="repeats an id"):
             load_index(path, ds)
 
     def test_upper_degree_above_M(self, small, tmp_path):
         ds, _, idx = small
-        bad = copy.copy(idx)
-        bad.upper = {lev: dict(nodes) for lev, nodes in idx.upper.items()}
-        v = next(iter(bad.upper[1]))
-        bad.upper[1][v] = np.array([u for u in range(idx.M + 2) if u != v][: idx.M + 1], dtype=np.int32)
         path = tmp_path / "bad.idx"
-        save_index(bad, path)
+        _save_unchecked(_upper_degree_above_M(idx), path)
         with pytest.raises(FormatError, match=f"degree exceeds {idx.M}"):
             load_index(path, ds)
+
+    @pytest.mark.parametrize("corrupt,match", [
+        pytest.param(_entry_out_of_range, "entry point", id="entry"),
+        pytest.param(_bad_base_id, "level-0 neighbor id is outside", id="base_id_n"),
+        pytest.param(_negative_base_id, "level-0 neighbor id is outside", id="base_id_negative"),
+        pytest.param(_bad_upper_id, "level-1 neighbor id is outside", id="upper_id_n"),
+        pytest.param(_repeated_base_id, "level-0 neighbor list is not strictly ascending", id="base_repeat"),
+        pytest.param(_repeated_upper_id, "level-1 neighbor list is not strictly ascending", id="upper_repeat"),
+        pytest.param(_unsorted_base_row, "level-0 neighbor list is not strictly ascending", id="base_unsorted"),
+        pytest.param(_unsorted_upper_row, "level-1 neighbor list is not strictly ascending", id="upper_unsorted"),
+        pytest.param(_base_degree_above_2M, "level-0 degree exceeds", id="base_degree"),
+        pytest.param(_upper_degree_above_M, "level-1 degree exceeds", id="upper_degree"),
+        pytest.param(_upper_node_out_of_range, "level-1 node id is outside", id="upper_node"),
+    ])
+    def test_save_refuses_what_load_refuses(self, small, tmp_path, corrupt, match):
+        """save_index checks each level before it opens the file, so it writes nothing."""
+        _, _, idx = small
+        path = tmp_path / "bad.idx"
+        with pytest.raises(UsageError, match=match):
+            save_index(corrupt(idx), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("second", ["first", "below_first"])
     def test_upper_node_list_not_ascending(self, small, tmp_path, second):

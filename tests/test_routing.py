@@ -32,7 +32,14 @@ from annroute import (
     w_reg_lower_bound,
 )
 from annroute.projections import decode_id_bytes, encode_id_bytes
-from annroute.routing import variance_grid, var_row_indices
+from annroute.routing import (
+    SimHashSketch,
+    batch_simhash_test,
+    simhash_bounds,
+    sketch_words,
+    variance_grid,
+    var_row_indices,
+)
 
 from oracles import expected_max_abs_normal, inv_norm_cdf, make_gate_trials
 from scalar_gate import (
@@ -561,6 +568,81 @@ class TestSimHash:
         p = 1.0 - theta / math.pi
         se = math.sqrt(p * (1 - p) / (n * trials))
         assert abs(frac - p) < 3 * se
+
+
+def _sketches_for_every_count(n: int, seed: int):
+    """A query sketch of n bits, and n + 1 packed edge sketches whose k-th differs from it in k bits."""
+    rng = np.random.default_rng(seed)
+    q = rng.random(n) < 0.5
+    flips = np.tril(np.ones((n + 1, n), dtype=bool), -1)[:, rng.permutation(n)]  # row k flips k bits
+    return SimHashSketch(bits=np.packbits(q), n=n), np.ascontiguousarray(np.packbits(q ^ flips, axis=1))
+
+
+# the bounds are raised four ulps of 1.0 above the exact cosine, and the float
+# evaluation of either test errs by under two more: only in this window below a
+# bound may the table pass an edge that the arccos reference rejects
+_ROUND_UP_WINDOW = 2.0**-48
+
+
+class TestSimHashBounds:
+    @pytest.mark.parametrize("bits", [8, 32, 64, 128])
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.6])
+    def test_batch_matches_scalar_for_every_count(self, bits, eps):
+        """Every differing-bit count k against a dense A_r grid, A_r = 0, 1 and -inf, and the
+        float neighbours of each bound: the word-popcount gate decides as the per-edge
+        arccos reference does, except in the round-up window, where the gate passes."""
+        qsketch, packed = _sketches_for_every_count(bits, seed=bits)
+        edges = [SimHashSketch(bits=row, n=bits) for row in packed]
+        words = sketch_words(packed)
+        bounds = simhash_bounds(bits, eps)
+        grid = [np.full(bits + 1, a) for a in np.concatenate((np.linspace(-0.5, 1.5, 801), [0.0, 1.0, -np.inf]))]
+        below, above = np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf)
+        neighbours = [bounds - _ROUND_UP_WINDOW, np.nextafter(below, -np.inf), below, bounds, above,
+                      np.nextafter(above, np.inf)]
+        in_window = 0
+        for ar in grid + neighbours:
+            got = batch_simhash_test(words, qsketch, ar, eps)
+            want = np.array([simhash_test(e, qsketch, a, eps) for e, a in zip(edges, ar.tolist())])
+            window = (ar > bounds - _ROUND_UP_WINDOW) & (ar <= bounds)
+            assert np.all((got == want) | (got & window))
+            in_window += int(np.count_nonzero(got != want))
+        assert np.all(batch_simhash_test(words, qsketch, bounds, eps))
+        assert not np.any(batch_simhash_test(words, qsketch, above, eps))
+        assert in_window < 4 * (bits + 1)  # about the three probes at or just below each bound, at most
+
+    @pytest.mark.parametrize("bits", [8, 24, 32, 64, 128, 256])
+    def test_bounds_never_reject_what_exact_arithmetic_passes(self, bits):
+        """At 40 digits, an edge with k differing bits passes iff A_r <= cos(pi * max(k - delta, 0) / n),
+        for A_r in (0, 1). Each table bound lies at or above that cosine (or at the largest
+        float below 1, where the cosine is 1), and at most _ROUND_UP_WINDOW above it."""
+        mp = pytest.importorskip("mpmath")
+        top = np.nextafter(1.0, 0.0)
+        for eps in (1e-6, 0.01, 0.2, 0.5, 0.9):
+            bounds = simhash_bounds(bits, eps)
+            assert not bounds.flags.writeable
+            assert bounds[0] == top and bounds.min() >= 0.0
+            with mp.workdps(40):
+                delta = mp.sqrt(bits * mp.log(1 / mp.mpf(eps)) / 2)
+                for k, b in enumerate(bounds.tolist()):
+                    exact = mp.cos(mp.pi * max(k - delta, 0) / bits)
+                    assert mp.mpf(b) >= min(exact, mp.mpf(top)), (eps, k)
+                    if 0 < exact < top:
+                        assert mp.mpf(b) - exact <= _ROUND_UP_WINDOW, (eps, k)
+
+    @pytest.mark.parametrize("n,eps", [(0, 0.2), (64, 0.0), (64, 1.0)])
+    def test_bounds_refuse_bad_arguments(self, n, eps):
+        with pytest.raises(UsageError):
+            simhash_bounds(n, eps)
+
+    @pytest.mark.parametrize("bits,dtype,shape", [(8, np.uint8, (5,)), (24, np.uint8, (5, 3)),
+                                                  (48, np.uint16, (5, 3)), (64, np.uint64, (5,)),
+                                                  (96, np.uint32, (5, 3)), (128, np.uint64, (5, 2))])
+    def test_sketch_words_share_the_buffer(self, bits, dtype, shape):
+        packed = np.zeros((5, bits // 8), dtype=np.uint8)
+        words = sketch_words(packed)
+        assert words.dtype == dtype and words.shape == shape and np.shares_memory(words, packed)
+        packed[3, -1] = 1
+        assert np.count_nonzero(words) == 1
 
 
 class TestRequiredM:
