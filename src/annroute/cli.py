@@ -34,7 +34,8 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--routing", default="none",
                    help="routing mode(s): peos|rceos|simhash|none (comma list for bench)")
     p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--L", type=int, default=None, help="subspace count (default 8; 1 for rceos)")
+    p.add_argument("--L", type=int, default=None,
+                   help="peos subspace count (default 8; rceos is peos at L=1; SimHash has no subspaces)")
     p.add_argument("--m-proj", dest="m_proj", type=int, default=128)
     p.add_argument("--simhash-bits", dest="simhash_bits", type=int, default=64)
     p.add_argument("--compact", action="store_true")

@@ -36,9 +36,10 @@ _RESIDUAL_AVG_CHUNK = 1 << 16
 class EdgeMetaStore:
     """Routing records for every directed base-layer edge, kept in their stored form.
 
-    The per-edge arrays hold the file's record fields (see wire_records):
+    cfg, the attachment's RoutingConfig, fixes the record layout. The
+    per-edge arrays hold the file's record fields (see wire_records):
 
-    * peos/rceos: rec, (E, L+4) uint8, the L+1 extreme-id bytes in their
+    * peos: rec, (E, L+4) uint8, the L+1 extreme-id bytes in their
       wire encoding (column 0 the residual id), then the w_reg, w_res and
       var_idx codes; in compact mode (E, L) with the L subspace id bytes
       only, the weights pinned to (1, 0) and var_idx the one row of every
@@ -67,11 +68,8 @@ class EdgeMetaStore:
     row, points each code at its table entry (see EdgeMetaBlock).
     """
 
-    def __init__(self, mode: RoutingMode, L: int, compact: bool, lead: np.ndarray, enorm_q: np.ndarray,
-                 dst: np.ndarray):
-        self.mode = mode
-        self.L = L
-        self.compact = compact
+    def __init__(self, cfg: RoutingConfig, lead: np.ndarray, enorm_q: np.ndarray, dst: np.ndarray):
+        self.cfg = cfg
         self.quant = None
         self.n_edges = enorm_q.shape[0]
         self.enorm_q = enorm_q
@@ -79,28 +77,28 @@ class EdgeMetaStore:
         self.half_code = self.half_val = self.enorm_tab = self.w_tab = None
         self.enorm_min = 0.0
         self.rec = self.rec_base = self.var_idx = self.sketches = self.words = None
-        if mode == RoutingMode.SIMHASH:
+        if cfg.mode == RoutingMode.SIMHASH:
             self.sketches = lead
             self.words = sketch_words(lead)
-        elif compact:
+        elif cfg.compact:
             self.rec = lead
-            self.rec_base = np.arange(1, L + 1) * ID_BYTES
-            self.var_idx = int(var_row_indices(1.0, 0.0, L))
+            self.rec_base = np.arange(1, cfg.L + 1) * ID_BYTES
+            self.var_idx = int(var_row_indices(1.0, 0.0, cfg.L))
         else:
             self.rec = lead
             # id bytes to their signed-table rows, w_res codes to the second half of w_tab
-            self.rec_base = np.concatenate((np.arange(L + 1) * ID_BYTES, [0, 256, 0]))
+            self.rec_base = np.concatenate((np.arange(cfg.L + 1) * ID_BYTES, [0, 256, 0]))
 
     @classmethod
-    def zeros(cls, mode: RoutingMode, L: int, compact: bool, simhash_bits: int, dst: np.ndarray) -> "EdgeMetaStore":
+    def zeros(cls, cfg: RoutingConfig, dst: np.ndarray) -> "EdgeMetaStore":
         """A store of zero records, one per edge of the target array dst, for attach to fill."""
-        lead = np.zeros((dst.shape[0], _lead_width(mode, L, compact, simhash_bits)), dtype=np.uint8)
-        return cls(mode, L, compact, lead, np.zeros(dst.shape[0], dtype=_norm_dtype(compact)), dst)
+        lead = np.zeros((dst.shape[0], _lead_width(cfg)), dtype=np.uint8)
+        return cls(cfg, lead, np.zeros(dst.shape[0], dtype=_norm_dtype(cfg.compact)), dst)
 
     @property
     def ids(self) -> np.ndarray:
         """Extreme-id bytes, (E, L+1) led by the residual id, or (E, L) in compact mode."""
-        return self.rec if self.compact else self.rec[:, : self.L + 1]
+        return self.rec if self.cfg.compact else self.rec[:, : self.cfg.L + 1]
 
     def finalize(self, sqn: np.ndarray, enorm: ScalarQuantizer) -> None:
         """Fit half_u_sq to the half-norms of the edges' targets, encode every node's
@@ -118,9 +116,9 @@ class EdgeMetaStore:
         self.enorm_tab = quant.enorm.decode(np.arange(1 << (8 * dtype.itemsize)))
         # decode is monotone in the code, so the smallest code holds the smallest norm
         self.enorm_min = float(self.enorm_tab[self.enorm_q.min()]) if self.n_edges else math.inf
-        if self.rec is not None and not self.compact:
+        if self.rec is not None and not self.cfg.compact:
             w = np.arange(256) / 255.0
-            self.w_tab = np.concatenate((w, math.sqrt(self.L) * w))
+            self.w_tab = np.concatenate((w, math.sqrt(self.cfg.L) * w))
 
     def block(self, slots: np.ndarray, targets: np.ndarray) -> EdgeMetaBlock:
         """The edges at slots, whose targets (dst at those slots) the caller already holds."""
@@ -131,7 +129,7 @@ class EdgeMetaStore:
     # -- wire format -------------------------------------------------------
 
     def _lead(self) -> np.ndarray:
-        return self.sketches if self.mode == RoutingMode.SIMHASH else self.rec
+        return self.sketches if self.cfg.mode == RoutingMode.SIMHASH else self.rec
 
     def wire_records(self) -> np.ndarray:
         """Per-edge records in adjacency order, one row each: the lead fields, then the
@@ -140,29 +138,28 @@ class EdgeMetaStore:
         return np.concatenate((self._lead(), enorm), axis=1)
 
     @classmethod
-    def from_wire(cls, raw: memoryview, idx: HnswIndex, mode: RoutingMode, L: int, m: int, compact: bool,
-                  simhash_bits: int, enorm: ScalarQuantizer) -> "EdgeMetaStore":
+    def from_wire(cls, raw: memoryview, idx: HnswIndex, cfg: RoutingConfig,
+                  enorm: ScalarQuantizer) -> "EdgeMetaStore":
         """A store from the record section of a file over idx's adjacency.
 
         The lead fields and the edge-norm column are copied out of the
         section once; finalize fits and encodes the half-norms from idx's norms.
         """
-        width = _lead_width(mode, L, compact, simhash_bits)
-        dtype = _norm_dtype(compact)
+        width = _lead_width(cfg)
+        dtype = _norm_dtype(cfg.compact)
         mat = _wire_matrix(raw, idx.n_base_edges, width + dtype.itemsize)
-        store = cls(mode, L, compact, mat[:, :width].copy(), mat[:, width:].view(dtype)[:, 0].copy(),
-                    idx.base_indices)
-        if mode != RoutingMode.SIMHASH:
-            check_id_bytes(store.ids, m)
+        store = cls(cfg, mat[:, :width].copy(), mat[:, width:].view(dtype)[:, 0].copy(), idx.base_indices)
+        if cfg.mode != RoutingMode.SIMHASH:
+            check_id_bytes(store.ids, cfg.m)
         store.finalize(idx._sqn, enorm)
         return store
 
 
-def _lead_width(mode: RoutingMode, L: int, compact: bool, simhash_bits: int) -> int:
+def _lead_width(cfg: RoutingConfig) -> int:
     """Bytes of a record before its edge-norm code: the sketch, or the id bytes and weight codes."""
-    if mode == RoutingMode.SIMHASH:
-        return simhash_bits // 8
-    return L if compact else L + 4
+    if cfg.mode == RoutingMode.SIMHASH:
+        return cfg.simhash_bits // 8
+    return cfg.L if cfg.compact else cfg.L + 4
 
 
 def _norm_dtype(compact: bool) -> np.dtype:
@@ -261,12 +258,14 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     subtraction is sign-symmetric, and so are its products with the
     projections and the SimHash hyperplanes. So every mode computes one
     edge of each reciprocal pair and writes the other's record from it:
-    peos and rceos negate the ids, since every id is odd in the residual
-    and every other code (weights, variance row, edge norm) is even (see
+    peos negates the ids, since every id is odd in the residual and every
+    other code (weights, variance row, edge norm) is even (see
     encode_id_bytes for the one asymmetry, -128); SimHash stores the
     mirror's >= 0 bit of -p as p <= 0, so a zero product is a one bit on
     both sides. The records are byte-identical to computing every edge.
-    finalize fits half_u_sq to the edges' targets and encodes it once per node.
+    finalize fits half_u_sq to the edges' targets and encodes it once per
+    node. SimHash takes only the identity plan, as search sketches the
+    query in natural order.
     """
     if cfg.mode == RoutingMode.NONE:
         return idx.with_routing(None)
@@ -282,9 +281,10 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     simhash = cfg.mode == RoutingMode.SIMHASH
     hashes = att_ens = None
     if simhash:
+        if perm is not None:
+            raise UsageError("SimHash takes no permutation plan")
         seed = idx.seed
         hashes = generate_simhash_hashes(seed, idx.dim, cfg.simhash_bits)
-        hperm = hashes[:, plan.perm]  # hash the permuted residuals
     else:
         if ens is None:
             raise UsageError("projection routing needs an ensemble")
@@ -292,7 +292,7 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
             raise UsageError("ensemble does not match index/config")
         seed = ens.seed
         att_ens = ens
-    store = EdgeMetaStore.zeros(cfg.mode, cfg.L, cfg.compact, cfg.simhash_bits, dst)
+    store = EdgeMetaStore.zeros(cfg, dst)
     lead = store._lead()
     # the quantizers are fitted once every edge norm is known, after the loop
     canon, mirrors, source = _reverse_pairs(idx.n, src, dst.astype(np.int64))
@@ -307,7 +307,7 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
         t, k = mirrors[a:b], source[a:b] - lo
         enorm_vals[s], enorm_vals[t] = enorm, enorm[k]
         if simhash:
-            p = e @ hperm.T
+            p = e @ hashes.T
             lead[s], lead[t] = np.packbits(p >= 0.0, axis=1), np.packbits(p[k] <= 0.0, axis=1)
         else:
             pnorm = enorm if perm is None else np.linalg.norm(e, axis=1)  # the weights' norm, permuted order
@@ -378,13 +378,12 @@ def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,
     if cfg.mode == RoutingMode.NONE:
         return attach_routing(idx, None, PermutationPlan.identity(idx.dim, 1), cfg)
     seed = idx.seed if seed is None else seed
+    # a plan over one subspace is the identity, so only L > 1 scans the edges for one
     plan = (
         build_permutation(edge_residual_avgs(idx), cfg.L)
-        if permute
+        if permute and cfg.L > 1
         else PermutationPlan.identity(idx.dim, cfg.L)
     )
-    ens = None
-    if cfg.mode in (RoutingMode.PEOS, RoutingMode.RCEOS):
-        ens = generate_ensemble(seed, idx.dim, cfg.L, cfg.m)
+    ens = generate_ensemble(seed, idx.dim, cfg.L, cfg.m) if cfg.mode == RoutingMode.PEOS else None
     return attach_routing(idx, ens, plan, cfg)
 

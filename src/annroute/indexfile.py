@@ -29,8 +29,8 @@ INDEX_VERSION = 3
 
 _METRIC_CODE = {Metric.L2: 0, Metric.ANGULAR: 1, Metric.IP: 2}
 _METRIC_FROM = {v: k for k, v in _METRIC_CODE.items()}
-_MODE_CODE = {RoutingMode.NONE: 0, RoutingMode.PEOS: 1, RoutingMode.RCEOS: 2, RoutingMode.SIMHASH: 3}
-_MODE_FROM = {v: k for k, v in _MODE_CODE.items()}
+_MODE_CODE = {RoutingMode.NONE: 0, RoutingMode.PEOS: 1, RoutingMode.SIMHASH: 3}
+_MODE_FROM = {v: k for k, v in _MODE_CODE.items()} | {2: RoutingMode.RCEOS}  # older files' rceos: peos at L=1
 
 
 def dataset_fingerprint(ds: Dataset) -> int:
@@ -181,8 +181,6 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
             cfg = RoutingConfig(mode=mode, L=L, m=m, compact=bool(compact), simhash_bits=shbits)
         except UsageError as exc:
             raise FormatError(f"bad routing header: {exc}") from exc
-        if L < 1 or d % L:
-            raise FormatError(f"bad routing header: L={L} does not divide d={d}")
         rng_len = r.take("H")
         stored_rng_id = bytes(r.bytes(rng_len)).decode(errors="replace")
         if stored_rng_id != RNG_ID:
@@ -192,9 +190,11 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
             )
         enorm = _checked_enorm(*r.take("ddB"), _norm_bits(cfg.compact))
         try:
-            plan = PermutationPlan(r.array("<u4", d).astype(np.int64), L)
+            plan = PermutationPlan(r.array("<u4", d).astype(np.int64), cfg.L)
         except UsageError as exc:
             raise FormatError(f"bad permutation: {exc}") from exc
+        if cfg.mode == RoutingMode.SIMHASH:  # an older attach wrote a plan that SimHash never read
+            plan = PermutationPlan.identity(d, 1)
 
     indptr, indices = _read_level(r, n, 2 * M, n)
     upper = {}
@@ -219,13 +219,10 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
     )
     if mode != RoutingMode.NONE:
         # the records fill the rest of the payload; from_wire checks their count and width
-        store = EdgeMetaStore.from_wire(r.buf[r.pos :], idx, mode, L, m, cfg.compact, shbits, enorm)
-        ens = None
-        hashes = None
-        if mode == RoutingMode.SIMHASH:
-            hashes = generate_simhash_hashes(rt_seed, d, shbits)
-        else:
-            ens = generate_ensemble(rt_seed, d, L, m)
+        store = EdgeMetaStore.from_wire(r.buf[r.pos :], idx, cfg, enorm)
+        simhash = cfg.mode == RoutingMode.SIMHASH
+        hashes = generate_simhash_hashes(rt_seed, d, shbits) if simhash else None
+        ens = None if simhash else generate_ensemble(rt_seed, d, cfg.L, m)
         idx.routing = RoutingAttachment(cfg=cfg, seed=rt_seed, plan=plan, store=store, ens=ens, hashes=hashes)
     elif r.pos != len(payload):
         raise FormatError(f"{len(payload) - r.pos} bytes after the last section")

@@ -106,18 +106,14 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
 
     att = idx.routing
     qpt = tbl = qsketch = None
-    if mode in (RoutingMode.PEOS, RoutingMode.RCEOS):
-        if att is None or att.cfg.mode not in (RoutingMode.PEOS, RoutingMode.RCEOS):
-            raise UsageError(f"index has no {mode.value} routing attached")
-        if mode == RoutingMode.RCEOS and att.cfg.L != 1:
-            raise UsageError("rceos queries need an L=1 attachment")
+    if mode != RoutingMode.NONE and (att is None or att.cfg.mode != mode):
+        raise UsageError(f"index has no {mode.value} routing attached")
+    if mode == RoutingMode.PEOS:
+        if params.routing.L != att.cfg.L:
+            raise UsageError(f"peos query L={params.routing.L} does not match the attachment's L={att.cfg.L}")
         qpt = project_query(q64[att.plan.perm], att.ens)
         tbl = att.quantile_table(params.routing.eps)
     elif mode == RoutingMode.SIMHASH:
-        if att is None or att.cfg.mode != RoutingMode.SIMHASH:
-            raise UsageError("index has no simhash routing attached")
-        # attach hashes permuted residuals with the permuted hyperplanes, so each stored
-        # sketch is that of the residual in natural order; the query is sketched in it too
         qsketch = simhash_sketch(q64, att.hashes)
 
     if scratch is None:

@@ -6,14 +6,16 @@ for every edge whether the neighbor's exact distance is worth computing.
 A gated neighbor whose true distance beats the threshold must pass with
 probability at least 1 - eps.
 
-Every quantization in this module rounds in the direction that loosens
-the test (more false positives), never the direction that could reject
-additional true positives:
+Every quantization in this module but one rounds in the direction that
+loosens the test (more false positives), never the direction that could
+reject additional true positives:
 
 * the variance row index rounds the edge variance up,
 * the x column rounds the threshold down, and each cell holds the
   minimum of the quantile over that cell and every cell to its right,
-* stored half-norms round down and edge norms round up, shrinking A_r,
+* stored half-norms round down, lowering A_r; edge norms round up, the
+  exception: that lowers a positive A_r but raises a negative one toward
+  0, which can tighten the peos test (SimHash passes every A_r <= 0),
 * table cells are nudged a hair below the exact quantile,
 * SimHash bounds on A_r are raised a hair above the exact cosine.
 """
@@ -56,6 +58,7 @@ class RoutingConfig:
     simhash_bits: int = 64
 
     def __post_init__(self):
+        """Settle aliases and unused fields: rceos is peos at L=1; SimHash has no subspaces, so L=1."""
         if self.mode == RoutingMode.NONE:
             return
         if self.mode == RoutingMode.SIMHASH:
@@ -65,11 +68,13 @@ class RoutingConfig:
                 raise UsageError("simhash_bits must be a positive multiple of 8")
             if self.compact:
                 raise UsageError("compact records hold extreme ids; SimHash has no compact form")
+            object.__setattr__(self, "L", 1)
             return
         if not 0.0 < self.eps <= 0.5:
             raise UsageError("error bound must lie in (0, 0.5]")
         if self.mode == RoutingMode.RCEOS and self.L != 1:
             raise UsageError("RCEOs is the L=1 mode; set L=1 or use peos")
+        object.__setattr__(self, "mode", RoutingMode.PEOS)  # peos or its alias rceos
         if self.L < 1:
             raise UsageError("need at least one subspace")
         if not 2 <= self.m <= MAX_PROJECTIONS:

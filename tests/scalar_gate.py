@@ -199,19 +199,19 @@ def build_edge_meta(
 
 def meta_at(store: EdgeMetaStore, slot: int) -> EdgeMeta:
     """The record at a slot of an attached store, decoded into an EdgeMeta."""
-    if store.mode == RoutingMode.SIMHASH:
+    if store.cfg.mode == RoutingMode.SIMHASH:
         raise UsageError("SimHash attachments store sketches, not extreme ids")
     r = store.rec[slot]
-    L = store.L
+    L, compact = store.cfg.L, store.cfg.compact
     return EdgeMeta(
         ext_ids=tuple(int(x) for x in decode_id_bytes(store.ids[slot])),
-        w_reg_q=255 if store.compact else int(r[L + 1]),
-        w_res_q=0 if store.compact else int(r[L + 2]),
-        var_idx=store.var_idx if store.compact else int(r[L + 3]),
+        w_reg_q=255 if compact else int(r[L + 1]),
+        w_res_q=0 if compact else int(r[L + 2]),
+        var_idx=store.var_idx if compact else int(r[L + 3]),
         half_u_sq_q=int(store.half_code[store.dst[slot]]),
         enorm_q=int(store.enorm_q[slot]),
         quant=store.quant,
-        compact=store.compact,
+        compact=compact,
     )
 
 

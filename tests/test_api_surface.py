@@ -48,3 +48,12 @@ def test_every_package_name_has_a_caller_outside_the_tests(monkeypatch):
     unused = [f"{path.name}:{qual}" for path, tree in src.items() for qual, name, node in _definitions(tree)
               if qual not in ALLOWED and refs[name] - _names(node)[name] <= 0]
     assert not unused, f"named only by the tests: {unused}"
+
+
+def test_rceos_is_named_only_where_the_alias_is_settled():
+    """rceos is peos at L=1. Below the config only peos, SimHash and none remain, so
+    RoutingMode.RCEOS is named by the config that settles the alias (routing.py), the
+    CLI's L=1 default (cli.py) and the reader of older files' mode code 2 (indexfile.py)."""
+    naming = {p.name for p in (ROOT / "src" / "annroute").glob("*.py")
+              if any(isinstance(n, ast.Attribute) and n.attr == "RCEOS" for n in ast.walk(ast.parse(p.read_text())))}
+    assert naming == {"routing.py", "cli.py", "indexfile.py"}

@@ -42,6 +42,23 @@ class TestBench:
         assert code == 0
         assert out_path.read_text().startswith(CSV_HEADER)
 
+    def test_rceos_rows_report_peos_L1(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--routing", "rceos", "--m-proj", "64", "--efs", "30", "--K", "10",
+            "--synthetic", "400,16,4", "--M", "8", "--efc", "40",
+        )
+        assert code == 0
+        assert out.strip().split("\n")[1].startswith("peos,0.2,1,64,")
+
+    def test_simhash_on_d_not_divisible_by_8(self, capsys):
+        """SimHash has no subspaces, so the default L=8 does not bind d."""
+        code, out, err = run_cli(
+            capsys, "bench", "--routing", "simhash", "--synthetic", "500,30,3", "--efs", "20", "--K", "5",
+            "--M", "8", "--efc", "40",
+        )
+        assert code == 0, err
+        assert out.strip().split("\n")[1].startswith("simhash,0.2,1,")
+
 
 class TestValidation:
     def test_rceos_with_L4_is_usage_error(self, capsys):
@@ -191,6 +208,29 @@ class TestBuildAttachSearch:
         code, _, err = run_cli(capsys, "search", "--base", str(base), "--index", str(index),
                                "--query", str(qpath), "--K", "5", "--efs", "20")
         assert code == 2 and "format error" in err and "repeats an id" in err
+
+    def test_rceos_mode_code_2(self, capsys, tmp_path):
+        """Older files write rceos as mode code 2. With L=1 search serves it as peos at L=1;
+        with L=4, which rceos cannot have, the routing header is a format error."""
+        ds, queries = synthetic_dataset(300, 16, 2, seed=4)
+        base, qpath, index = tmp_path / "base.fvecs", tmp_path / "q.fvecs", tmp_path / "g.idx"
+        save_fvecs(ds, base)
+        save_fvecs(queries, qpath)
+        routed = attach(build_hnsw(ds, M=4, efc=20, metric=Metric.L2, seed=1),
+                        RoutingConfig(mode=RoutingMode.RCEOS, L=1, m=64))
+        save_index(routed, index)
+        search = ("search", "--base", str(base), "--index", str(index), "--query", str(qpath),
+                  "--routing", "rceos", "--m-proj", "64", "--K", "5", "--efs", "20")
+        mode_at = struct.calcsize("<4sIBIQIIQQIQ")  # the routing mode byte, then L
+        raw = bytearray(index.read_bytes()[:-8])
+        assert raw[mode_at] == 1
+        for L, want in ((1, 0), (4, 2)):
+            raw[mode_at] = 2
+            struct.pack_into("<I", raw, mode_at + 1, L)
+            index.write_bytes(bytes(raw) + hashlib.blake2b(bytes(raw), digest_size=8).digest())
+            code, _, err = run_cli(capsys, *search)
+            assert code == want, err
+        assert "format error: bad routing header" in err and "L=1" in err
 
     def test_simhash_compact_exits_1(self, capsys, tmp_path):
         ds, _ = synthetic_dataset(300, 16, 2, seed=4)

@@ -217,6 +217,40 @@ class TestAttach:
         with pytest.raises(UsageError):
             attach_routing(idx, ens, plan, RoutingConfig(mode=RoutingMode.PEOS, L=4, m=64))
 
+    def test_simhash_refuses_a_plan(self, small):
+        """SimHash has no subspaces: its config holds L=1, and only the identity plan attaches."""
+        _, _, idx = small
+        cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, L=8, simhash_bits=64)
+        assert cfg.L == 1
+        with pytest.raises(UsageError, match="SimHash takes no permutation plan"):
+            attach_routing(idx, None, PermutationPlan(np.arange(idx.dim)[::-1], 1), cfg)
+        with pytest.raises(UsageError, match="does not match"):
+            attach_routing(idx, None, PermutationPlan.identity(idx.dim, 8), cfg)
+
+    def test_simhash_permute_writes_the_same_file(self, small, tmp_path):
+        _, _, idx = small
+        cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64)
+        paths = [tmp_path / "plain.idx", tmp_path / "permute.idx"]
+        for path, permute in zip(paths, (False, True)):
+            save_index(attach(idx, cfg, permute=permute), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_simhash_default_config_on_any_d(self, tmp_path):
+        """d=30 is not a multiple of the default L=8, which SimHash does not read."""
+        ds, queries = synthetic_dataset(500, 30, 3, seed=3)
+        idx = build_hnsw(ds, M=8, efc=40, metric=Metric.L2, seed=3)
+        cfg = RoutingConfig(mode=RoutingMode.SIMHASH)
+        routed = attach(idx, cfg)
+        path = tmp_path / "sh30.idx"
+        save_index(routed, path)
+        loaded = load_index(path, ds)
+        assert loaded.routing.cfg == cfg
+        params = SearchParams(K=5, efs=20, routing=cfg)
+        for q in queries:
+            (a, sa), (b, sb) = search(routed, q, params), search(loaded, q, params)
+            np.testing.assert_array_equal(a, b)
+            assert sa == sb and sa.tests_evaluated > 0
+
 
 class TestSearch:
     def test_query_equal_to_point(self, small):
@@ -510,6 +544,35 @@ class TestPersistence:
             np.testing.assert_array_equal(a, b)
             assert sa == sb
 
+    def test_rceos_mode_code_loads_as_peos_L1(self, small, tmp_path):
+        """Older files write rceos as mode code 2; it loads as the peos L=1 attachment it is."""
+        ds, queries, idx = small
+        cfg = RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=1, m=64)
+        routed = attach(idx, cfg)
+        path = tmp_path / "rceos.idx"
+        save_index(routed, path)
+        assert path.read_bytes()[_L_AT - 1] == 1
+        _reseal(path, _L_AT - 1, "B", 2)
+        loaded = load_index(path, ds)
+        assert loaded.routing.cfg == cfg and loaded.routing.cfg.mode == RoutingMode.PEOS
+        assert loaded.routing.store.wire_records().tobytes() == routed.routing.store.wire_records().tobytes()
+        params = SearchParams(K=10, efs=60, routing=RoutingConfig(mode=RoutingMode.RCEOS, eps=0.2, L=1, m=64))
+        np.testing.assert_array_equal(search(loaded, queries[0], params)[0], search(routed, queries[0], params)[0])
+
+    def test_simhash_header_with_L8_and_a_plan_loads_as_L1(self, small, tmp_path):
+        """Older attach wrote SimHash files with L=8 and, asked to permute, a plan it never read."""
+        ds, _, idx = small
+        routed = attach(idx, _STORE_CONFIGS["simhash_64"])
+        path = tmp_path / "sh.idx"
+        save_index(routed, path)
+        _reseal(path, _L_AT, "I", 8)
+        _reseal(path, _PERM_AT, "I", 1)
+        _reseal(path, _PERM_AT + 4, "I", 0)  # dimensions 0 and 1 swapped
+        loaded = load_index(path, ds).routing
+        assert loaded.cfg.L == 1 and loaded.plan.L == 1
+        np.testing.assert_array_equal(loaded.plan.perm, np.arange(idx.dim))
+        assert loaded.store.wire_records().tobytes() == routed.routing.store.wire_records().tobytes()
+
     def test_header_fields_survive(self, small, small_peos, tmp_path):
         ds, _, _ = small
         path = tmp_path / "d.idx"
@@ -721,7 +784,7 @@ class TestLoadPath:
         per_edge += [(row, np.int32) for nodes in loaded.upper.values() for row in nodes.values()]
         store = loaded.routing.store if loaded.routing else None
         if store is not None:
-            norm_dtype = np.uint8 if store.compact else np.dtype("<u2")
+            norm_dtype = np.uint8 if store.cfg.compact else np.dtype("<u2")
             per_edge += [(store.enorm_q, norm_dtype), (store.half_code, norm_dtype), (store.half_val, np.float64)]
             per_edge.append((store.sketches if store.rec is None else store.rec, np.uint8))
         for arr, dtype in per_edge:
@@ -828,13 +891,14 @@ class TestLiveGateEquivalence:
             assert seen["tested"] >= 200
 
     def test_simhash_query_sketched_as_the_edges_are(self, monkeypatch):
-        """With a permutation plan, the sketch search makes of a vector equals the sketch
-        attach stored for the same vector as an edge residual."""
+        """Asked to permute, SimHash attach keeps the identity plan, and the sketch search makes
+        of a vector equals the sketch attach stored for the same vector as an edge residual."""
         ds, _ = synthetic_dataset(600, 32, 1, seed=5)
         idx = build_hnsw(ds, M=8, efc=40, metric=Metric.L2, seed=5)
         cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64)
         routed = attach(idx, cfg, permute=True)
-        assert not np.array_equal(routed.routing.plan.perm, np.arange(idx.dim))
+        assert routed.routing.plan.L == 1
+        np.testing.assert_array_equal(routed.routing.plan.perm, np.arange(idx.dim))
         made = []
         sketch = query_mod.simhash_sketch
         monkeypatch.setattr(query_mod, "simhash_sketch", lambda q, hashes: made.append(sketch(q, hashes)) or made[-1])
@@ -1246,8 +1310,8 @@ class TestGoldenAttach:
         routed = attach(idx, cfg, permute=permute)
         store = routed.routing.store
         if graph == "handmade":
-            loaded = edgestore.EdgeMetaStore.from_wire(memoryview(store.wire_records().reshape(-1)), idx, cfg.mode,
-                                                       cfg.L, cfg.m, cfg.compact, cfg.simhash_bits, store.quant.enorm)
+            loaded = edgestore.EdgeMetaStore.from_wire(memoryview(store.wire_records().reshape(-1)), idx, cfg,
+                                                       store.quant.enorm)
         else:
             path = tmp_path / "routed.idx"
             save_index(routed, path)

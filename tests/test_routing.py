@@ -512,6 +512,13 @@ class TestRceosCollapse:
         with pytest.raises(UsageError, match="L=1"):
             search(routed, queries[0], SearchParams(K=10, efs=64, routing=self._cfg(RoutingMode.RCEOS)))
 
+    def test_peos_query_L_must_match_the_attachment(self, collapse_graphs):
+        """The quantile table and the projections are the attachment's, so a query at another L is refused."""
+        queries, idx = collapse_graphs[Metric.L2]
+        routed = attach(idx, self._cfg(RoutingMode.PEOS, L=8))
+        with pytest.raises(UsageError, match="L=4 does not match the attachment's L=8"):
+            search(routed, queries[0], SearchParams(K=10, efs=64, routing=self._cfg(RoutingMode.PEOS, L=4)))
+
 
 class TestSimHash:
     def test_opposite_vector_flips_all_bits(self):
@@ -842,6 +849,14 @@ class TestRoutingConfig:
     def test_rceos_requires_L1(self):
         with pytest.raises(UsageError):
             RoutingConfig(mode=RoutingMode.RCEOS, L=4)
+
+    def test_rceos_is_peos_at_L1(self):
+        cfg = RoutingConfig(mode=RoutingMode.RCEOS, L=1, m=64)
+        assert cfg.mode == RoutingMode.PEOS and cfg == RoutingConfig(mode=RoutingMode.PEOS, L=1, m=64)
+
+    @pytest.mark.parametrize("L", [3, 8])
+    def test_simhash_holds_L1(self, L):
+        assert RoutingConfig(mode=RoutingMode.SIMHASH, L=L).L == 1
 
     def test_compact_range(self):
         with pytest.raises(UsageError):
