@@ -46,7 +46,7 @@ from .routing import (
     w_reg_lower_bound,
 )
 from .hnsw import HnswIndex, brute_force_all, build_hnsw
-from .edgestore import attach, attach_routing, edge_residual_avgs
+from .edgestore import attach, edge_residual_avgs
 from .query import AuditTrace, SearchParams, SearchStats, search
 from .indexfile import load_index, save_index
 from .bench import (

@@ -1,4 +1,4 @@
-"""Per-edge routing metadata: the edge store, its wire records, and attach.
+"""Per-edge routing metadata: the edge store, its wire records, the attachment, and attach.
 
 Records are slot-aligned with the CSR adjacency, so search gathers a
 popped node's whole edge block at once.
@@ -17,11 +17,9 @@ from .projections import ID_BYTES, ProjectionEnsemble, check_id_bytes, encode_id
 from .routing import (
     EdgeMetaBlock,
     EdgeQuantizers,
-    QuantileTable,
     RoutingConfig,
     RoutingMode,
     ScalarQuantizer,
-    build_quantile_table,
     generate_simhash_hashes,
     sketch_words,
     var_row_indices,
@@ -174,20 +172,21 @@ def _wire_matrix(raw: memoryview, n_edges: int, rec: int) -> np.ndarray:
 
 @dataclass
 class RoutingAttachment:
+    """A gate as attach fixed it. Its random vectors, ens for peos or hashes for SimHash,
+    derive from (cfg, seed, plan.dim), as a file holds only the seed."""
+
     cfg: RoutingConfig
     seed: int
     plan: PermutationPlan
     store: EdgeMetaStore
-    ens: ProjectionEnsemble | None = None
-    hashes: np.ndarray | None = None
-    _qtables: dict[float, QuantileTable] = field(default_factory=dict, repr=False)
+    ens: ProjectionEnsemble | None = field(init=False, default=None)
+    hashes: np.ndarray | None = field(init=False, default=None)
 
-    def quantile_table(self, eps: float) -> QuantileTable:
-        """The peos quantile table for eps, built on first use; cfg's L and m never change."""
-        tbl = self._qtables.get(eps)
-        if tbl is None:
-            tbl = self._qtables[eps] = build_quantile_table(eps, self.cfg.L, self.cfg.m)
-        return tbl
+    def __post_init__(self):
+        if self.cfg.mode == RoutingMode.SIMHASH:
+            self.hashes = generate_simhash_hashes(self.seed, self.plan.dim, self.cfg.simhash_bits)
+        else:
+            self.ens = generate_ensemble(self.seed, self.plan.dim, self.cfg.L, self.cfg.m)
 
 
 def _norm_bits(compact: bool) -> int:
@@ -250,9 +249,13 @@ def _reverse_pairs(n: int, src: np.ndarray, dst: np.ndarray):
     return canon, mirrors[order], source[order]
 
 
-def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
-                   plan: PermutationPlan, cfg: RoutingConfig) -> HnswIndex:
+def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,
+           seed: int | None = None) -> HnswIndex:
     """Build per-edge metadata for the configured gate; returns a new index view.
+
+    seed (idx.seed by default) derives the projections or hyperplanes. permute
+    splits cfg.L subspaces by build_permutation's plan; at L=1, so for SimHash, the
+    plan is the identity, as search sketches a SimHash query in natural order.
 
     The residual of v->u is exactly minus that of u->v, since float
     subtraction is sign-symmetric, and so are its products with the
@@ -264,35 +267,25 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     mirror's >= 0 bit of -p as p <= 0, so a zero product is a one bit on
     both sides. The records are byte-identical to computing every edge.
     finalize fits half_u_sq to the edges' targets and encodes it once per
-    node. SimHash takes only the identity plan, as search sketches the
-    query in natural order.
+    node.
     """
     if cfg.mode == RoutingMode.NONE:
         return idx.with_routing(None)
-    if plan.dim != idx.dim or plan.L != cfg.L:
-        raise UsageError("permutation plan does not match index/config")
-    n_edges = idx.n_base_edges
+    # a plan over one subspace is the identity, so only L > 1 scans the edges for one
+    plan = (
+        build_permutation(edge_residual_avgs(idx), cfg.L)
+        if permute and cfg.L > 1
+        else PermutationPlan.identity(idx.dim, cfg.L)
+    )
     src = np.repeat(np.arange(idx.n), np.diff(idx.base_indptr))
     dst = idx.base_indices
     perm = None if np.array_equal(plan.perm, np.arange(idx.dim)) else plan.perm
     V = idx.dataset.vectors
-    enorm_vals = np.empty(n_edges)
+    enorm_vals = np.empty(idx.n_base_edges)
 
-    simhash = cfg.mode == RoutingMode.SIMHASH
-    hashes = att_ens = None
-    if simhash:
-        if perm is not None:
-            raise UsageError("SimHash takes no permutation plan")
-        seed = idx.seed
-        hashes = generate_simhash_hashes(seed, idx.dim, cfg.simhash_bits)
-    else:
-        if ens is None:
-            raise UsageError("projection routing needs an ensemble")
-        if ens.d != idx.dim or ens.L != cfg.L or ens.m != cfg.m:
-            raise UsageError("ensemble does not match index/config")
-        seed = ens.seed
-        att_ens = ens
-    store = EdgeMetaStore.zeros(cfg, dst)
+    att = RoutingAttachment(cfg=cfg, seed=idx.seed if seed is None else seed, plan=plan,
+                            store=EdgeMetaStore.zeros(cfg, dst))
+    ens, hashes, store = att.ens, att.hashes, att.store
     lead = store._lead()
     # the quantizers are fitted once every edge norm is known, after the loop
     canon, mirrors, source = _reverse_pairs(idx.n, src, dst.astype(np.int64))
@@ -306,7 +299,7 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
         a, b = np.searchsorted(source, (lo, hi))
         t, k = mirrors[a:b], source[a:b] - lo
         enorm_vals[s], enorm_vals[t] = enorm, enorm[k]
-        if simhash:
+        if hashes is not None:
             p = e @ hashes.T
             lead[s], lead[t] = np.packbits(p >= 0.0, axis=1), np.packbits(p[k] <= 0.0, axis=1)
         else:
@@ -318,9 +311,7 @@ def attach_routing(idx: HnswIndex, ens: ProjectionEnsemble | None,
     enorm = ScalarQuantizer.fit(enorm_vals, _norm_bits(cfg.compact))
     store.enorm_q[:] = enorm.encode(enorm_vals, "up")
     store.finalize(idx._sqn, enorm)
-
-    return idx.with_routing(RoutingAttachment(cfg=cfg, seed=seed, plan=plan, store=store, ens=att_ens,
-                                              hashes=hashes))
+    return idx.with_routing(att)
 
 
 def _meta_chunk(ep: np.ndarray, enorm: np.ndarray, ens: ProjectionEnsemble,
@@ -370,20 +361,3 @@ def _signed_argmax_rows(prods: np.ndarray) -> np.ndarray:
     may be -128, which encode_id_bytes stores as the null id."""
     j = np.abs(prods).argmax(axis=1)
     return np.where(prods[np.arange(prods.shape[0]), j] >= 0.0, j + 1, -1 - j).astype(np.int16)
-
-
-def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,
-           seed: int | None = None) -> HnswIndex:
-    """Convenience wrapper: derive plan and ensemble, then attach."""
-    if cfg.mode == RoutingMode.NONE:
-        return attach_routing(idx, None, PermutationPlan.identity(idx.dim, 1), cfg)
-    seed = idx.seed if seed is None else seed
-    # a plan over one subspace is the identity, so only L > 1 scans the edges for one
-    plan = (
-        build_permutation(edge_residual_avgs(idx), cfg.L)
-        if permute and cfg.L > 1
-        else PermutationPlan.identity(idx.dim, cfg.L)
-    )
-    ens = generate_ensemble(seed, idx.dim, cfg.L, cfg.m) if cfg.mode == RoutingMode.PEOS else None
-    return attach_routing(idx, ens, plan, cfg)
-

@@ -20,8 +20,8 @@ import numpy as np
 from .edgestore import EdgeMetaStore, RoutingAttachment, _norm_bits
 from .errors import CorruptionError, FormatError, UsageError
 from .hnsw import HnswIndex
-from .projections import RNG_ID, generate_ensemble
-from .routing import RoutingConfig, RoutingMode, ScalarQuantizer, generate_simhash_hashes
+from .projections import RNG_ID
+from .routing import RoutingConfig, RoutingMode, ScalarQuantizer
 from .vecstore import Dataset, Metric, PermutationPlan
 
 INDEX_MAGIC = b"PEOS"
@@ -58,7 +58,7 @@ def save_index(idx: HnswIndex, path) -> None:
     if att is not None:
         cfg = att.cfg
         parts.append(struct.pack("<IIBIQ", cfg.L, cfg.m, int(cfg.compact), cfg.simhash_bits, att.seed))
-        rng_id = (att.ens.rng_id if att.ens is not None else RNG_ID).encode()
+        rng_id = RNG_ID.encode()
         parts.append(struct.pack("<H", len(rng_id)) + rng_id)
         q = att.store.quant.enorm
         parts.append(struct.pack("<ddB", q.lo, q.hi, q.bits))
@@ -147,7 +147,7 @@ class _Reader:
 
 
 def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
-    """Reload an index; projections regenerate from the stored seed.
+    """Reload an index; the attachment derives its projections or hyperplanes from the stored seed.
 
     When a dataset is supplied its content hash must match the one
     recorded at save time. The file is read once; the checksum and every
@@ -220,10 +220,7 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
     if mode != RoutingMode.NONE:
         # the records fill the rest of the payload; from_wire checks their count and width
         store = EdgeMetaStore.from_wire(r.buf[r.pos :], idx, cfg, enorm)
-        simhash = cfg.mode == RoutingMode.SIMHASH
-        hashes = generate_simhash_hashes(rt_seed, d, shbits) if simhash else None
-        ens = None if simhash else generate_ensemble(rt_seed, d, cfg.L, m)
-        idx.routing = RoutingAttachment(cfg=cfg, seed=rt_seed, plan=plan, store=store, ens=ens, hashes=hashes)
+        idx.routing = RoutingAttachment(cfg=cfg, seed=rt_seed, plan=plan, store=store)
     elif r.pos != len(payload):
         raise FormatError(f"{len(payload) - r.pos} bytes after the last section")
     return idx

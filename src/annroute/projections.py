@@ -1,6 +1,6 @@
 """Seeded Gaussian projection ensembles and per-query projection tables.
 
-Ensembles are regenerated from (seed, rng_id) instead of being persisted,
+Ensembles are regenerated from their seed instead of being persisted,
 so the byte stream must be reproducible forever: uniforms come from the
 counter-based Philox generator and are mapped through the inverse normal
 CDF. Any change to that recipe must bump RNG_ID.
@@ -31,7 +31,7 @@ class ProjectionEnsemble:
     """L x m subspace Gaussians plus m full-space Gaussians.
 
     sub has shape (L, m, d/L); full has shape (m, d). Regenerating with
-    the same (seed, rng_id, L, m, d) reproduces identical bits.
+    the same (seed, L, m, d) under the same RNG_ID reproduces identical bits.
     """
 
     sub: np.ndarray
@@ -40,7 +40,6 @@ class ProjectionEnsemble:
     m: int
     d: int
     seed: int
-    rng_id: str = RNG_ID
 
     @property
     def sub_dim(self) -> int:

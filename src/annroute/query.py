@@ -22,11 +22,14 @@ from .routing import (
     batch_ar,
     batch_peos_test,
     batch_simhash_test,
+    build_quantile_table,
     simhash_sketch,
 )
 from .vecstore import Metric
 
 _EMPTY_F64 = np.empty(0)
+# the config fields each gate reads; a query may differ from its attachment only in the others, eps among them
+_GATE_READS = {RoutingMode.PEOS: ("L", "m", "compact"), RoutingMode.SIMHASH: ("simhash_bits",)}
 
 
 @dataclass
@@ -92,7 +95,11 @@ class AuditTrace:
 def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
            scratch: SearchScratch | None = None,
            audit: AuditTrace | None = None) -> tuple[np.ndarray, SearchStats]:
-    """Routing-gated best-first search; returns top-K ids ascending by distance."""
+    """Routing-gated best-first search; returns top-K ids ascending by distance.
+
+    A gated query takes only eps from its routing config and the rest from the
+    attachment; a config that differs from it in a field the gate reads is refused.
+    """
     q64 = np.asarray(q, dtype=np.float64)
     if q64.shape != (idx.dim,):
         raise UsageError(f"query dim {q64.shape} does not match index dim {idx.dim}")
@@ -106,13 +113,16 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
 
     att = idx.routing
     qpt = tbl = qsketch = None
-    if mode != RoutingMode.NONE and (att is None or att.cfg.mode != mode):
-        raise UsageError(f"index has no {mode.value} routing attached")
+    if mode != RoutingMode.NONE:
+        if att is None or att.cfg.mode != mode:
+            raise UsageError(f"index has no {mode.value} routing attached")
+        for name in _GATE_READS[mode]:
+            want, got = getattr(att.cfg, name), getattr(params.routing, name)
+            if got != want:
+                raise UsageError(f"{mode.value} query {name}={got} does not match the attachment's {name}={want}")
     if mode == RoutingMode.PEOS:
-        if params.routing.L != att.cfg.L:
-            raise UsageError(f"peos query L={params.routing.L} does not match the attachment's L={att.cfg.L}")
         qpt = project_query(q64[att.plan.perm], att.ens)
-        tbl = att.quantile_table(params.routing.eps)
+        tbl = build_quantile_table(params.routing.eps, att.cfg.L, att.cfg.m)
     elif mode == RoutingMode.SIMHASH:
         qsketch = simhash_sketch(q64, att.hashes)
 

@@ -133,6 +133,8 @@ class QuantileTable:
         return (np.floor(np.multiply(x, half)) + half).astype(np.intp)
 
 
+# a table is 2,107,392 B (256 x 1,024 cells and both grids): 64 would pin 135 MB, and a few cover an eps sweep
+@functools.lru_cache(maxsize=8)
 def build_quantile_table(
     eps: float, L: int, m: int, var_rows: int = VAR_ROWS, x_cols: int = X_COLS
 ) -> QuantileTable:
@@ -145,6 +147,9 @@ def build_quantile_table(
     minimum from the right over the edge values, taken together with the
     value at x* for the cells left of x*, lies at or below the exact
     quantile on all of [left edge, 1).
+
+    The table is read only and cached here, not on the attachment, so
+    every index with the same (eps, L, m) shares one.
     """
     if not 0.0 < eps <= 0.5:
         raise UsageError("error bound must lie in (0, 0.5]")
@@ -165,7 +170,7 @@ def build_quantile_table(
     q = np.minimum.accumulate(exact(x_grid[None, :])[:, ::-1], axis=1)[:, ::-1]
     x_star = -np.sqrt(v_grid / (c + (z * c / eta) ** 2))[:, None]
     q = np.where(x_grid[None, :] <= x_star, np.minimum(q, exact(x_star)), q) - _QUANTILE_NUDGE
-    q.flags.writeable = False
+    q.flags.writeable = x_grid.flags.writeable = v_grid.flags.writeable = False
     return QuantileTable(eps=eps, L=L, m=m, x_grid=x_grid, v_grid=v_grid, q=q)
 
 

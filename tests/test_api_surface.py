@@ -57,3 +57,23 @@ def test_rceos_is_named_only_where_the_alias_is_settled():
     naming = {p.name for p in (ROOT / "src" / "annroute").glob("*.py")
               if any(isinstance(n, ast.Attribute) and n.attr == "RCEOS" for n in ast.walk(ast.parse(p.read_text())))}
     assert naming == {"routing.py", "cli.py", "indexfile.py"}
+
+
+def test_the_attachment_alone_derives_a_gate():
+    """attach is the only builder of a gate, and the attachment derives its random vectors: the
+    projections and the hyperplanes are generated at one call site each, in RoutingAttachment,
+    and attach_routing, the builder that took them from its caller, is named nowhere."""
+    sites = collections.defaultdict(list)
+    for path in sorted((ROOT / "src" / "annroute").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.Call):
+                    name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                    sites[name].append((path.name, getattr(top, "name", None)))
+    for name in ("generate_ensemble", "generate_simhash_hashes"):
+        assert sites[name] == [("edgestore.py", "RoutingAttachment")], name
+    for path in [*(ROOT / "src" / "annroute").glob("*.py"), *PERFBENCH.glob("*.py"), *(ROOT / "tests").glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        defs = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        imports = {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+        assert "attach_routing" not in set(_names(tree)) | defs | imports, path.name

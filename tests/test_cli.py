@@ -232,6 +232,22 @@ class TestBuildAttachSearch:
             assert code == want, err
         assert "format error: bad routing header" in err and "L=1" in err
 
+    def test_search_with_another_m_exits_1(self, capsys, tmp_path):
+        """search reads the projections and quantile table of the attachment's m; another --m-proj is refused."""
+        ds, queries = synthetic_dataset(300, 16, 2, seed=4)
+        base, qpath, index = tmp_path / "base.fvecs", tmp_path / "q.fvecs", tmp_path / "g.idx"
+        save_fvecs(ds, base)
+        save_fvecs(queries, qpath)
+        save_index(attach(build_hnsw(ds, M=4, efc=20, metric=Metric.L2, seed=1),
+                          RoutingConfig(mode=RoutingMode.PEOS, L=4, m=64)), index)
+        search = ("search", "--base", str(base), "--index", str(index), "--query", str(qpath),
+                  "--routing", "peos", "--L", "4", "--K", "5", "--efs", "20", "--m-proj")
+        code, _, err = run_cli(capsys, *search, "64")
+        assert code == 0, err
+        code, out, err = run_cli(capsys, *search, "32")
+        assert code == 1 and "usage error" in err and "m=32 does not match the attachment's m=64" in err
+        assert out == ""
+
     def test_simhash_compact_exits_1(self, capsys, tmp_path):
         ds, _ = synthetic_dataset(300, 16, 2, seed=4)
         base, index, out = tmp_path / "base.fvecs", tmp_path / "g.idx", tmp_path / "sh.idx"

@@ -22,11 +22,9 @@ from annroute import (
     SimHashSketch,
     UsageError,
     attach,
-    attach_routing,
     brute_force_all,
     build_hnsw,
     compute_recall,
-    generate_ensemble,
     load_index,
     save_index,
     search,
@@ -38,7 +36,6 @@ import annroute.indexfile as indexfile
 import annroute.query as query_mod
 from annroute.projections import RNG_ID, encode_id_bytes
 from annroute.routing import ScalarQuantizer
-from annroute.vecstore import PermutationPlan
 
 from oracles import brute_force_reference
 from scalar_gate import EdgeMeta, build_edge_meta, compute_Ar, meta_at, peos_test, simhash_test
@@ -210,22 +207,14 @@ class TestAttach:
         with pytest.raises(UsageError):
             attach(bad, RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64))
 
-    def test_mismatched_plan_rejected(self, small):
+    def test_simhash_honours_the_seed(self, small):
+        """The seed derives SimHash's hyperplanes, as it derives peos's projections."""
         _, _, idx = small
-        ens = generate_ensemble(3, 32, 4, 64)
-        plan = PermutationPlan.identity(32, 8)
-        with pytest.raises(UsageError):
-            attach_routing(idx, ens, plan, RoutingConfig(mode=RoutingMode.PEOS, L=4, m=64))
-
-    def test_simhash_refuses_a_plan(self, small):
-        """SimHash has no subspaces: its config holds L=1, and only the identity plan attaches."""
-        _, _, idx = small
-        cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, L=8, simhash_bits=64)
-        assert cfg.L == 1
-        with pytest.raises(UsageError, match="SimHash takes no permutation plan"):
-            attach_routing(idx, None, PermutationPlan(np.arange(idx.dim)[::-1], 1), cfg)
-        with pytest.raises(UsageError, match="does not match"):
-            attach_routing(idx, None, PermutationPlan.identity(idx.dim, 8), cfg)
+        cfg = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64)
+        a, b = (attach(idx, cfg, seed=s).routing for s in (5, 99))
+        assert (a.seed, b.seed) == (5, 99)
+        assert not np.array_equal(a.hashes, b.hashes)
+        assert a.store.sketches.tobytes() != b.store.sketches.tobytes()
 
     def test_simhash_permute_writes_the_same_file(self, small, tmp_path):
         _, _, idx = small

@@ -1,6 +1,7 @@
 """Routing test suite: decomposition, quantile tables, gates, and analysis quantities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from annroute import (
     synthetic_dataset,
     w_reg_lower_bound,
 )
+import annroute.query as query_mod
 from annroute.projections import decode_id_bytes, encode_id_bytes
 from annroute.routing import (
     SimHashSketch,
@@ -512,12 +514,59 @@ class TestRceosCollapse:
         with pytest.raises(UsageError, match="L=1"):
             search(routed, queries[0], SearchParams(K=10, efs=64, routing=self._cfg(RoutingMode.RCEOS)))
 
-    def test_peos_query_L_must_match_the_attachment(self, collapse_graphs):
-        """The quantile table and the projections are the attachment's, so a query at another L is refused."""
+    PEOS4 = RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64)
+    SIMHASH = RoutingConfig(mode=RoutingMode.SIMHASH, eps=0.2, simhash_bits=64)
+
+    @pytest.mark.parametrize("attached, query, message", [
+        (RoutingConfig(mode=RoutingMode.PEOS, L=8, m=64), PEOS4, "peos query L=4 does not match the attachment's L=8"),
+        (PEOS4, replace(PEOS4, m=16), "peos query m=16 does not match the attachment's m=64"),
+        (PEOS4, replace(PEOS4, compact=True), "peos query compact=True does not match the attachment's compact=False"),
+        (SIMHASH, replace(SIMHASH, simhash_bits=128),
+         "simhash query simhash_bits=128 does not match the attachment's simhash_bits=64"),
+    ], ids=["peos-L", "peos-m", "peos-compact", "simhash-bits"])
+    def test_query_must_match_the_attachment(self, collapse_graphs, attached, query, message):
+        """The records, projections and hyperplanes are the attachment's, so a query that
+        differs in a field its gate reads is refused."""
         queries, idx = collapse_graphs[Metric.L2]
-        routed = attach(idx, self._cfg(RoutingMode.PEOS, L=8))
-        with pytest.raises(UsageError, match="L=4 does not match the attachment's L=8"):
-            search(routed, queries[0], SearchParams(K=10, efs=64, routing=self._cfg(RoutingMode.PEOS, L=4)))
+        with pytest.raises(UsageError, match=message):
+            search(attach(idx, attached), queries[0], SearchParams(K=10, efs=64, routing=query))
+
+    @pytest.mark.parametrize("attached, query", [
+        (PEOS4, replace(PEOS4, eps=0.3)),
+        (PEOS4, replace(PEOS4, simhash_bits=128)),
+        (SIMHASH, replace(SIMHASH, m=16)),
+    ], ids=["eps", "peos-simhash_bits", "simhash-m"])
+    def test_query_may_differ_where_the_gate_does_not_read(self, collapse_graphs, attached, query):
+        """eps is the query's own, and a field the gate does not read is not compared: the query
+        runs as it would on an index attached with the query's own config."""
+        queries, idx = collapse_graphs[Metric.L2]
+        params = SearchParams(K=10, efs=64, routing=query)
+        a, b = attach(idx, attached), attach(idx, query)
+        for q in queries[:5]:
+            (ia, sa), (ib, sb) = search(a, q, params), search(b, q, params)
+            np.testing.assert_array_equal(ia, ib)
+            assert sa == sb and sa.tests_evaluated > 0
+
+
+class TestSharedQuantileTable:
+    """Search reads the quantile table from one cache in routing.py, not from the attachment."""
+
+    def test_equal_configs_share_one_read_only_table(self, collapse_graphs, monkeypatch):
+        seen = []
+
+        def spy(block, tbl, *args, **kwargs):
+            seen.append(tbl)
+            return batch_peos_test(block, tbl, *args, **kwargs)
+
+        monkeypatch.setattr(query_mod, "batch_peos_test", spy)
+        cfg = RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=64)
+        for metric in (Metric.L2, Metric.ANGULAR):
+            queries, idx = collapse_graphs[metric]
+            search(attach(idx, cfg), queries[0], SearchParams(K=10, efs=64, routing=cfg))
+        assert seen and all(tbl is seen[0] for tbl in seen)
+        tbl = seen[0]
+        assert (tbl.eps, tbl.L, tbl.m) == (0.2, 4, 64)
+        assert not any(a.flags.writeable for a in (tbl.q, tbl.x_grid, tbl.v_grid))
 
 
 class TestSimHash:
