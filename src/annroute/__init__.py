@@ -29,7 +29,6 @@ from .projections import (
 )
 from .routing import (
     EdgeMetaBlock,
-    EdgeQuantizers,
     PartitionStats,
     QuantileTable,
     RoutingConfig,

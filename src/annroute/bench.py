@@ -8,7 +8,6 @@ the large public datasets at desk scale.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, fields
@@ -88,7 +87,7 @@ class AuditReport:
 
     @property
     def ok(self) -> bool:
-        return self.pass_rate >= self.bound or math.isnan(self.pass_rate)
+        return self.pass_rate >= self.bound
 
 
 INTRINSIC_DIM = 32
@@ -217,7 +216,8 @@ def run_audit(idx: HnswIndex, queries: np.ndarray, cfg: RoutingConfig, efs: int,
 
     Every gated neighbor also gets its exact distance computed for the
     record; result-list updates still follow the gate decisions, so the
-    search results are unchanged.
+    search results are unchanged. Raises UsageError when the queries give
+    fewer than min_evaluations gated evaluations, or none whose neighbor beat its threshold.
     """
     if min_evaluations < 1_000:
         raise UsageError("audit needs at least 1000 gated evaluations")
@@ -233,6 +233,8 @@ def run_audit(idx: HnswIndex, queries: np.ndarray, cfg: RoutingConfig, efs: int,
             f"only {trace.n_evaluations} gated evaluations available; add queries or raise efs"
         )
     rate, hits = trace.true_positive_rate()
+    if hits == 0:
+        raise UsageError(f"none of {trace.n_evaluations} gated evaluations beat its threshold; no rate to audit")
     bound = 1.0 if cfg.mode == RoutingMode.NONE else 1.0 - cfg.eps - 0.02
     return AuditReport(
         mode=cfg.mode.value,

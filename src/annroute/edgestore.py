@@ -16,7 +16,6 @@ from .hnsw import HnswIndex
 from .projections import ID_BYTES, ProjectionEnsemble, check_id_bytes, encode_id_bytes, generate_ensemble
 from .routing import (
     EdgeMetaBlock,
-    EdgeQuantizers,
     RoutingConfig,
     RoutingMode,
     ScalarQuantizer,
@@ -49,19 +48,14 @@ class EdgeMetaStore:
       compact mode).
 
     The half-norm |u|^2/2 depends on the target u alone, so it is held per
-    node: half_code, (n,), the half_u_sq code of every node, and half_val
-    its decoded float64. The file holds neither the codes nor their
-    quantizer: attach and load both fit it to the edges' targets and encode
-    every node's half-norm with it, so the two stores are bitwise equal.
+    node, exactly: half_u_sq, (n,) float64, half the index's squared norms.
     dst is the adjacency's target array, the same object as
-    HnswIndex.base_indices, so an edge's half-norm code is
-    half_code[dst[slot]]. A node that no edge points to gets a code clipped
-    to the quantizer's range that nothing reads.
+    HnswIndex.base_indices, so an edge's half-norm is half_u_sq[dst[slot]].
 
-    finalize() builds the quantizers, the per-node half-norms and the small
-    decode tables: enorm_tab with the edge norm of every code, and
-    for full records w_tab with w_reg and sqrt(L)*w_res of every weight
-    code. ScalarQuantizer.decode is elementwise, so a table lookup gives
+    finalize() keeps the edge-norm quantizer as quant, the per-node
+    half-norms, and the small decode tables: enorm_tab with the edge norm
+    of every code, and for full records w_tab with w_reg and sqrt(L)*w_res
+    of every weight code. ScalarQuantizer.decode is elementwise, so a table lookup gives
     the same float64 as decoding the code. rec_base, added to a gathered
     row, points each code at its table entry (see EdgeMetaBlock).
     """
@@ -72,7 +66,7 @@ class EdgeMetaStore:
         self.n_edges = enorm_q.shape[0]
         self.enorm_q = enorm_q
         self.dst = dst
-        self.half_code = self.half_val = self.enorm_tab = self.w_tab = None
+        self.half_u_sq = self.enorm_tab = self.w_tab = None
         self.enorm_min = 0.0
         self.rec = self.rec_base = self.var_idx = self.sketches = self.words = None
         if cfg.mode == RoutingMode.SIMHASH:
@@ -99,19 +93,11 @@ class EdgeMetaStore:
         return self.rec if self.cfg.compact else self.rec[:, : self.cfg.L + 1]
 
     def finalize(self, sqn: np.ndarray, enorm: ScalarQuantizer) -> None:
-        """Fit half_u_sq to the half-norms of the edges' targets, encode every node's
-        half-norm from its squared norm sqn, and build the decode tables.
-
-        The fit reads the targets through a node mask, not sqn[dst], which
-        would gather one float64 per edge.
-        """
-        dtype = self.enorm_q.dtype
-        target = np.zeros(sqn.shape[0], dtype=bool)
-        target[self.dst] = True
-        self.quant = quant = EdgeQuantizers(ScalarQuantizer.fit(0.5 * sqn[target], enorm.bits), enorm)
-        self.half_code = quant.half_u_sq.encode(0.5 * sqn, "down").astype(dtype)
-        self.half_val = quant.half_u_sq.decode(self.half_code)
-        self.enorm_tab = quant.enorm.decode(np.arange(1 << (8 * dtype.itemsize)))
+        """Keep every node's half-norm from its squared norm sqn and the edge-norm
+        quantizer enorm, and build the decode tables."""
+        self.quant = enorm
+        self.half_u_sq = 0.5 * sqn
+        self.enorm_tab = enorm.decode(np.arange(1 << (8 * self.enorm_q.itemsize)))
         # decode is monotone in the code, so the smallest code holds the smallest norm
         self.enorm_min = float(self.enorm_tab[self.enorm_q.min()]) if self.n_edges else math.inf
         if self.rec is not None and not self.cfg.compact:
@@ -121,7 +107,7 @@ class EdgeMetaStore:
     def block(self, slots: np.ndarray, targets: np.ndarray) -> EdgeMetaBlock:
         """The edges at slots, whose targets (dst at those slots) the caller already holds."""
         codes = self.enorm_q.take(slots).astype(np.intp)  # numpy casts narrower ids on every gather
-        return EdgeMetaBlock(slots, self.half_val.take(targets), self.enorm_tab.take(codes),
+        return EdgeMetaBlock(slots, self.half_u_sq.take(targets), self.enorm_tab.take(codes),
                              self.enorm_min, self.rec, self.rec_base, self.w_tab, self.var_idx)
 
     # -- wire format -------------------------------------------------------
@@ -141,7 +127,7 @@ class EdgeMetaStore:
         """A store from the record section of a file over idx's adjacency.
 
         The lead fields and the edge-norm column are copied out of the
-        section once; finalize fits and encodes the half-norms from idx's norms.
+        section once; finalize takes the half-norms from idx's norms.
         """
         width = _lead_width(cfg)
         dtype = _norm_dtype(cfg.compact)
@@ -190,7 +176,7 @@ class RoutingAttachment:
 
 
 def _norm_bits(compact: bool) -> int:
-    """Code width of both norm quantizers: one byte per norm in compact records, else two."""
+    """Code width of the edge-norm quantizer: one byte per norm in compact records, else two."""
     return 8 if compact else 16
 
 
@@ -266,8 +252,6 @@ def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,
     encode_id_bytes for the one asymmetry, -128); SimHash stores the
     mirror's >= 0 bit of -p as p <= 0, so a zero product is a one bit on
     both sides. The records are byte-identical to computing every edge.
-    finalize fits half_u_sq to the edges' targets and encodes it once per
-    node.
     """
     if cfg.mode == RoutingMode.NONE:
         return idx.with_routing(None)
@@ -287,7 +271,7 @@ def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,
                             store=EdgeMetaStore.zeros(cfg, dst))
     ens, hashes, store = att.ens, att.hashes, att.store
     lead = store._lead()
-    # the quantizers are fitted once every edge norm is known, after the loop
+    # the edge-norm quantizer is fitted once every edge norm is known, after the loop
     canon, mirrors, source = _reverse_pairs(idx.n, src, dst.astype(np.int64))
     for lo, hi in _attach_spans(canon.size):
         s = canon[lo:hi]
@@ -309,7 +293,7 @@ def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,
             lead[t] = np.concatenate((encode_id_bytes(-ids[k]), codes[k]), axis=1)
 
     enorm = ScalarQuantizer.fit(enorm_vals, _norm_bits(cfg.compact))
-    store.enorm_q[:] = enorm.encode(enorm_vals, "up")
+    store.enorm_q[:] = enorm.encode(enorm_vals)
     store.finalize(idx._sqn, enorm)
     return idx.with_routing(att)
 

@@ -4,9 +4,8 @@ and a blake2b checksum. The vectors stay with the dataset; the file holds
 its fingerprint.
 
 Each fact is written once, and nothing load can derive is written: the
-half-norm quantizer is fitted again from the vectors, the record count is
-the base layer's edge count, and the permutation's subspaces follow from
-perm and L.
+record count is the base layer's edge count, and the permutation's
+subspaces follow from perm and L.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ def save_index(idx: HnswIndex, path) -> None:
         parts.append(struct.pack("<IIBIQ", cfg.L, cfg.m, int(cfg.compact), cfg.simhash_bits, att.seed))
         rng_id = RNG_ID.encode()
         parts.append(struct.pack("<H", len(rng_id)) + rng_id)
-        q = att.store.quant.enorm
+        q = att.store.quant
         parts.append(struct.pack("<ddB", q.lo, q.hi, q.bits))
         parts.append(att.plan.perm.astype("<u4"))
 
@@ -146,13 +145,14 @@ class _Reader:
         return np.frombuffer(self.bytes(count * np.dtype(dtype).itemsize), dtype=dtype)
 
 
-def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
-    """Reload an index; the attachment derives its projections or hyperplanes from the stored seed.
+def load_index(path, dataset: Dataset) -> HnswIndex:
+    """Reload an index over dataset, the vectors it was built on; the attachment
+    derives its projections or hyperplanes from the stored seed.
 
-    When a dataset is supplied its content hash must match the one
-    recorded at save time. The file is read once; the checksum and every
-    section read views of that one buffer, and each array the index
-    keeps is copied out of it once, so none of them holds the file.
+    The dataset's content hash must match the one recorded at save time.
+    The file is read once; the checksum and every section read views of
+    that one buffer, and each array the index keeps is copied out of it
+    once, so none of them holds the file.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -177,6 +177,8 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
         raise FormatError("unknown routing mode")
     if mode != RoutingMode.NONE:
         L, m, compact, shbits, rt_seed = r.take("IIBIQ")
+        if compact > 1:
+            raise FormatError(f"bad routing header: compact flag {compact}")
         try:
             cfg = RoutingConfig(mode=mode, L=L, m=m, compact=bool(compact), simhash_bits=shbits)
         except UsageError as exc:
@@ -206,8 +208,6 @@ def load_index(path, dataset: Dataset | None = None) -> HnswIndex:
         bounds = bounds.tolist()
         upper[lev] = {v: ids[a:b] for v, a, b in zip(nodes.tolist(), bounds[:-1], bounds[1:])}
 
-    if dataset is None:
-        raise UsageError("load_index needs the dataset the index was built on")
     if dataset.n != n or dataset.dim != d:
         raise FormatError("dataset shape does not match index header")
     if dataset_fingerprint(dataset) != ds_hash:

@@ -13,9 +13,9 @@ reject additional true positives:
 * the variance row index rounds the edge variance up,
 * the x column rounds the threshold down, and each cell holds the
   minimum of the quantile over that cell and every cell to its right,
-* stored half-norms round down, lowering A_r; edge norms round up, the
-  exception: that lowers a positive A_r but raises a negative one toward
-  0, which can tighten the peos test (SimHash passes every A_r <= 0),
+* edge norms round up, the exception: that lowers a positive A_r but
+  raises a negative one toward 0, which can tighten the peos test
+  (SimHash passes every A_r <= 0),
 * table cells are nudged a hair below the exact quantile,
 * SimHash bounds on A_r are raised a hair above the exact cosine.
 """
@@ -181,7 +181,7 @@ def build_quantile_table(
 
 @dataclass(frozen=True)
 class ScalarQuantizer:
-    """Affine min/max quantizer with directional rounding."""
+    """Affine min/max quantizer whose codes round up: a decoded value is never below its input."""
 
     lo: float
     hi: float
@@ -198,25 +198,18 @@ class ScalarQuantizer:
             return cls(0.0, 0.0, bits)
         return cls(float(values.min()), float(values.max()), bits)
 
-    def encode(self, x, rounding: str):
+    def encode(self, x):
         x = np.asarray(x, dtype=np.float64)
         if self.hi <= self.lo:
             return np.zeros_like(x, dtype=np.int64)
         t = (x - self.lo) / (self.hi - self.lo) * self.levels
-        code = np.floor(t) if rounding == "down" else np.ceil(t)
-        return np.clip(code, 0, self.levels).astype(np.int64)
+        return np.clip(np.ceil(t), 0, self.levels).astype(np.int64)
 
     def decode(self, code):
         code = np.asarray(code, dtype=np.float64)
         if self.hi <= self.lo:
             return np.full_like(code, self.lo)
         return self.lo + code * (self.hi - self.lo) / self.levels
-
-
-@dataclass(frozen=True)
-class EdgeQuantizers:
-    half_u_sq: ScalarQuantizer
-    enorm: ScalarQuantizer
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +378,9 @@ def estimate_partition_stats(d: int, L: int, samples: int, seed: int = 0) -> Par
 class EdgeMetaBlock:
     """The edges of one popped node, as their slots in the store's record arrays.
 
-    half_u_sq and enorm are decoded for the block, as A_r needs them for
-    every edge. The statistic's inputs stay store-wide in record form and
+    half_u_sq, each edge's target's exact |u|^2/2, and enorm, its decoded
+    edge norm, are gathered for the block, as A_r needs them for every
+    edge. The statistic's inputs stay store-wide in record form and
     are read at slots only for the edges A_r leaves to the test: rec holds
     per edge the L+1 extreme-id bytes in their wire encoding (column 0 the
     residual id), then the w_reg, w_res and var_idx codes; in compact mode

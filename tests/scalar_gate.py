@@ -27,9 +27,9 @@ from annroute.errors import DegenerateInputError, UsageError
 from annroute.projections import ProjectionEnsemble, QueryProjectionTable, decode_id_bytes, encode_id_bytes
 from annroute.routing import (
     _RES_EPS,
-    EdgeQuantizers,
     QuantileTable,
     RoutingMode,
+    ScalarQuantizer,
     SimHashSketch,
     ThresholdState,
     var_row_indices,
@@ -110,19 +110,21 @@ def decompose(e: np.ndarray, L: int) -> Decomposition:
 
 @dataclass(frozen=True)
 class EdgeMeta:
-    """Packed per-edge record: signed extreme ids, quantized weights and norms.
+    """Packed per-edge record: signed extreme ids, quantized weights and edge norm, and
+    the target's exact half-norm |u|^2/2.
 
     ext_ids has L+1 entries led by the residual id, or L entries in
     compact mode (weights are then pinned to (1, 0) and not stored).
+    quant is the edge-norm quantizer.
     """
 
     ext_ids: tuple
     w_reg_q: int
     w_res_q: int
     var_idx: int
-    half_u_sq_q: int
+    half_u_sq: float
     enorm_q: int
-    quant: EdgeQuantizers
+    quant: ScalarQuantizer
     compact: bool = False
 
     @property
@@ -134,12 +136,8 @@ class EdgeMeta:
         return self.w_res_q / 255.0
 
     @property
-    def half_u_sq(self) -> float:
-        return float(self.quant.half_u_sq.decode(self.half_u_sq_q))
-
-    @property
     def enorm(self) -> float:
-        return float(self.quant.enorm.decode(self.enorm_q))
+        return float(self.quant.decode(self.enorm_q))
 
     @property
     def L(self) -> int:
@@ -151,10 +149,11 @@ def build_edge_meta(
     v: np.ndarray,
     ens: ProjectionEnsemble,
     plan: PermutationPlan,
-    quant: EdgeQuantizers,
+    quant: ScalarQuantizer,
     compact: bool = False,
 ) -> EdgeMeta:
-    """Metadata for the directed edge v -> u built from the residual e = u - v."""
+    """Metadata for the directed edge v -> u built from the residual e = u - v, its norm
+    coded by the edge-norm quantizer quant."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     e = u - v
@@ -183,14 +182,13 @@ def build_edge_meta(
         w_res_q = int(round(dec.w_res * 255))
         var_idx = int(var_row_indices(dec.w_reg, dec.w_res, ens.L))
         ext_ids = (id0, *ids)
-    half = 0.5 * float(np.dot(u, u))
     return EdgeMeta(
         ext_ids=ext_ids,
         w_reg_q=w_reg_q,
         w_res_q=w_res_q,
         var_idx=var_idx,
-        half_u_sq_q=int(quant.half_u_sq.encode(half, "down")),
-        enorm_q=int(quant.enorm.encode(float(np.linalg.norm(e)), "up")),
+        half_u_sq=0.5 * float(np.einsum("i,i->", u, u)),  # summed as the index sums its squared norms
+        enorm_q=int(quant.encode(float(np.linalg.norm(e)))),
         quant=quant,
         compact=compact,
     )
@@ -208,7 +206,7 @@ def meta_at(store: EdgeMetaStore, slot: int) -> EdgeMeta:
         w_reg_q=255 if compact else int(r[L + 1]),
         w_res_q=0 if compact else int(r[L + 2]),
         var_idx=store.var_idx if compact else int(r[L + 3]),
-        half_u_sq_q=int(store.half_code[store.dst[slot]]),
+        half_u_sq=float(store.half_u_sq[store.dst[slot]]),
         enorm_q=int(store.enorm_q[slot]),
         quant=store.quant,
         compact=compact,

@@ -5,6 +5,7 @@ import pytest
 
 from annroute import (
     BenchmarkSpec,
+    Dataset,
     Metric,
     RoutingConfig,
     RoutingMode,
@@ -129,6 +130,17 @@ class TestAudit:
         rep = run_audit(gated, queries, cfg, efs=200, K=10, min_evaluations=1000)
         assert rep.evaluations >= 1000
         assert rep.pass_rate >= 0.48
+
+    @pytest.mark.parametrize("mode", ["none", "simhash"])
+    def test_no_true_improvement_is_refused(self, mode):
+        """On copies of one point no gated neighbor beats its threshold, so there is no rate
+        to hold to the bound: the audit refuses, as for too few evaluations."""
+        point = np.random.default_rng(2).standard_normal(8).astype(np.float32)
+        ds = Dataset(np.tile(point, (3000, 1)))
+        idx = build_hnsw(ds, M=16, efc=100, metric=Metric.L2, seed=1)
+        cfg = RoutingConfig(mode=RoutingMode(mode), eps=0.2, simhash_bits=64)
+        with pytest.raises(UsageError, match="none of .* gated evaluations beat its threshold"):
+            run_audit(attach(idx, cfg), np.tile(point, (200, 1)), cfg, efs=10, K=10, min_evaluations=1000)
 
     def test_trials_floor(self):
         ds, queries = synthetic_dataset(500, 16, 5, seed=1)

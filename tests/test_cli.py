@@ -147,7 +147,7 @@ class TestBuildAttachSearch:
 
     def test_version_1_file_exits_2(self, capsys, tmp_path):
         """A format-1 file: version word 1, and each record the lead fields, then the
-        target's half-norm code and the edge-norm code (2 B each)."""
+        target's half-norm code (zeros here) and the edge-norm code (2 B each)."""
         ds, queries = synthetic_dataset(300, 16, 2, seed=4)
         base, qpath, index = tmp_path / "base.fvecs", tmp_path / "q.fvecs", tmp_path / "g.idx"
         save_fvecs(ds, base)
@@ -160,7 +160,7 @@ class TestBuildAttachSearch:
         assert run_cli(capsys, *search)[0] == 0
         store = routed.routing.store
         v1 = np.concatenate([store.rec] + [a.view(np.uint8).reshape(store.n_edges, 2)
-                                           for a in (store.half_code.take(store.dst), store.enorm_q)], axis=1)
+                                           for a in (np.zeros_like(store.enorm_q), store.enorm_q)], axis=1)
         raw = bytearray(index.read_bytes()[:-8])
         struct.pack_into("<I", raw, 4, 1)  # the version word follows the magic
         raw = bytes(raw[: len(raw) - store.wire_records().nbytes]) + v1.tobytes()  # the records end the payload
@@ -292,6 +292,17 @@ class TestAuditCommand:
         )
         assert code in (0, 3)
         assert "rate=" in out and ("PASS" in out or "FAIL" in out)
+
+    def test_audit_with_no_true_improvement_exits_1(self, capsys, tmp_path):
+        """Copies of one point: no gated neighbor beats its threshold, so there is no rate
+        to print a verdict on."""
+        point = np.random.default_rng(2).standard_normal(8).astype(np.float32)
+        base, qpath = tmp_path / "base.fvecs", tmp_path / "q.fvecs"
+        save_fvecs(np.tile(point, (3000, 1)), base)
+        save_fvecs(np.tile(point, (200, 1)), qpath)
+        code, out, err = run_cli(capsys, "audit", "--routing", "simhash", "--base", str(base), "--query", str(qpath),
+                                 "--M", "16", "--efc", "100", "--efs", "10", "--K", "10", "--trials", "1000")
+        assert code == 1 and "usage error" in err and out == ""
 
 
 class TestStatsCommand:

@@ -79,7 +79,7 @@ def files(tmp_path_factory):
         assert _section(payload, sections["degrees"]) == np.diff(idx.base_indptr).astype("<u4").tobytes()
         assert _section(payload, sections["upper"])[:8] == struct.pack("<Q", len(idx.upper[1]))
         if routed.routing is not None:
-            q = routed.routing.store.quant.enorm
+            q = routed.routing.store.quant
             assert _section(payload, sections["quantizers"]) == struct.pack("<ddB", q.lo, q.hi, q.bits)
             assert _section(payload, sections["records"]) == routed.routing.store.wire_records().tobytes()
         out[name] = (payload, sections)

@@ -35,7 +35,6 @@ import annroute.hnsw as hnsw_mod
 import annroute.indexfile as indexfile
 import annroute.query as query_mod
 from annroute.projections import RNG_ID, encode_id_bytes
-from annroute.routing import ScalarQuantizer
 
 from oracles import brute_force_reference
 from scalar_gate import EdgeMeta, build_edge_meta, compute_Ar, meta_at, peos_test, simhash_test
@@ -677,8 +676,8 @@ class TestMemory:
             # the record fields, and nothing else per edge: the half-norm is held once per node
             assert per_edge <= E * record
             # the edge norm at every 16-bit code, both weights at every byte, and per node
-            # the half-norm code and its float64
-            assert fixed <= 8 * (65536 + 512) + 10 * n + 1024
+            # the exact half-norm in float64
+            assert fixed <= 8 * (65536 + 512) + 8 * n + 1024
 
 
 def _twin_graph(metric):
@@ -774,7 +773,7 @@ class TestLoadPath:
         store = loaded.routing.store if loaded.routing else None
         if store is not None:
             norm_dtype = np.uint8 if store.cfg.compact else np.dtype("<u2")
-            per_edge += [(store.enorm_q, norm_dtype), (store.half_code, norm_dtype), (store.half_val, np.float64)]
+            per_edge += [(store.enorm_q, norm_dtype), (store.half_u_sq, np.float64)]
             per_edge.append((store.sketches if store.rec is None else store.rec, np.uint8))
         for arr, dtype in per_edge:
             assert arr.dtype == dtype and arr.flags.c_contiguous
@@ -804,9 +803,24 @@ class TestLoadPath:
             return
         got, want = loaded.routing.store, routed.routing.store
         assert got.dst is loaded.base_indices and want.dst is routed.base_indices  # shared, not copied
-        for field in ("rec", "sketches", "enorm_q", "half_code", "half_val", "enorm_tab"):
+        for field in ("rec", "sketches", "enorm_q", "half_u_sq", "enorm_tab"):
             a, b = getattr(got, field), getattr(want, field)
             assert (a is None and b is None) or _same_bits(a, b)
+
+    @pytest.mark.parametrize("name", list(_LOAD_CONFIGS))
+    def test_half_norm_is_exact_after_attach_and_load(self, twins, name, tmp_path):
+        """The gate's half-norm of every node is half the index's squared norm, bit for bit,
+        on every metric, whether attach built the store or load read it."""
+        _, _, idx = twins
+        routed = attach(idx, _LOAD_CONFIGS[name])
+        path = tmp_path / "routed.idx"
+        save_index(routed, path)
+        loaded = load_index(path, idx.dataset)
+        if routed.routing is None:
+            assert loaded.routing is None
+            return
+        for index in (routed, loaded):
+            assert _same_bits(index.routing.store.half_u_sq, 0.5 * idx._sqn)
 
 
 class TestLiveGateEquivalence:
@@ -858,9 +872,9 @@ class TestLiveGateEquivalence:
             out = fused(sketches, qsketch, ar, eps)
             assert len(out) == hop["slots"].size
             for s, got in zip(hop["slots"].tolist(), out):
-                # compute_Ar reads only the norm codes of a record
+                # compute_Ar reads only the half-norm and the edge-norm code of a record
                 meta = EdgeMeta(ext_ids=(), w_reg_q=255, w_res_q=0, var_idx=0,
-                                half_u_sq_q=int(store.half_code[store.dst[s]]), enorm_q=int(store.enorm_q[s]),
+                                half_u_sq=float(store.half_u_sq[store.dst[s]]), enorm_q=int(store.enorm_q[s]),
                                 quant=store.quant)
                 ar_ref = compute_Ar(meta, hop["ts"], hop["qnorm"], metric)
                 sketch = SimHashSketch(bits=store.sketches[s], n=cfg.simhash_bits)
@@ -1008,12 +1022,23 @@ def _upper_nodes_at(idx) -> int:
     return _L_AT + 4 * idx.n + 4 * idx.n_base_edges + 8
 
 
-def _v1_records(store) -> np.ndarray:
+def _v1_records(store, half_codes=None) -> np.ndarray:
     """store's records in format 1's layout: the lead fields, then the target's half-norm
-    code and the edge-norm code, each little-endian."""
-    codes = [a.view(np.uint8).reshape(store.n_edges, store.enorm_q.itemsize)
-             for a in (store.half_code.take(store.dst), store.enorm_q)]
+    code (half_codes, zeros of its width by default) and the edge-norm code, each little-endian."""
+    half_codes = np.zeros_like(store.enorm_q) if half_codes is None else half_codes
+    codes = [a.view(np.uint8).reshape(store.n_edges, store.enorm_q.itemsize) for a in (half_codes, store.enorm_q)]
     return np.concatenate((store._lead(), *codes), axis=1)
+
+
+def _v1_half_codes(store) -> np.ndarray:
+    """Format 1's half-norm column: each edge's target |u|^2/2 rounded down to a code of
+    the min/max quantizer over the edges' targets, as wide as the edge-norm code."""
+    half = store.half_u_sq.take(store.dst)
+    lo, hi = float(half.min()), float(half.max())
+    if hi <= lo:
+        return np.zeros_like(store.enorm_q)
+    levels = (1 << (8 * store.enorm_q.itemsize)) - 1
+    return np.clip(np.floor((half - lo) / (hi - lo) * levels), 0, levels).astype(store.enorm_q.dtype)
 
 
 def _reseal_records(path, store, records: np.ndarray) -> None:
@@ -1126,6 +1151,17 @@ class TestFailClosed:
         with pytest.raises(FormatError):
             load_index(path, ds)
 
+    def test_compact_flag_above_1_refused(self, small, tmp_path):
+        """The compact flag is a byte that holds 0 or 1; a compact file with 2 there would
+        load as compact and save back a different file."""
+        ds, _, idx = small
+        path = tmp_path / "compact.idx"
+        save_index(attach(idx, _STORE_CONFIGS["compact_L4"]), path)
+        load_index(path, ds)
+        _reseal(path, _L_AT + 8, "B", 2)
+        with pytest.raises(FormatError, match="compact flag 2"):
+            load_index(path, ds)
+
     def test_simhash_with_compact_flag_refused(self, small, tmp_path):
         """SimHash has no compact form. Older attach took the flag for SimHash and fitted 8-bit
         quantizers, and format 1 loaded such files; format 2 and 3 refuse the header."""
@@ -1182,8 +1218,11 @@ class TestFailClosed:
 # per level: the ids and the base-layer counters (hops, tests_evaluated,
 # tests_passed, vq_computations) are as before, and dist_computations and ungated
 # fell by the same 2-18 per query. The counters are hashed by name, so a new
-# SearchStats field leaves the digest as it is.
-GOLDEN_PEOS_DIGEST = "1920122d518cf9d2ebcb88c6418f5130"
+# SearchStats field leaves the digest as it is. Re-recorded when the gate began to
+# read each target's exact half-norm in place of its 16-bit code rounded down: the
+# 20 queries' ids are as before; on 5 of them dist_computations and tests_passed
+# each fell by 1, and every other counter is as before.
+GOLDEN_PEOS_DIGEST = "efdad1fbb5c12b78d411beb3d2689666"
 GOLDEN_COUNTERS = ("dist_computations", "tests_evaluated", "tests_passed", "hops", "ungated", "vq_computations")
 
 
@@ -1228,7 +1267,8 @@ def golden_graphs(small):
     return {"small": idx, "twins": _twin_graph(Metric.L2)[1], "handmade": _handmade(idx)}
 
 
-# blake2b-128 of the store's records in format 1's layout (_v1_records), recorded with
+# blake2b-128 of the store's records in format 1's layout (_v1_records) with format 1's
+# half-norm codes, which _v1_half_codes derives from the vectors as attach once did; recorded with
 # every edge's record computed from its own residual, before attach derived a reverse
 # edge's record from its pair. The `small` cases were recorded with the 65,536-edge
 # attach chunks, before attach streamed 1,024-edge chunks through a signed argmax/argmin
@@ -1265,7 +1305,7 @@ def _golden_store(graphs, name):
 
 
 def _v1_digest(store) -> str:
-    return hashlib.blake2b(_v1_records(store).tobytes(), digest_size=16).hexdigest()
+    return hashlib.blake2b(_v1_records(store, _v1_half_codes(store)).tobytes(), digest_size=16).hexdigest()
 
 
 class TestGoldenAttach:
@@ -1289,27 +1329,24 @@ class TestGoldenAttach:
 
     @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
     def test_half_norm_column_is_target_code(self, golden_graphs, name, tmp_path):
-        """The file holds no half-norm codes and no half-norm quantizer: a save -> load round
-        trip fits the quantizer over the edges' targets again and rebuilds the per-node
-        half_code and half_val bit-equal to attach's, so half_code[dst] is each edge's own
-        target's code. The hand-made graph repeats ids, which no file may hold, so its
-        records are read back in memory."""
+        """Format 1 wrote each edge's target half-norm code in its record; no file holds
+        half-norms now. A save -> load round trip takes the per-node half_u_sq from the
+        index's squared norms again, bit-equal to attach's and to 0.5 * _sqn, so
+        half_u_sq[dst] is each edge's own target's exact |u|^2/2. The hand-made graph
+        repeats ids, which no file may hold, so its records are read back in memory."""
         graph, cfg, permute, _ = GOLDEN_ATTACH[name]
         idx = golden_graphs[graph]
         routed = attach(idx, cfg, permute=permute)
         store = routed.routing.store
         if graph == "handmade":
             loaded = edgestore.EdgeMetaStore.from_wire(memoryview(store.wire_records().reshape(-1)), idx, cfg,
-                                                       store.quant.enorm)
+                                                       store.quant)
         else:
             path = tmp_path / "routed.idx"
             save_index(routed, path)
             loaded = load_index(path, idx.dataset).routing.store
         assert store.wire_records().shape[1] == store._lead().shape[1] + store.enorm_q.itemsize
-        half = 0.5 * idx._sqn[idx.base_indices]
-        assert loaded.quant.half_u_sq == store.quant.half_u_sq == ScalarQuantizer.fit(half, store.quant.half_u_sq.bits)
-        assert _same_bits(loaded.half_code, store.half_code) and _same_bits(loaded.half_val, store.half_val)
-        np.testing.assert_array_equal(loaded.half_code[idx.base_indices], store.quant.half_u_sq.encode(half, "down"))
+        assert _same_bits(loaded.half_u_sq, store.half_u_sq) and _same_bits(store.half_u_sq, 0.5 * idx._sqn)
 
     @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
     def test_reverse_edge_holds_negated_ids(self, golden_graphs, name):

@@ -8,7 +8,6 @@ import pytest
 
 from annroute import (
     Dataset,
-    EdgeQuantizers,
     Metric,
     PermutationPlan,
     QuantileTable,
@@ -57,19 +56,9 @@ from scalar_gate import (
 )
 
 
-def exact_quantizers(*values, bits=16):
-    """Quantizers that decode every listed value exactly (degenerate range)."""
-    return EdgeQuantizers(
-        half_u_sq=ScalarQuantizer(values[0], values[0], bits),
-        enorm=ScalarQuantizer(values[1], values[1], bits),
-    )
-
-
-def fitted_quantizers(half_vals, enorm_vals, bits=16):
-    return EdgeQuantizers(
-        half_u_sq=ScalarQuantizer.fit(np.asarray(half_vals), bits),
-        enorm=ScalarQuantizer.fit(np.asarray(enorm_vals), bits),
-    )
+def exact_enorm(value):
+    """An edge-norm quantizer that decodes value exactly (degenerate range)."""
+    return ScalarQuantizer(value, value, 16)
 
 
 class TestDecompose:
@@ -220,19 +209,17 @@ class TestScalarQuantizer:
         vals = rng.uniform(2.0, 9.0, 10_000)
         q = ScalarQuantizer.fit(vals, 16)
         step = (q.hi - q.lo) / q.levels
-        down = q.decode(q.encode(vals, "down"))
-        up = q.decode(q.encode(vals, "up"))
-        assert np.all(down <= vals + 1e-12) and np.all(vals - down <= step + 1e-9)
+        up = q.decode(q.encode(vals))
         assert np.all(up >= vals - 1e-12) and np.all(up - vals <= step + 1e-9)
 
     def test_degenerate_range(self):
         q = ScalarQuantizer(5.0, 5.0, 8)
-        assert q.decode(q.encode(5.0, "down")) == 5.0
+        assert q.decode(q.encode(5.0)) == 5.0
 
     def test_eight_bit(self):
         vals = np.linspace(0, 1, 100)
         q = ScalarQuantizer.fit(vals, 8)
-        err = np.abs(q.decode(q.encode(vals, "down")) - vals)
+        err = np.abs(q.decode(q.encode(vals)) - vals)
         assert err.max() <= 1.0 / 255 + 1e-12
 
 
@@ -255,19 +242,19 @@ class TestBuildEdgeMeta:
     def test_L1_collapse(self):
         ens1 = generate_ensemble(17, 32, 1, 16)
         meta = build_edge_meta(self.u, self.v, ens1, PermutationPlan.identity(32, 1),
-                               exact_quantizers(1.0, 1.0))
+                               exact_enorm(1.0))
         assert len(meta.ext_ids) == 2
         assert meta.w_reg_q == 255 and meta.w_res_q == 0
         assert meta.ext_ids[0] == 0  # residual vanishes at L=1
 
     def test_weight_invariant(self):
-        quant = fitted_quantizers([0.0, 60.0], [0.1, 12.0])
+        quant = ScalarQuantizer.fit(np.array([0.1, 12.0]), 16)
         meta = build_edge_meta(self.u, self.v, self.ens, self.plan, quant)
         step = 1.0 / 255
         assert 1 - 2 * step <= meta.w_reg**2 + meta.w_res**2 <= 1 + 2 * step
 
     def test_recompute_with_regenerated_ensemble(self):
-        quant = fitted_quantizers([0.0, 60.0], [0.1, 12.0])
+        quant = ScalarQuantizer.fit(np.array([0.1, 12.0]), 16)
         meta1 = build_edge_meta(self.u, self.v, self.ens, self.plan, quant)
         ens2 = generate_ensemble(17, 32, 4, 16)  # regenerate from the same seed
         meta2 = build_edge_meta(self.u, self.v, ens2, self.plan, quant)
@@ -276,12 +263,12 @@ class TestBuildEdgeMeta:
     def test_degenerate_edge_rejected(self):
         from annroute import DegenerateInputError
         with pytest.raises(DegenerateInputError):
-            build_edge_meta(self.u, self.u, self.ens, self.plan, exact_quantizers(1.0, 1.0))
+            build_edge_meta(self.u, self.u, self.ens, self.plan, exact_enorm(1.0))
 
     def test_compact_layout(self):
         ens = generate_ensemble(3, 32, 2, 16)
         meta = build_edge_meta(self.u, self.v, ens, PermutationPlan.identity(32, 2),
-                               exact_quantizers(1.0, 1.0), compact=True)
+                               exact_enorm(1.0), compact=True)
         assert len(meta.ext_ids) == 2  # L ids, no residual slot
         assert meta.compact and meta.w_reg == 1.0 and meta.w_res == 0.0
 
@@ -290,7 +277,7 @@ class TestComputeAr:
     def test_unbounded_gives_minus_inf(self):
         ens = generate_ensemble(2, 8, 2, 4)
         meta = build_edge_meta(np.ones(8), np.zeros(8), ens, PermutationPlan.identity(8, 2),
-                               exact_quantizers(4.0, math.sqrt(8.0)))
+                               exact_enorm(math.sqrt(8.0)))
         ar = compute_Ar(meta, ThresholdState(r=math.inf, vq=0.0), 1.0, Metric.L2)
         assert ar == -math.inf
 
@@ -299,7 +286,7 @@ class TestComputeAr:
         ens = generate_ensemble(2, 2, 1, 4)
         u, v, q, p = np.array([0.0, 2.0]), np.zeros(2), np.array([1.0, 0.0]), np.array([3.0, 0.0])
         meta = build_edge_meta(u, v, ens, PermutationPlan.identity(2, 1),
-                               exact_quantizers(2.0, 2.0))
+                               exact_enorm(2.0))
         delta = float(np.linalg.norm(p - q))
         ts = ThresholdState(r=(delta * delta - 1.0) / 2.0, vq=0.0)  # delta^2 - 2r = |q|^2
         assert ts.r == pytest.approx(1.5)
@@ -313,7 +300,7 @@ class TestComputeAr:
         e = u - v
         ens = generate_ensemble(4, 16, 2, 8)
         meta = build_edge_meta(u, v, ens, PermutationPlan.identity(16, 2),
-                               exact_quantizers(0.5 * float(u @ u), float(np.linalg.norm(e))))
+                               exact_enorm(float(np.linalg.norm(e))))
         r = 0.5 * float(u @ u) - float(u @ q)  # p == u
         ts = ThresholdState(r=r, vq=float(v @ q))
         ar = compute_Ar(meta, ts, float(np.linalg.norm(q)), Metric.L2)
@@ -332,7 +319,7 @@ class TestPeosTest:
         self.v = rng.standard_normal(32)
         e = self.u - self.v
         self.meta = build_edge_meta(self.u, self.v, self.ens, PermutationPlan.identity(32, 4),
-                                    exact_quantizers(0.5 * float(self.u @ self.u), float(np.linalg.norm(e))))
+                                    exact_enorm(float(np.linalg.norm(e))))
 
     def _ts_at(self, scale):
         # r such that A_r = -scale (the stored norms decode exactly)
@@ -389,9 +376,7 @@ class GateHarness:
         self.trials = make_gate_trials(trials, d, seed, **trial_kw)
         self.ens = generate_ensemble(31, d, L, m)
         self.plan = PermutationPlan.identity(d, L)
-        t = self.trials
-        half = 0.5 * np.einsum("ij,ij->i", t["u"], t["u"])
-        self.quant = fitted_quantizers(half, t["enorm"])
+        self.quant = ScalarQuantizer.fit(self.trials["enorm"], 16)
 
     def peos_pass_rate(self):
         t = self.trials
