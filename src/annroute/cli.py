@@ -108,6 +108,8 @@ def _load_base(args):
 def _cmd_build(args) -> int:
     if not args.index:
         raise UsageError("build needs --index for the output file")
+    if args.routing.strip() != "none":
+        raise UsageError(f"build writes a plain graph; add --routing {args.routing} to it with attach")
     ds = _load_base(args)
     t0 = time.perf_counter()
     idx = build_hnsw(ds, args.M, args.efc, Metric(args.metric),

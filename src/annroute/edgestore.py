@@ -24,7 +24,7 @@ from .routing import (
     var_row_indices,
     _RES_EPS,
 )
-from .vecstore import PermutationPlan, build_permutation
+from .vecstore import Metric, PermutationPlan, build_permutation
 
 _ATTACH_CHUNK = 1 << 10  # edges per attach chunk: its residuals and products stay in cache
 _RESIDUAL_AVG_CHUNK = 1 << 16
@@ -47,17 +47,18 @@ class EdgeMetaStore:
     * every mode: enorm_q, (E,), the edge-norm codes (uint16, uint8 in
       compact mode).
 
-    The half-norm |u|^2/2 depends on the target u alone, so it is held per
-    node, exactly: half_u_sq, (n,) float64, half the index's squared norms.
-    dst is the adjacency's target array, the same object as
-    HnswIndex.base_indices, so an edge's half-norm is half_u_sq[dst[slot]].
+    The store holds no per-node array. The L2 gate reads each target's
+    |u|^2 from sqn, the index's own squared norms (HnswIndex._sqn itself;
+    None on angular and IP, whose A_r does not read them). dst is the
+    adjacency's target array, HnswIndex.base_indices itself, so an edge's
+    squared norm is sqn[dst[slot]].
 
-    finalize() keeps the edge-norm quantizer as quant, the per-node
-    half-norms, and the small decode tables: enorm_tab with the edge norm
-    of every code, and for full records w_tab with w_reg and sqrt(L)*w_res
-    of every weight code. ScalarQuantizer.decode is elementwise, so a table lookup gives
-    the same float64 as decoding the code. rec_base, added to a gathered
-    row, points each code at its table entry (see EdgeMetaBlock).
+    finalize() keeps sqn, the edge-norm quantizer as quant, and the small
+    decode tables: enorm_tab with the edge norm of every code, and for full
+    records w_tab with w_reg and sqrt(L)*w_res of every weight code.
+    ScalarQuantizer.decode is elementwise, so a table lookup gives the same
+    float64 as decoding the code. rec_base, added to a gathered row, points
+    each code at its table entry (see EdgeMetaBlock).
     """
 
     def __init__(self, cfg: RoutingConfig, lead: np.ndarray, enorm_q: np.ndarray, dst: np.ndarray):
@@ -66,7 +67,7 @@ class EdgeMetaStore:
         self.n_edges = enorm_q.shape[0]
         self.enorm_q = enorm_q
         self.dst = dst
-        self.half_u_sq = self.enorm_tab = self.w_tab = None
+        self.sqn = self.enorm_tab = self.w_tab = None
         self.enorm_min = 0.0
         self.rec = self.rec_base = self.var_idx = self.sketches = self.words = None
         if cfg.mode == RoutingMode.SIMHASH:
@@ -92,11 +93,11 @@ class EdgeMetaStore:
         """Extreme-id bytes, (E, L+1) led by the residual id, or (E, L) in compact mode."""
         return self.rec if self.cfg.compact else self.rec[:, : self.cfg.L + 1]
 
-    def finalize(self, sqn: np.ndarray, enorm: ScalarQuantizer) -> None:
-        """Keep every node's half-norm from its squared norm sqn and the edge-norm
-        quantizer enorm, and build the decode tables."""
+    def finalize(self, sqn: np.ndarray | None, enorm: ScalarQuantizer) -> None:
+        """Keep the index's squared norms sqn (None off L2) and the edge-norm quantizer
+        enorm, and build the decode tables."""
         self.quant = enorm
-        self.half_u_sq = 0.5 * sqn
+        self.sqn = sqn
         self.enorm_tab = enorm.decode(np.arange(1 << (8 * self.enorm_q.itemsize)))
         # decode is monotone in the code, so the smallest code holds the smallest norm
         self.enorm_min = float(self.enorm_tab[self.enorm_q.min()]) if self.n_edges else math.inf
@@ -107,8 +108,9 @@ class EdgeMetaStore:
     def block(self, slots: np.ndarray, targets: np.ndarray) -> EdgeMetaBlock:
         """The edges at slots, whose targets (dst at those slots) the caller already holds."""
         codes = self.enorm_q.take(slots).astype(np.intp)  # numpy casts narrower ids on every gather
-        return EdgeMetaBlock(slots, self.half_u_sq.take(targets), self.enorm_tab.take(codes),
-                             self.enorm_min, self.rec, self.rec_base, self.w_tab, self.var_idx)
+        sqn = None if self.sqn is None else self.sqn.take(targets)
+        return EdgeMetaBlock(slots, sqn, self.enorm_tab.take(codes), self.enorm_min,
+                             self.rec, self.rec_base, self.w_tab, self.var_idx)
 
     # -- wire format -------------------------------------------------------
 
@@ -127,16 +129,24 @@ class EdgeMetaStore:
         """A store from the record section of a file over idx's adjacency.
 
         The lead fields and the edge-norm column are copied out of the
-        section once; finalize takes the half-norms from idx's norms.
+        section once; the L2 gate reads idx's own squared norms.
         """
         width = _lead_width(cfg)
         dtype = _norm_dtype(cfg.compact)
-        mat = _wire_matrix(raw, idx.n_base_edges, width + dtype.itemsize)
+        E, rec = idx.n_base_edges, width + dtype.itemsize
+        if len(raw) != E * rec:
+            raise FormatError(f"edge metadata section has {len(raw)} bytes, expected {E * rec}")
+        mat = np.frombuffer(raw, dtype=np.uint8).reshape(E, rec)
         store = cls(cfg, mat[:, :width].copy(), mat[:, width:].view(dtype)[:, 0].copy(), idx.base_indices)
         if cfg.mode != RoutingMode.SIMHASH:
             check_id_bytes(store.ids, cfg.m)
-        store.finalize(idx._sqn, enorm)
+        store.finalize(_l2_sqn(idx), enorm)
         return store
+
+
+def _l2_sqn(idx: HnswIndex) -> np.ndarray | None:
+    """The squared norms the gate reads: idx's own on L2, none on angular and IP."""
+    return idx._sqn if idx.metric == Metric.L2 else None
 
 
 def _lead_width(cfg: RoutingConfig) -> int:
@@ -148,12 +158,6 @@ def _lead_width(cfg: RoutingConfig) -> int:
 
 def _norm_dtype(compact: bool) -> np.dtype:
     return np.dtype(f"<u{_norm_bits(compact) // 8}")
-
-
-def _wire_matrix(raw: memoryview, n_edges: int, rec: int) -> np.ndarray:
-    if len(raw) != n_edges * rec:
-        raise FormatError(f"edge metadata section has {len(raw)} bytes, expected {n_edges * rec}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(n_edges, rec)
 
 
 @dataclass
@@ -294,7 +298,7 @@ def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,
 
     enorm = ScalarQuantizer.fit(enorm_vals, _norm_bits(cfg.compact))
     store.enorm_q[:] = enorm.encode(enorm_vals)
-    store.finalize(idx._sqn, enorm)
+    store.finalize(_l2_sqn(idx), enorm)
     return idx.with_routing(att)
 
 

@@ -108,12 +108,12 @@ class QuantileTable:
     The null model at variance row v and threshold x = A_r is a normal
     with mean x*sqrt(2L ln m) and variance v - L*x^2/(L+1). It is
     symmetric in the cosine, so the columns cover x in [-1, 1) with the
-    left cell edges in x_grid. Each cell stores the minimum of the exact
-    quantile over its own cell and every cell to its right, nudged a
-    hair lower: a lookup that rounds x down to its cell can only make
-    the test easier to pass, and every row is non-decreasing in x. For
-    x >= 0 the quantile increases in x, so those cells hold the exact
-    value at their left edge.
+    left cell edges in x_grid, then x >= 1 in one last +inf column. Each
+    cell stores the minimum of the exact quantile over its own cell and
+    every cell to its right, nudged a hair lower: a lookup that rounds x
+    down to its cell can only make the test easier to pass, and every row
+    is non-decreasing in x. For x >= 0 the quantile increases in x, so
+    those cells hold the exact value at their left edge.
     """
 
     eps: float
@@ -124,21 +124,21 @@ class QuantileTable:
     q: np.ndarray
 
     def columns(self, x):
-        """Column of the cell whose left edge is the largest grid point <= x, for x in [-1, 1).
+        """Column of the cell whose left edge is the largest grid point <= x, x clipped to [-1, 1].
 
         The grid points are k/half with half a power of two, so x*half is
         exact and its floor is the k of that edge.
         """
         half = len(self.x_grid) // 2
-        return (np.floor(np.multiply(x, half)) + half).astype(np.intp)
+        return (np.floor(np.asarray(x).clip(-1.0, 1.0) * half) + half).astype(np.intp)
 
 
-# a table is 2,107,392 B (256 x 1,024 cells and both grids): 64 would pin 135 MB, and a few cover an eps sweep
+# a table is 2,109,440 B (256 x 1,025 cells and both grids): 64 would pin 135 MB, and a few cover an eps sweep
 @functools.lru_cache(maxsize=8)
 def build_quantile_table(
     eps: float, L: int, m: int, var_rows: int = VAR_ROWS, x_cols: int = X_COLS
 ) -> QuantileTable:
-    """Quantile table over the variance grid and x_cols equal cells of [-1, 1).
+    """Quantile table over the variance grid and x_cols equal cells of [-1, 1), then +inf.
 
     For x < 0 the exact quantile x*eta + z*sqrt(v - c*x^2), with
     c = L/(L+1), eta = sqrt(2L ln m) and z the eps-quantile of N(0, 1),
@@ -170,6 +170,7 @@ def build_quantile_table(
     q = np.minimum.accumulate(exact(x_grid[None, :])[:, ::-1], axis=1)[:, ::-1]
     x_star = -np.sqrt(v_grid / (c + (z * c / eta) ** 2))[:, None]
     q = np.where(x_grid[None, :] <= x_star, np.minimum(q, exact(x_star)), q) - _QUANTILE_NUDGE
+    q = np.concatenate((q, np.full((var_rows, 1), math.inf)), axis=1)
     q.flags.writeable = x_grid.flags.writeable = v_grid.flags.writeable = False
     return QuantileTable(eps=eps, L=L, m=m, x_grid=x_grid, v_grid=v_grid, q=q)
 
@@ -378,27 +379,26 @@ def estimate_partition_stats(d: int, L: int, samples: int, seed: int = 0) -> Par
 class EdgeMetaBlock:
     """The edges of one popped node, as their slots in the store's record arrays.
 
-    half_u_sq, each edge's target's exact |u|^2/2, and enorm, its decoded
-    edge norm, are gathered for the block, as A_r needs them for every
-    edge. The statistic's inputs stay store-wide in record form and
-    are read at slots only for the edges A_r leaves to the test: rec holds
-    per edge the L+1 extreme-id bytes in their wire encoding (column 0 the
-    residual id), then the w_reg, w_res and var_idx codes; in compact mode
-    it holds only the L subspace id bytes, the weights are (1, 0) and
-    var_idx is the one variance row of every edge. rec_base, added to a
-    gathered row, turns each id byte into its entry of the query's signed
-    table and each weight code into its entry of w_tab (the decoded w_reg
-    and sqrt(L)*w_res per code; None in compact mode), and leaves var_idx
-    as it is. enorm_min is the smallest enorm in the store; when it is
-    positive, no edge can have a zero norm. SimHash stores have no rec.
+    sqn, each edge's target's squared norm (None off L2, whose A_r does not
+    read it), and enorm, its decoded edge norm, are gathered for the block.
+    The statistic's inputs stay store-wide in record form and are read at
+    slots: rec holds per edge the L+1 extreme-id bytes in their wire
+    encoding (column 0 the residual id), then the w_reg, w_res and var_idx
+    codes; in compact mode it holds only the L subspace id bytes, the
+    weights are (1, 0) and var_idx is the one variance row of every edge.
+    rec_base, added to a gathered row, turns each id byte into its entry of
+    the query's signed table and each weight code into its entry of w_tab
+    (the decoded w_reg and sqrt(L)*w_res per code; None in compact mode),
+    and leaves var_idx as it is. enorm_min is the smallest enorm in the
+    store; when it is positive, no edge can have a zero norm. SimHash
+    stores have no rec.
     """
 
-    __slots__ = ("slots", "half_u_sq", "enorm", "enorm_min", "rec", "rec_base", "w_tab", "var_idx")
+    __slots__ = ("slots", "sqn", "enorm", "enorm_min", "rec", "rec_base", "w_tab", "var_idx")
 
-    def __init__(self, slots, half_u_sq, enorm, enorm_min, rec=None, rec_base=None, w_tab=None,
-                 var_idx=None):
+    def __init__(self, slots, sqn, enorm, enorm_min, rec=None, rec_base=None, w_tab=None, var_idx=None):
         self.slots = slots
-        self.half_u_sq = half_u_sq
+        self.sqn = sqn
         self.enorm = enorm
         self.enorm_min = enorm_min
         self.rec = rec
@@ -411,13 +411,15 @@ class EdgeMetaBlock:
 
 
 def batch_ar(block: EdgeMetaBlock, ts: ThresholdState, qnorm: float, metric: Metric) -> np.ndarray:
-    n = len(block)
+    """A_r = (|u|^2 - 2r - 2v.q) / (2|q||e|), the |u|^2 term on L2 only, -inf at a zero |e|.
+    Doubling is exact, so this is the bits of (|u|^2/2 - r - v.q) / (|q||e|)."""
+    n, q2 = len(block), 2.0 * qnorm
     if metric == Metric.L2:
-        num = block.half_u_sq - ts.r - ts.vq
+        num = block.sqn - 2.0 * ts.r - 2.0 * ts.vq
     else:
-        num = np.full(n, -ts.r - ts.vq)
-    den = qnorm * block.enorm
-    if qnorm * block.enorm_min > 0.0:  # then every den > 0
+        num = np.full(n, -2.0 * ts.r - 2.0 * ts.vq)
+    den = q2 * block.enorm
+    if q2 * block.enorm_min > 0.0:  # then every den > 0
         return num / den
     out = np.full(n, -math.inf)
     ok = den > 0.0
@@ -434,32 +436,23 @@ def batch_peos_test(
 ) -> np.ndarray:
     """Vectorized gate for one popped node's edge block.
 
-    A_r comes first; only edges with |A_r| < 1 read their records. Their
-    statistic is one gather from the query's signed table and one from
-    the weight table, a row-sum over the L subspace entries and one
-    multiply-add with the residual entry.
+    Every edge's statistic is one gather from the query's signed table
+    and one from the weight table, a row-sum over the L subspace entries
+    and one multiply-add with the residual entry, compared with the table
+    at its A_r column: A_r >= 1 reads the +inf column and fails. A_r <= -1
+    passes whatever the statistic.
     """
     ar = batch_ar(block, ts, qpt.qnorm, metric)
-    mid = (np.abs(ar) < 1.0).nonzero()[0]
-    if mid.size == 0:
-        return ar <= -1.0
-    whole = mid.size == ar.size  # the usual case: no auto-decided edge to merge back
-    s = block.slots if whole else block.slots[mid]
-    cols = tbl.columns(ar if whole else ar[mid])
-    r = block.rec.take(s, axis=0) + block.rec_base
+    cols = tbl.columns(ar)
+    r = block.rec.take(block.slots, axis=0) + block.rec_base
     if block.w_tab is None:
-        tested = qpt.table.take(r).sum(axis=1) >= tbl.q[block.var_idx, cols]
+        h, row = qpt.table.take(r).sum(axis=1), block.var_idx
     else:
         n = r.shape[1] - 3  # the L+1 id columns
         g = qpt.table.take(r[:, :n])
         w = block.w_tab.take(r[:, n : n + 2])
-        h = w[:, 0] * g[:, 1:].sum(axis=1) + w[:, 1] * g[:, 0]
-        tested = h >= tbl.q[r[:, n + 2], cols]
-    if whole:
-        return tested
-    passes = ar <= -1.0
-    passes[mid] = tested
-    return passes
+        h, row = w[:, 0] * g[:, 1:].sum(axis=1) + w[:, 1] * g[:, 0], r[:, n + 2]
+    return (h >= tbl.q[row, cols]) | (ar <= -1.0)
 
 
 def batch_simhash_test(

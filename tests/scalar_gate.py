@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from annroute.edgestore import EdgeMetaStore
+from annroute.hnsw import HnswIndex
 from annroute.errors import DegenerateInputError, UsageError
 from annroute.projections import ProjectionEnsemble, QueryProjectionTable, decode_id_bytes, encode_id_bytes
 from annroute.routing import (
@@ -195,8 +195,10 @@ def build_edge_meta(
 
 
 
-def meta_at(store: EdgeMetaStore, slot: int) -> EdgeMeta:
-    """The record at a slot of an attached store, decoded into an EdgeMeta."""
+def meta_at(idx: HnswIndex, slot: int) -> EdgeMeta:
+    """The record at a slot of an index's attached store, decoded into an EdgeMeta whose
+    half-norm is half the index's squared norm of the edge's target."""
+    store = idx.routing.store
     if store.cfg.mode == RoutingMode.SIMHASH:
         raise UsageError("SimHash attachments store sketches, not extreme ids")
     r = store.rec[slot]
@@ -206,7 +208,7 @@ def meta_at(store: EdgeMetaStore, slot: int) -> EdgeMeta:
         w_reg_q=255 if compact else int(r[L + 1]),
         w_res_q=0 if compact else int(r[L + 2]),
         var_idx=store.var_idx if compact else int(r[L + 3]),
-        half_u_sq=float(store.half_u_sq[store.dst[slot]]),
+        half_u_sq=0.5 * float(idx._sqn[store.dst[slot]]),
         enorm_q=int(store.enorm_q[slot]),
         quant=store.quant,
         compact=compact,

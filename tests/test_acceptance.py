@@ -27,6 +27,7 @@ from annroute import (
     search,
 )
 
+from annroute.routing import X_COLS
 from conftest import DESK_K
 from oracles import expected_max_abs_normal
 from scalar_gate import collision_count
@@ -228,13 +229,15 @@ def test_c7_quantile_table_scan():
     eta = math.sqrt(2 * 8 * math.log(128))
     veff = np.clip(tbl.v_grid[:, None] - (8.0 / 9.0) * tbl.x_grid[None, :] ** 2, 0.0, None)
     exact = tbl.x_grid[None, :] * eta + z_hp * np.sqrt(veff)
-    conservative = bool(np.all(tbl.q <= exact))
-    monotone = bool(np.all(np.diff(tbl.q, axis=1) >= 0))
-    ok = conservative and monotone
+    cells = tbl.q[:, :X_COLS]  # x in [-1, 1); the last column serves x >= 1
+    conservative = bool(np.all(cells <= exact))
+    monotone = bool(np.all(np.diff(cells, axis=1) >= 0))
+    inf_column = tbl.q.shape[1] == X_COLS + 1 and bool(np.all(tbl.q[:, X_COLS] == math.inf))
+    ok = conservative and monotone and inf_column
     _report(
         "C7 quantile table", ok,
-        f"cells={tbl.q.size} conservative={conservative} monotone={monotone} "
-        f"max_gap={float(np.max(exact - tbl.q)):.2e}",
+        f"cells={cells.size} conservative={conservative} monotone={monotone} inf_column={inf_column} "
+        f"max_gap={float(np.max(exact - cells)):.2e}",
     )
 
 

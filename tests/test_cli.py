@@ -283,6 +283,20 @@ class TestBuildAttachSearch:
         assert not index.exists()
 
 
+    @pytest.mark.parametrize("routing", ["peos", "rceos", "simhash", "bogus"])
+    def test_build_refuses_a_gate(self, capsys, tmp_path, routing):
+        """build writes a plain graph only; a gate is added by attach, so --routing other
+        than none is refused before anything is built or written."""
+        index = tmp_path / "g.idx"
+        code, out, err = run_cli(capsys, "build", "--synthetic", "300,8,0", "--index", str(index),
+                                 "--routing", routing, "--L", "4" if routing == "peos" else "1")
+        assert code == 1 and "usage error" in err and "attach" in err and out == ""
+        assert not index.exists()
+        code, _, _ = run_cli(capsys, "build", "--synthetic", "300,8,0", "--index", str(index),
+                             "--routing", "none", "--M", "4", "--efc", "20")
+        assert code == 0 and index.exists()
+
+
 class TestAuditCommand:
     def test_audit_prints_verdict(self, capsys):
         code, out, _ = run_cli(

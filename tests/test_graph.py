@@ -177,7 +177,7 @@ class TestAttach:
                 ds.vectors[u].astype(np.float64), ds.vectors[v].astype(np.float64),
                 att.ens, att.plan, att.store.quant,
             )
-            assert meta_at(att.store, int(slot)) == expect
+            assert meta_at(small_peos, int(slot)) == expect
 
     def test_duplicate_points_get_null_meta(self):
         vecs = np.random.default_rng(0).standard_normal((40, 16)).astype(np.float32)
@@ -668,16 +668,18 @@ class TestMemory:
             store = index.routing.store
             E, n = store.n_edges, ds.n
             assert E != n
-            # the target array is the adjacency's, counted with the graph
-            held = [b for b in _buffers(store) if b is not index.base_indices]
+            # the target array is the adjacency's, counted with the graph, and the L2 gate's
+            # squared norms are the index's, counted with the vectors
+            assert store.sqn is index._sqn
+            held = [b for b in _buffers(store) if b is not index.base_indices and b is not index._sqn]
             record = store.wire_records().shape[1]
             per_edge = sum(b.nbytes for b in held if b.shape[:1] == (E,))
             fixed = sum(b.nbytes for b in held if b.shape[:1] != (E,))
-            # the record fields, and nothing else per edge: the half-norm is held once per node
+            # the record fields, and nothing else per edge
             assert per_edge <= E * record
-            # the edge norm at every 16-bit code, both weights at every byte, and per node
-            # the exact half-norm in float64
-            assert fixed <= 8 * (65536 + 512) + 8 * n + 1024
+            # the edge norm at every 16-bit code and both weights at every byte; nothing per node
+            assert not any(b.shape[:1] == (n,) for b in held)
+            assert fixed <= 8 * (65536 + 512) + 1024
 
 
 def _twin_graph(metric):
@@ -773,7 +775,7 @@ class TestLoadPath:
         store = loaded.routing.store if loaded.routing else None
         if store is not None:
             norm_dtype = np.uint8 if store.cfg.compact else np.dtype("<u2")
-            per_edge += [(store.enorm_q, norm_dtype), (store.half_u_sq, np.float64)]
+            per_edge.append((store.enorm_q, norm_dtype))
             per_edge.append((store.sketches if store.rec is None else store.rec, np.uint8))
         for arr, dtype in per_edge:
             assert arr.dtype == dtype and arr.flags.c_contiguous
@@ -803,15 +805,20 @@ class TestLoadPath:
             return
         got, want = loaded.routing.store, routed.routing.store
         assert got.dst is loaded.base_indices and want.dst is routed.base_indices  # shared, not copied
-        for field in ("rec", "sketches", "enorm_q", "half_u_sq", "enorm_tab"):
+        for field in ("rec", "sketches", "enorm_q", "enorm_tab"):
             a, b = getattr(got, field), getattr(want, field)
             assert (a is None and b is None) or _same_bits(a, b)
+        if metric == Metric.L2:  # the gate's squared norms are each index's own
+            assert got.sqn is loaded._sqn and want.sqn is routed._sqn
+        else:
+            assert got.sqn is None and want.sqn is None
 
     @pytest.mark.parametrize("name", list(_LOAD_CONFIGS))
     def test_half_norm_is_exact_after_attach_and_load(self, twins, name, tmp_path):
-        """The gate's half-norm of every node is half the index's squared norm, bit for bit,
-        on every metric, whether attach built the store or load read it."""
-        _, _, idx = twins
+        """The L2 gate reads each target's |u|^2 from the index's own squared norms, whether
+        attach built the store or load read it: the store keeps _sqn itself, and a block
+        gathers it bit for bit. Angular and IP stores keep no norms and gather none."""
+        metric, _, idx = twins
         routed = attach(idx, _LOAD_CONFIGS[name])
         path = tmp_path / "routed.idx"
         save_index(routed, path)
@@ -820,7 +827,14 @@ class TestLoadPath:
             assert loaded.routing is None
             return
         for index in (routed, loaded):
-            assert _same_bits(index.routing.store.half_u_sq, 0.5 * idx._sqn)
+            store = index.routing.store
+            slots = np.arange(0, store.n_edges, 3)
+            block = store.block(slots, store.dst[slots].astype(np.intp))
+            if metric == Metric.L2:
+                assert store.sqn is index._sqn and _same_bits(index._sqn, idx._sqn)
+                assert _same_bits(block.sqn, idx._sqn[store.dst[slots]])
+            else:
+                assert store.sqn is None and block.sqn is None
 
 
 class TestLiveGateEquivalence:
@@ -840,9 +854,9 @@ class TestLiveGateEquivalence:
 
         def checked(block, tbl, qpt, ts, metric=Metric.L2):
             out = fused(block, tbl, qpt, ts, metric)
-            expect = [peos_test(meta_at(store, int(s)), tbl, qpt, ts, metric) for s in block.slots]
+            expect = [peos_test(meta_at(routed, int(s)), tbl, qpt, ts, metric) for s in block.slots]
             np.testing.assert_array_equal(out, expect)
-            ar = np.array([compute_Ar(meta_at(store, int(s)), ts, qpt.qnorm, metric) for s in block.slots])
+            ar = np.array([compute_Ar(meta_at(routed, int(s)), ts, qpt.qnorm, metric) for s in block.slots])
             seen["edges"] += len(out)
             seen["tested"] += int(np.count_nonzero(np.abs(ar) < 1.0))
             seen["zero_norm"] += int(np.count_nonzero(ar == -math.inf))
@@ -874,7 +888,7 @@ class TestLiveGateEquivalence:
             for s, got in zip(hop["slots"].tolist(), out):
                 # compute_Ar reads only the half-norm and the edge-norm code of a record
                 meta = EdgeMeta(ext_ids=(), w_reg_q=255, w_res_q=0, var_idx=0,
-                                half_u_sq=float(store.half_u_sq[store.dst[s]]), enorm_q=int(store.enorm_q[s]),
+                                half_u_sq=0.5 * float(idx._sqn[store.dst[s]]), enorm_q=int(store.enorm_q[s]),
                                 quant=store.quant)
                 ar_ref = compute_Ar(meta, hop["ts"], hop["qnorm"], metric)
                 sketch = SimHashSketch(bits=store.sketches[s], n=cfg.simhash_bits)
@@ -1030,10 +1044,11 @@ def _v1_records(store, half_codes=None) -> np.ndarray:
     return np.concatenate((store._lead(), *codes), axis=1)
 
 
-def _v1_half_codes(store) -> np.ndarray:
-    """Format 1's half-norm column: each edge's target |u|^2/2 rounded down to a code of
-    the min/max quantizer over the edges' targets, as wide as the edge-norm code."""
-    half = store.half_u_sq.take(store.dst)
+def _v1_half_codes(store, sqn) -> np.ndarray:
+    """Format 1's half-norm column: each edge's target |u|^2/2, half its squared norm in sqn,
+    rounded down to a code of the min/max quantizer over the edges' targets, as wide as the
+    edge-norm code."""
+    half = (0.5 * sqn).take(store.dst)
     lo, hi = float(half.min()), float(half.max())
     if hi <= lo:
         return np.zeros_like(store.enorm_q)
@@ -1299,20 +1314,23 @@ GOLDEN_ATTACH = {
 }
 
 
-def _golden_store(graphs, name):
+def _golden_routed(graphs, name):
     graph, cfg, permute, _ = GOLDEN_ATTACH[name]
-    return attach(graphs[graph], cfg, permute=permute).routing.store
+    return attach(graphs[graph], cfg, permute=permute)
 
 
-def _v1_digest(store) -> str:
-    return hashlib.blake2b(_v1_records(store, _v1_half_codes(store)).tobytes(), digest_size=16).hexdigest()
+def _v1_digest(routed) -> str:
+    store = routed.routing.store
+    records = _v1_records(store, _v1_half_codes(store, routed._sqn))
+    return hashlib.blake2b(records.tobytes(), digest_size=16).hexdigest()
 
 
 class TestGoldenAttach:
     @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
     def test_wire_bytes(self, golden_graphs, name):
-        store = _golden_store(golden_graphs, name)
-        assert _v1_digest(store) == GOLDEN_ATTACH[name][3]
+        routed = _golden_routed(golden_graphs, name)
+        store = routed.routing.store
+        assert _v1_digest(routed) == GOLDEN_ATTACH[name][3]
         # format 2 writes the lead fields, then the edge-norm code: format 1's records less the half-norm code
         width = store.enorm_q.itemsize
         np.testing.assert_array_equal(store.wire_records(),
@@ -1325,28 +1343,30 @@ class TestGoldenAttach:
         chunk = 1 << 16 if tail is None else next(c for c in range(64, E) if E % c == tail)
         monkeypatch.setattr(edgestore, "_ATTACH_CHUNK", chunk)
         for name, (_, _, _, digest) in GOLDEN_ATTACH.items():
-            assert _v1_digest(_golden_store(golden_graphs, name)) == digest, name
+            assert _v1_digest(_golden_routed(golden_graphs, name)) == digest, name
 
     @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
     def test_half_norm_column_is_target_code(self, golden_graphs, name, tmp_path):
         """Format 1 wrote each edge's target half-norm code in its record; no file holds
-        half-norms now. A save -> load round trip takes the per-node half_u_sq from the
-        index's squared norms again, bit-equal to attach's and to 0.5 * _sqn, so
-        half_u_sq[dst] is each edge's own target's exact |u|^2/2. The hand-made graph
-        repeats ids, which no file may hold, so its records are read back in memory."""
+        half-norms now. The golden graphs are L2, so the store reads the squared norms of
+        the index it serves, after attach and after a save -> load round trip alike, and
+        sqn[dst] is each edge's own target's exact |u|^2. The hand-made graph repeats ids,
+        which no file may hold, so its records are read back in memory."""
         graph, cfg, permute, _ = GOLDEN_ATTACH[name]
         idx = golden_graphs[graph]
         routed = attach(idx, cfg, permute=permute)
         store = routed.routing.store
         if graph == "handmade":
+            served = idx
             loaded = edgestore.EdgeMetaStore.from_wire(memoryview(store.wire_records().reshape(-1)), idx, cfg,
                                                        store.quant)
         else:
             path = tmp_path / "routed.idx"
             save_index(routed, path)
-            loaded = load_index(path, idx.dataset).routing.store
+            served = load_index(path, idx.dataset)
+            loaded = served.routing.store
         assert store.wire_records().shape[1] == store._lead().shape[1] + store.enorm_q.itemsize
-        assert _same_bits(loaded.half_u_sq, store.half_u_sq) and _same_bits(store.half_u_sq, 0.5 * idx._sqn)
+        assert store.sqn is idx._sqn and loaded.sqn is served._sqn and _same_bits(loaded.sqn, idx._sqn)
 
     @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
     def test_reverse_edge_holds_negated_ids(self, golden_graphs, name):

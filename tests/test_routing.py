@@ -34,7 +34,9 @@ from annroute import (
 import annroute.query as query_mod
 from annroute.projections import decode_id_bytes, encode_id_bytes
 from annroute.routing import (
+    X_COLS,
     SimHashSketch,
+    batch_ar,
     batch_simhash_test,
     simhash_bounds,
     sketch_words,
@@ -109,8 +111,9 @@ class TestQuantileTable:
     def test_eps_half_gives_means(self):
         tbl = build_quantile_table(0.5, 4, 64, var_rows=32, x_cols=64)
         eta = math.sqrt(2 * 4 * math.log(64))
-        means = np.broadcast_to(tbl.x_grid[None, :] * eta, tbl.q.shape)
-        np.testing.assert_allclose(tbl.q, means, atol=1e-8)
+        means = np.broadcast_to(tbl.x_grid[None, :] * eta, (32, 64))
+        np.testing.assert_allclose(tbl.q[:, :64], means, atol=1e-8)
+        assert tbl.q.shape == (32, 65) and np.all(tbl.q[:, 64] == math.inf)
 
     def test_L1_x0_entry_is_normal_quantile(self):
         tbl = build_quantile_table(0.2, 1, 128)
@@ -165,6 +168,20 @@ class TestQuantileTable:
         np.testing.assert_array_equal(tbl.columns(xs), expect)
         assert [int(tbl.columns(float(x))) for x in xs] == expect.tolist()
 
+    @pytest.mark.parametrize("x_cols", [16, X_COLS])
+    def test_x_at_or_beyond_the_ends_reads_the_end_columns(self, x_cols):
+        """x >= 1 reads the last column, which is +inf, so no statistic passes there;
+        x <= -1 reads the first cell."""
+        tbl = build_quantile_table(0.2, 2, 32, var_rows=4, x_cols=x_cols)
+        assert tbl.q.shape == (4, x_cols + 1) and np.all(tbl.q[:, x_cols] == math.inf)
+        assert np.all(np.isfinite(tbl.q[:, :x_cols]))
+        high = np.array([1.0, np.nextafter(1.0, 2.0), 1.5, 2.0, 1e300, np.finfo(np.float64).max, math.inf])
+        np.testing.assert_array_equal(tbl.columns(high), x_cols)
+        assert [int(tbl.columns(float(x))) for x in high] == [x_cols] * high.size
+        low = np.array([-1.0, np.nextafter(-1.0, -2.0), -2.0, -1e300, -math.inf])
+        np.testing.assert_array_equal(tbl.columns(low), 0)
+        assert int(tbl.columns(np.nextafter(1.0, 0.0))) == x_cols - 1
+
     @pytest.mark.parametrize("x_cols", [6, 24, 96, 1000])
     def test_x_cols_must_be_twice_a_power_of_two(self, x_cols):
         with pytest.raises(UsageError):
@@ -184,13 +201,15 @@ class TestQuantileTable:
             def exact(x):
                 return x * eta + z * np.sqrt(np.clip(v - c * x**2, 0.0, None))
 
+            cells = tbl.q[:, :X_COLS]
+            assert np.all(tbl.q[:, X_COLS:] == math.inf)
             width = tbl.x_grid[1] - tbl.x_grid[0]
             right = np.nextafter(tbl.x_grid + width, -np.inf)
             for x in (tbl.x_grid + 0.5 * width, right):
-                assert np.all(tbl.q <= exact(x[None, :]))
+                assert np.all(cells <= exact(x[None, :]))
             x_star = -np.sqrt(v / (c + (z * c / eta) ** 2))
             inside = tbl.x_grid[None, :] <= x_star
-            assert np.all(np.where(inside, tbl.q <= exact(x_star), True))
+            assert np.all(np.where(inside, cells <= exact(x_star), True))
 
     def test_nonnegative_columns_hold_exact_quantile(self):
         # for x >= 0 the quantile rises with x, so each cell is the exact value at its left edge
@@ -200,7 +219,8 @@ class TestQuantileTable:
         eta = math.sqrt(2 * 8 * math.log(128))
         veff = np.clip(tbl.v_grid[:, None] - (8.0 / 9.0) * x[None, :] ** 2, 0.0, None)
         exact = x[None, :] * eta + inv_norm_cdf(0.2) * np.sqrt(veff)
-        np.testing.assert_allclose(tbl.q[:, tbl.x_grid >= 0.0], exact, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(tbl.q[:, :X_COLS][:, tbl.x_grid >= 0.0], exact, rtol=0.0, atol=1e-8)
+        assert tbl.q.shape[1] == X_COLS + 1 and np.all(tbl.q[:, X_COLS] == math.inf)
 
 
 class TestScalarQuantizer:
@@ -730,22 +750,23 @@ def routed_L4():
     ds = Dataset(rng.standard_normal((400, 32)).astype(np.float32))
     idx = attach(build_hnsw(ds, M=6, efc=30, metric=Metric.L2, seed=11),
                  RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=16))
-    return ds, idx.routing
+    return ds, idx
 
 
 class TestBatchPeos:
     """The fused gate on blocks of a real store against the scalar peos_test on its records."""
 
     def _setup(self, routed, seed):
-        ds, att = routed
+        ds, idx = routed
+        store = idx.routing.store
         rng = np.random.default_rng(seed)
         q = rng.standard_normal(32)
         v0 = ds.vectors[rng.integers(ds.n)].astype(np.float64)
-        qpt = project_query(q, att.ens)
+        qpt = project_query(q, idx.routing.ens)
         # r spread so that A_r lands on both sides of 0 and of +-1
-        r = float(np.median(att.store.block(np.arange(att.store.n_edges), att.store.dst).half_u_sq)
+        r = float(np.median((0.5 * idx._sqn).take(store.dst))
                   - v0 @ q - rng.uniform(-1.5, 1.5) * qpt.qnorm * 5.0)
-        return att.store, qpt, ThresholdState(r=r, vq=float(v0 @ q))
+        return store, qpt, ThresholdState(r=r, vq=float(v0 @ q))
 
     def test_bitmap_matches_elementwise(self, routed_L4):
         tbl = build_quantile_table(0.2, 4, 16)
@@ -755,9 +776,9 @@ class TestBatchPeos:
             slots = np.sort(np.random.default_rng(seed).choice(store.n_edges, 16, replace=False))
             block = store.block(slots, store.dst[slots])
             bitmap = batch_peos_test(block, tbl, qpt, ts)
-            single = np.array([peos_test(meta_at(store, int(s)), tbl, qpt, ts) for s in slots])
+            single = np.array([peos_test(meta_at(routed_L4[1], int(s)), tbl, qpt, ts) for s in slots])
             np.testing.assert_array_equal(bitmap, single)
-            ar = np.array([compute_Ar(meta_at(store, int(s)), ts, qpt.qnorm, Metric.L2) for s in slots])
+            ar = np.array([compute_Ar(meta_at(routed_L4[1], int(s)), ts, qpt.qnorm, Metric.L2) for s in slots])
             seen["tested"] += int(np.count_nonzero(np.abs(ar) < 1.0))
             seen["passed"] += int(bitmap.sum())
             seen["edges"] += len(slots)
@@ -777,6 +798,85 @@ class TestBatchPeos:
         slots = np.full(16, 7)
         out = batch_peos_test(store.block(slots, store.dst[slots]), tbl, qpt, ts)
         assert out.shape == (16,) and len(set(out.tolist())) == 1
+
+
+_BAND_EDGES = [-math.inf, -1.0, float(np.nextafter(-1.0, 0.0)), float(np.nextafter(1.0, 0.0)), 1.0, math.inf]
+
+
+@pytest.fixture(scope="module", params=[(False, Metric.L2), (True, Metric.L2), (False, Metric.ANGULAR),
+                                        (True, Metric.ANGULAR)],
+                ids=["full-l2", "compact-l2", "full-angular", "compact-angular"])
+def band_graph(request):
+    """A real store with full or compact records: 400 Gaussian points, peos L=4 m=16."""
+    compact, metric = request.param
+    ds = Dataset(np.random.default_rng(12).standard_normal((400, 32)).astype(np.float32))
+    cfg = RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=16, compact=compact)
+    return attach(build_hnsw(ds, M=6, efc=30, metric=metric, seed=12), cfg)
+
+
+class TestBandEdges:
+    """The fused gate at and beside A_r = -1 and A_r = 1 on a real block, against the scalar gate.
+
+    A_r <= -1 passes untested and A_r >= 1 fails through the table's +inf column; the
+    edges a search meets rarely sit there, so each band edge is put on an edge by its
+    threshold state.
+    """
+
+    @staticmethod
+    def _ts_at(idx, block, j, qnorm, target):
+        """A threshold state that puts edge j's A_r at target exactly, or None.
+
+        None happens beside +-1: there the floats are twice as dense as the quotients
+        edge j's norm lets a step of vq reach, so about half the edges cannot sit there.
+        """
+        if target == -math.inf:
+            return ThresholdState(r=math.inf, vq=0.0)
+        if target == math.inf:
+            return ThresholdState(r=0.0, vq=-math.inf)
+        # r cancels edge j's |u|^2 term exactly, so A_r = -2vq / (2|q||e|): step vq onto target
+        r = 0.5 * float(block.sqn[j]) if idx.metric == Metric.L2 else 0.0
+        vq = -target * qnorm * float(block.enorm[j])
+        for _ in range(64):
+            ts = ThresholdState(r=r, vq=vq)
+            ar = batch_ar(block, ts, qnorm, idx.metric)[j]
+            if ar == target:
+                return ts
+            vq = float(np.nextafter(vq, math.inf if ar > target else -math.inf))
+        return None
+
+    def test_band_edges_match_scalar(self, band_graph):
+        idx = band_graph
+        att, store = idx.routing, idx.routing.store
+        v = int(np.argmax(np.diff(idx.base_indptr)))
+        slots = np.arange(idx.base_indptr[v], idx.base_indptr[v + 1])
+        block = store.block(slots, store.dst[slots].astype(np.intp))
+        assert len(block) >= 6 and store.enorm_min > 0.0
+        q = np.random.default_rng(13).standard_normal(32)
+        qpt = project_query(q, att.ens)
+        real = build_quantile_table(0.2, 4, 16)
+        shape = real.q.shape
+        # a table every tested edge passes, and one every tested edge fails
+        open_q = np.concatenate((np.full((shape[0], X_COLS), -math.inf), real.q[:, X_COLS:]), axis=1)
+        tables = [real] + [QuantileTable(eps=0.2, L=4, m=16, x_grid=real.x_grid, v_grid=real.v_grid, q=q_)
+                           for q_ in (open_q, np.full(shape, math.inf))]
+        hits = dict.fromkeys(_BAND_EDGES, 0)
+        for j in range(len(block)):
+            for target in _BAND_EDGES:
+                ts = self._ts_at(idx, block, j, qpt.qnorm, target)
+                if ts is None:
+                    continue
+                hits[target] += 1
+                meta = meta_at(idx, int(slots[j]))
+                assert compute_Ar(meta, ts, qpt.qnorm, idx.metric) == target
+                for k, tbl in enumerate(tables):
+                    got = batch_peos_test(block, tbl, qpt, ts, idx.metric)
+                    want = [peos_test(meta_at(idx, int(s)), tbl, qpt, ts, idx.metric) for s in slots]
+                    np.testing.assert_array_equal(got, want)
+                    if k == 1:  # open table: every A_r below 1 passes
+                        assert got[j] == (target < 1.0)
+                    elif k == 2:  # closed table: only A_r <= -1 passes
+                        assert got[j] == (target <= -1.0)
+        assert min(hits.values()) >= 2, hits
 
 
 class TestStatisticDistribution:
