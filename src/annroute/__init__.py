@@ -35,7 +35,6 @@ from .routing import (
     RoutingMode,
     ScalarQuantizer,
     SimHashSketch,
-    ThresholdState,
     batch_peos_test,
     build_quantile_table,
     estimate_partition_stats,

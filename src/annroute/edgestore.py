@@ -47,13 +47,13 @@ class EdgeMetaStore:
     * every mode: enorm_q, (E,), the edge-norm codes (uint16, uint8 in
       compact mode).
 
-    The store holds no per-node array. The L2 gate reads each target's
-    |u|^2 from sqn, the index's own squared norms (HnswIndex._sqn itself;
-    None on angular and IP, whose A_r does not read them). dst is the
+    The store holds no per-node array. The gate reads each target's row
+    term from row, the index's own (HnswIndex._sqn itself on L2, _norms on
+    angular; None on IP, whose A_r does not read it). dst is the
     adjacency's target array, HnswIndex.base_indices itself, so an edge's
-    squared norm is sqn[dst[slot]].
+    row term is row[dst[slot]].
 
-    finalize() keeps sqn, the edge-norm quantizer as quant, and the small
+    finalize() keeps row, the edge-norm quantizer as quant, and the small
     decode tables: enorm_tab with the edge norm of every code, and for full
     records w_tab with w_reg and sqrt(L)*w_res of every weight code.
     ScalarQuantizer.decode is elementwise, so a table lookup gives the same
@@ -67,7 +67,7 @@ class EdgeMetaStore:
         self.n_edges = enorm_q.shape[0]
         self.enorm_q = enorm_q
         self.dst = dst
-        self.sqn = self.enorm_tab = self.w_tab = None
+        self.row = self.enorm_tab = self.w_tab = None
         self.enorm_min = 0.0
         self.rec = self.rec_base = self.var_idx = self.sketches = self.words = None
         if cfg.mode == RoutingMode.SIMHASH:
@@ -93,11 +93,11 @@ class EdgeMetaStore:
         """Extreme-id bytes, (E, L+1) led by the residual id, or (E, L) in compact mode."""
         return self.rec if self.cfg.compact else self.rec[:, : self.cfg.L + 1]
 
-    def finalize(self, sqn: np.ndarray | None, enorm: ScalarQuantizer) -> None:
-        """Keep the index's squared norms sqn (None off L2) and the edge-norm quantizer
-        enorm, and build the decode tables."""
+    def finalize(self, row: np.ndarray | None, enorm: ScalarQuantizer) -> None:
+        """Keep row, the index's row terms (None on IP), and the edge-norm quantizer enorm,
+        and build the decode tables."""
         self.quant = enorm
-        self.sqn = sqn
+        self.row = row
         self.enorm_tab = enorm.decode(np.arange(1 << (8 * self.enorm_q.itemsize)))
         # decode is monotone in the code, so the smallest code holds the smallest norm
         self.enorm_min = float(self.enorm_tab[self.enorm_q.min()]) if self.n_edges else math.inf
@@ -108,8 +108,8 @@ class EdgeMetaStore:
     def block(self, slots: np.ndarray, targets: np.ndarray) -> EdgeMetaBlock:
         """The edges at slots, whose targets (dst at those slots) the caller already holds."""
         codes = self.enorm_q.take(slots).astype(np.intp)  # numpy casts narrower ids on every gather
-        sqn = None if self.sqn is None else self.sqn.take(targets)
-        return EdgeMetaBlock(slots, sqn, self.enorm_tab.take(codes), self.enorm_min,
+        row = None if self.row is None else self.row.take(targets)
+        return EdgeMetaBlock(slots, row, self.enorm_tab.take(codes), self.enorm_min,
                              self.rec, self.rec_base, self.w_tab, self.var_idx)
 
     # -- wire format -------------------------------------------------------
@@ -129,7 +129,7 @@ class EdgeMetaStore:
         """A store from the record section of a file over idx's adjacency.
 
         The lead fields and the edge-norm column are copied out of the
-        section once; the L2 gate reads idx's own squared norms.
+        section once; the gate reads idx's own row terms.
         """
         width = _lead_width(cfg)
         dtype = _norm_dtype(cfg.compact)
@@ -140,13 +140,13 @@ class EdgeMetaStore:
         store = cls(cfg, mat[:, :width].copy(), mat[:, width:].view(dtype)[:, 0].copy(), idx.base_indices)
         if cfg.mode != RoutingMode.SIMHASH:
             check_id_bytes(store.ids, cfg.m)
-        store.finalize(_l2_sqn(idx), enorm)
+        store.finalize(_gate_row(idx), enorm)
         return store
 
 
-def _l2_sqn(idx: HnswIndex) -> np.ndarray | None:
-    """The squared norms the gate reads: idx's own on L2, none on angular and IP."""
-    return idx._sqn if idx.metric == Metric.L2 else None
+def _gate_row(idx: HnswIndex) -> np.ndarray | None:
+    """The row terms A_r reads: idx's own squared norms on L2 and norms on angular, none on IP."""
+    return None if idx.metric == Metric.IP else idx._row
 
 
 def _lead_width(cfg: RoutingConfig) -> int:
@@ -298,7 +298,7 @@ def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,
 
     enorm = ScalarQuantizer.fit(enorm_vals, _norm_bits(cfg.compact))
     store.enorm_q[:] = enorm.encode(enorm_vals)
-    store.finalize(_l2_sqn(idx), enorm)
+    store.finalize(_gate_row(idx), enorm)
     return idx.with_routing(att)
 
 

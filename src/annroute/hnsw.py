@@ -45,11 +45,12 @@ def layer_search(entries, cap: int, row_of, score, visited: np.ndarray,
 
     entries are at most cap (key, id) pairs, already scored. row_of(v) is
     v's neighbor row as intp ids; the search marks ids visited[id] = epoch
-    and scores each id once. score(v, mask, fresh, worst) is handed the
-    popped node, the row's mask of unvisited ids, those ids and, once the
-    result list is full, its worst entry (-key, -id), else None; it
-    returns the ids to offer and their keys. A full list's worst key only
-    falls, so offers with a key above it are dropped before the loop.
+    and scores each id once. score(v, kv, mask, fresh, worst) is handed
+    the popped node and its key, the row's mask of unvisited ids, those
+    ids and, once the result list is full, its worst entry (-key, -id),
+    else None; it returns the ids to offer and their keys. A full list's
+    worst key only falls, so offers with a key above it are dropped
+    before the loop.
 
     The result list is a heap of (-key, -id): its root is the worst entry
     and, among equal keys, the higher id, so a newcomer with an equal key
@@ -77,7 +78,7 @@ def layer_search(entries, cap: int, row_of, score, visited: np.ndarray,
             continue
         visited[fresh] = epoch
         worst = res[0] if full else None
-        ids, keys = score(v, mask, fresh, worst)
+        ids, keys = score(v, k, mask, fresh, worst)
         if full:
             near = keys <= -worst[0]
             ids, keys = ids[near], keys[near]
@@ -288,7 +289,7 @@ def build_hnsw(ds: Dataset, M: int, efc: int, metric: Metric, seed: int) -> Hnsw
         lvl = int(levels[i])
         cur_top = int(levels[entry])  # the entry is the first node of the highest level so far
 
-        def score(v, mask, fresh, worst):
+        def score(v, kv, mask, fresh, worst):
             return fresh, _keys_to(q, qsq_i, qn_i, fresh)
 
         found = [(float(_keys_to(q, qsq_i, qn_i, np.array([entry]))[0]), entry)]

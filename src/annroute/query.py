@@ -18,7 +18,6 @@ from .projections import project_query
 from .routing import (
     RoutingConfig,
     RoutingMode,
-    ThresholdState,
     batch_ar,
     batch_peos_test,
     batch_simhash_test,
@@ -41,8 +40,7 @@ class SearchStats:
     counts evaluations that bypassed the gate (upper layers, the entry
     point, and base-layer blocks seen while the result list was not yet
     full), so dist_computations == tests_passed + ungated holds exactly.
-    hops counts base-layer expansions. The per-pop v.q dot products are
-    tracked separately.
+    hops counts base-layer expansions.
     """
 
     dist_computations: int = 0
@@ -50,7 +48,6 @@ class SearchStats:
     tests_passed: int = 0
     hops: int = 0
     ungated: int = 0
-    vq_computations: int = 0
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,7 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
     indptr, indices = idx.base_indptr, idx.base_indices
     stats = SearchStats(dist_computations=1, ungated=1)
 
-    def ungated(v, mask, fresh, worst):
+    def ungated(v, kv, mask, fresh, worst):
         stats.dist_computations += fresh.size
         stats.ungated += fresh.size
         return fresh, idx._keys(q64, qsq, qnorm, fresh)
@@ -141,9 +138,9 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
     def base_row(v):
         return indices[indptr[v] : indptr[v + 1]].astype(np.intp)
 
-    def gated(v, mask, fresh, worst):
+    def gated(v, kv, mask, fresh, worst):
         if worst is None:
-            return ungated(v, mask, fresh, worst)
+            return ungated(v, kv, mask, fresh, worst)
         B = int(fresh.size)
         wk = -worst[0]
         stats.tests_evaluated += B
@@ -154,15 +151,13 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
             if audit is not None:
                 audit.record(keys, wk, np.ones(B, dtype=bool))
             return fresh, keys
-        vq = float(idx.dataset.vectors[v].astype(np.float64) @ q64)
-        stats.vq_computations += 1
-        ts = _threshold_state(idx, wk, qsq, qnorm, vq, -worst[1])
+        thr = (wk, kv, idx._row[v])
         slots = indptr[v] + mask.nonzero()[0]
         if mode == RoutingMode.SIMHASH:
-            ar = batch_ar(att.store.block(slots, fresh), ts, qnorm, idx.metric)
+            ar = batch_ar(att.store.block(slots, fresh), thr, qnorm, idx.metric)
             passes = batch_simhash_test(att.store.words.take(slots, axis=0), qsketch, ar, params.routing.eps)
         else:
-            passes = batch_peos_test(att.store.block(slots, fresh), tbl, qpt, ts, idx.metric)
+            passes = batch_peos_test(att.store.block(slots, fresh), tbl, qpt, thr, idx.metric)
         passers = fresh[passes]
         stats.tests_passed += passers.size
         stats.dist_computations += passers.size
@@ -179,14 +174,4 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
     found, stats.hops = layer_search(found, params.efs, base_row, gated, visited, scratch.next_epoch())
     ids = [i for _, i in found[: params.K]]
     return np.asarray(ids, dtype=np.int64), stats
-
-
-def _threshold_state(idx: HnswIndex, worst_key: float, qsq: float, qnorm: float,
-                     vq: float, worst_id: int) -> ThresholdState:
-    if idx.metric == Metric.L2:
-        return ThresholdState(r=(worst_key - qsq) / 2.0, vq=vq)
-    if idx.metric == Metric.ANGULAR:
-        p_dot_q = (1.0 - worst_key) * idx._norms[worst_id] * qnorm
-        return ThresholdState(r=-p_dot_q, vq=vq)
-    return ThresholdState(r=worst_key, vq=vq)
 

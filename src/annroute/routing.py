@@ -1,8 +1,9 @@
 """Quantile tables, quantizers, and the batch routing gates.
 
 Each gate takes a block of edges with their stored records, the query's
-projections or sketch, and the result-list threshold state, and decides
-for every edge whether the neighbor's exact distance is worth computing.
+projections or sketch, and the hop's threshold (the worst result's key,
+the popped node's key and its row term), and decides for every edge
+whether the neighbor's exact distance is worth computing.
 A gated neighbor whose true distance beats the threshold must pass with
 probability at least 1 - eps.
 
@@ -122,18 +123,20 @@ class QuantileTable:
     x_grid: np.ndarray
     v_grid: np.ndarray
     q: np.ndarray
+    right: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        right = np.append(self.x_grid[1:], 1.0)  # each cell's right edge, the last cell's at 1
+        right.flags.writeable = False
+        object.__setattr__(self, "right", right)
 
     def columns(self, x):
-        """Column of the cell whose left edge is the largest grid point <= x, x clipped to [-1, 1].
-
-        The grid points are k/half with half a power of two, so x*half is
-        exact and its floor is the k of that edge.
-        """
-        half = len(self.x_grid) // 2
-        return (np.floor(np.asarray(x).clip(-1.0, 1.0) * half) + half).astype(np.intp)
+        """Column of the cell that holds x: the count of right edges <= x, so x < -1 reads the
+        first cell and x >= 1 the +inf column."""
+        return np.searchsorted(self.right, x, side="right")
 
 
-# a table is 2,109,440 B (256 x 1,025 cells and both grids): 64 would pin 135 MB, and a few cover an eps sweep
+# a table is 2,117,632 B (cells, grids, right edges): 64 would pin 136 MB, and a few cover an eps sweep
 @functools.lru_cache(maxsize=8)
 def build_quantile_table(
     eps: float, L: int, m: int, var_rows: int = VAR_ROWS, x_cols: int = X_COLS
@@ -211,24 +214,6 @@ class ScalarQuantizer:
         if self.hi <= self.lo:
             return np.full_like(code, self.lo)
         return self.lo + code * (self.hi - self.lo) / self.levels
-
-
-# ---------------------------------------------------------------------------
-# Threshold state
-# ---------------------------------------------------------------------------
-
-
-class ThresholdState:
-    """Pruning scalar r and the cached v.q dot product.
-
-    A plain slotted class, as search builds one per gated hop.
-    """
-
-    __slots__ = ("r", "vq")
-
-    def __init__(self, r: float, vq: float):
-        self.r = r
-        self.vq = vq
 
 
 # ---------------------------------------------------------------------------
@@ -379,26 +364,26 @@ def estimate_partition_stats(d: int, L: int, samples: int, seed: int = 0) -> Par
 class EdgeMetaBlock:
     """The edges of one popped node, as their slots in the store's record arrays.
 
-    sqn, each edge's target's squared norm (None off L2, whose A_r does not
-    read it), and enorm, its decoded edge norm, are gathered for the block.
-    The statistic's inputs stay store-wide in record form and are read at
-    slots: rec holds per edge the L+1 extreme-id bytes in their wire
-    encoding (column 0 the residual id), then the w_reg, w_res and var_idx
-    codes; in compact mode it holds only the L subspace id bytes, the
-    weights are (1, 0) and var_idx is the one variance row of every edge.
-    rec_base, added to a gathered row, turns each id byte into its entry of
-    the query's signed table and each weight code into its entry of w_tab
-    (the decoded w_reg and sqrt(L)*w_res per code; None in compact mode),
-    and leaves var_idx as it is. enorm_min is the smallest enorm in the
-    store; when it is positive, no edge can have a zero norm. SimHash
-    stores have no rec.
+    row, each edge's target's row term (|u|^2 on L2, |u| on angular, None
+    on IP, whose A_r does not read it), and enorm, its decoded edge norm,
+    are gathered for the block. The statistic's inputs stay store-wide in
+    record form and are read at slots: rec holds per edge the L+1
+    extreme-id bytes in their wire encoding (column 0 the residual id),
+    then the w_reg, w_res and var_idx codes; in compact mode it holds only
+    the L subspace id bytes, the weights are (1, 0) and var_idx is the one
+    variance row of every edge. rec_base, added to a gathered row, turns
+    each id byte into its entry of the query's signed table and each
+    weight code into its entry of w_tab (the decoded w_reg and
+    sqrt(L)*w_res per code; None in compact mode), and leaves var_idx as
+    it is. enorm_min is the smallest enorm in the store; when it is
+    positive, no edge can have a zero norm. SimHash stores have no rec.
     """
 
-    __slots__ = ("slots", "sqn", "enorm", "enorm_min", "rec", "rec_base", "w_tab", "var_idx")
+    __slots__ = ("slots", "row", "enorm", "enorm_min", "rec", "rec_base", "w_tab", "var_idx")
 
-    def __init__(self, slots, sqn, enorm, enorm_min, rec=None, rec_base=None, w_tab=None, var_idx=None):
+    def __init__(self, slots, row, enorm, enorm_min, rec=None, rec_base=None, w_tab=None, var_idx=None):
         self.slots = slots
-        self.sqn = sqn
+        self.row = row
         self.enorm = enorm
         self.enorm_min = enorm_min
         self.rec = rec
@@ -410,18 +395,26 @@ class EdgeMetaBlock:
         return len(self.slots)
 
 
-def batch_ar(block: EdgeMetaBlock, ts: ThresholdState, qnorm: float, metric: Metric) -> np.ndarray:
-    """A_r = (|u|^2 - 2r - 2v.q) / (2|q||e|), the |u|^2 term on L2 only, -inf at a zero |e|.
-    Doubling is exact, so this is the bits of (|u|^2/2 - r - v.q) / (|q||e|)."""
-    n, q2 = len(block), 2.0 * qnorm
+def batch_ar(block: EdgeMetaBlock, thr: tuple, qnorm: float, metric: Metric) -> np.ndarray:
+    """A_r per edge v->u: u's key beats the worst key wk iff cos(e, q) > A_r; -inf at a zero |e|.
+
+    thr is the hop's (wk, kv, row_v): the worst key, the popped node v's
+    key and v's row term (HnswIndex._row). With u.q = v.q + |e||q|cos(e, q)
+    and the keys of ordering_keys, A_r is
+    (|u|^2 - |v|^2 + kv - wk) / (2|q||e|) on L2, (kv - wk) / (|q||e|) on IP,
+    and ((1 - wk)|u| - (1 - kv)|v|) / |e| on angular.
+    """
+    wk, kv, row_v = thr
     if metric == Metric.L2:
-        num = block.sqn - 2.0 * ts.r - 2.0 * ts.vq
+        num, scale = block.row + (kv - row_v - wk), 2.0 * qnorm
+    elif metric == Metric.ANGULAR:
+        num, scale = (1.0 - wk) * block.row - (1.0 - kv) * row_v, 1.0
     else:
-        num = np.full(n, -2.0 * ts.r - 2.0 * ts.vq)
-    den = q2 * block.enorm
-    if q2 * block.enorm_min > 0.0:  # then every den > 0
+        num, scale = np.full(len(block), kv - wk), qnorm
+    den = scale * block.enorm
+    if scale * block.enorm_min > 0.0:  # then every den > 0
         return num / den
-    out = np.full(n, -math.inf)
+    out = np.full(len(block), -math.inf)
     ok = den > 0.0
     out[ok] = num[ok] / den[ok]
     return out
@@ -431,10 +424,10 @@ def batch_peos_test(
     block: EdgeMetaBlock,
     tbl: QuantileTable,
     qpt: QueryProjectionTable,
-    ts: ThresholdState,
+    thr: tuple,
     metric: Metric = Metric.L2,
 ) -> np.ndarray:
-    """Vectorized gate for one popped node's edge block.
+    """Vectorized gate for one popped node's edge block, at the hop's threshold thr (see batch_ar).
 
     Every edge's statistic is one gather from the query's signed table
     and one from the weight table, a row-sum over the L subspace entries
@@ -442,7 +435,7 @@ def batch_peos_test(
     at its A_r column: A_r >= 1 reads the +inf column and fails. A_r <= -1
     passes whatever the statistic.
     """
-    ar = batch_ar(block, ts, qpt.qnorm, metric)
+    ar = batch_ar(block, thr, qpt.qnorm, metric)
     cols = tbl.columns(ar)
     r = block.rec.take(block.slots, axis=0) + block.rec_base
     if block.w_tab is None:

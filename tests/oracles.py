@@ -93,7 +93,9 @@ def make_gate_trials(n_trials: int, d: int, seed: int, x_lo: float = 0.01, x_hi:
     what the routing guarantee quantifies over. The defaults keep x in
     (0, 1); a negative x_lo and x_floor reach the band x in (-1, 0).
 
-    Returns dict of arrays: u, v, q, r, vq, cos, x.
+    Returns dict of arrays: u, v, q, r, vq, cos, x, and the L2 gate's
+    threshold as search holds it: wk (the worst key |q|^2 + 2r), kv (v's
+    key) and vsq (|v|^2).
     """
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     q = gen.standard_normal((n_trials, d))
@@ -114,7 +116,16 @@ def make_gate_trials(n_trials: int, d: int, seed: int, x_lo: float = 0.01, x_hi:
     half_u = 0.5 * np.einsum("ij,ij->i", u, u)
     r = half_u - vq - x * qn * enorm
     keep = (qn**2 + 2.0 * r) > 0  # realizable delta only
+    vsq = np.einsum("ij,ij->i", v, v)
     return {
         "u": u[keep], "v": v[keep], "q": q[keep], "r": r[keep], "vq": vq[keep],
+        "wk": (qn**2 + 2.0 * r)[keep], "kv": (qn**2 + vsq - 2.0 * vq)[keep], "vsq": vsq[keep],
         "cos": cos[keep], "x": x[keep], "qnorm": qn[keep], "enorm": enorm[keep],
     }
+
+
+def spread_norms(vectors: np.ndarray, seed: int) -> np.ndarray:
+    """vectors with each row scaled by U(0.3, 3.0): real corpora spread their norms, which
+    only the angular gate's threshold has to undo."""
+    scale = np.random.default_rng(seed).uniform(0.3, 3.0, vectors.shape[0])
+    return (vectors * scale[:, None]).astype(vectors.dtype)

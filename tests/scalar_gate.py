@@ -31,7 +31,6 @@ from annroute.routing import (
     RoutingMode,
     ScalarQuantizer,
     SimHashSketch,
-    ThresholdState,
     var_row_indices,
 )
 from annroute.vecstore import Metric, PermutationPlan, apply_permutation
@@ -111,7 +110,7 @@ def decompose(e: np.ndarray, L: int) -> Decomposition:
 @dataclass(frozen=True)
 class EdgeMeta:
     """Packed per-edge record: signed extreme ids, quantized weights and edge norm, and
-    the target's exact half-norm |u|^2/2.
+    the target's exact squared norm |u|^2.
 
     ext_ids has L+1 entries led by the residual id, or L entries in
     compact mode (weights are then pinned to (1, 0) and not stored).
@@ -122,7 +121,7 @@ class EdgeMeta:
     w_reg_q: int
     w_res_q: int
     var_idx: int
-    half_u_sq: float
+    u_sq: float
     enorm_q: int
     quant: ScalarQuantizer
     compact: bool = False
@@ -187,7 +186,7 @@ def build_edge_meta(
         w_reg_q=w_reg_q,
         w_res_q=w_res_q,
         var_idx=var_idx,
-        half_u_sq=0.5 * float(np.einsum("i,i->", u, u)),  # summed as the index sums its squared norms
+        u_sq=float(np.einsum("i,i->", u, u)),  # summed as the index sums its squared norms
         enorm_q=int(quant.encode(float(np.linalg.norm(e)))),
         quant=quant,
         compact=compact,
@@ -197,7 +196,7 @@ def build_edge_meta(
 
 def meta_at(idx: HnswIndex, slot: int) -> EdgeMeta:
     """The record at a slot of an index's attached store, decoded into an EdgeMeta whose
-    half-norm is half the index's squared norm of the edge's target."""
+    squared norm is the index's squared norm of the edge's target."""
     store = idx.routing.store
     if store.cfg.mode == RoutingMode.SIMHASH:
         raise UsageError("SimHash attachments store sketches, not extreme ids")
@@ -208,25 +207,30 @@ def meta_at(idx: HnswIndex, slot: int) -> EdgeMeta:
         w_reg_q=255 if compact else int(r[L + 1]),
         w_res_q=0 if compact else int(r[L + 2]),
         var_idx=store.var_idx if compact else int(r[L + 3]),
-        half_u_sq=0.5 * float(idx._sqn[store.dst[slot]]),
+        u_sq=float(idx._sqn[store.dst[slot]]),
         enorm_q=int(store.enorm_q[slot]),
         quant=store.quant,
         compact=compact,
     )
 
 
-def compute_Ar(meta: EdgeMeta, ts: ThresholdState, qnorm: float, metric: Metric) -> float:
-    """Query-dependent cosine threshold the edge must beat; -inf when unbounded."""
-    if math.isinf(ts.r):
-        return -math.inf
+def compute_Ar(meta: EdgeMeta, thr: tuple, qnorm: float, metric: Metric) -> float:
+    """Query-dependent cosine threshold the edge must beat; -inf at a zero edge norm.
+
+    thr is the hop's (wk, kv, row_v): the worst result's key, the popped
+    node's key and its row term (|v|^2 on L2, |v| on angular). The target's
+    row term is |u|^2 on L2 and sqrt(|u|^2) on angular, as the index takes
+    its norms.
+    """
+    wk, kv, row_v = thr
     enorm = meta.enorm
     if enorm <= 0.0:
         return -math.inf
     if metric == Metric.L2:
-        num = meta.half_u_sq - ts.r - ts.vq
-    else:
-        num = -ts.r - ts.vq
-    return num / (qnorm * enorm)
+        return (meta.u_sq + (kv - row_v - wk)) / (2.0 * qnorm * enorm)
+    if metric == Metric.ANGULAR:
+        return ((1.0 - wk) * math.sqrt(meta.u_sq) - (1.0 - kv) * row_v) / enorm
+    return (kv - wk) / (qnorm * enorm)
 
 
 def _edge_statistic(meta: EdgeMeta, qpt: QueryProjectionTable) -> float:
@@ -248,7 +252,7 @@ def peos_test(
     meta: EdgeMeta,
     tbl: QuantileTable,
     qpt: QueryProjectionTable,
-    ts: ThresholdState,
+    thr: tuple,
     metric: Metric = Metric.L2,
 ) -> bool:
     """Pass iff the projected statistic clears the eps-quantile at x = A_r.
@@ -257,7 +261,7 @@ def peos_test(
     every neighbor and always passes. Every A_r in (-1, 1), negative
     ones included, is decided by the statistic against the table.
     """
-    ar = compute_Ar(meta, ts, qpt.qnorm, metric)
+    ar = compute_Ar(meta, thr, qpt.qnorm, metric)
     if ar >= 1.0:
         return False
     if ar <= -1.0:

@@ -29,7 +29,7 @@ from annroute import (
 
 from annroute.routing import X_COLS
 from conftest import DESK_K
-from oracles import expected_max_abs_normal
+from oracles import expected_max_abs_normal, spread_norms
 from scalar_gate import collision_count
 
 EPS = 0.2
@@ -76,6 +76,38 @@ def test_c1_live_audit(name):
     ok = rep.pass_rate >= GUARANTEE_BAR and rep.evaluations >= 10_000
     _report(f"C1 live audit [{name}]", ok,
             f"rate={rep.pass_rate:.4f} bound={GUARANTEE_BAR} evals={rep.evaluations} tp={rep.true_positives}")
+
+
+@pytest.fixture(scope="module")
+def spread_angular():
+    """8k x 128 angular data whose norms spread from 0.3x to 3x: the graph, queries, truth@10
+    and the recall@10 of ungated search."""
+    ds, queries = ar.synthetic_dataset(8000, 128, 100, seed=3)
+    ds = ar.Dataset(spread_norms(ds.vectors, 3))
+    idx = ar.build_hnsw(ds, M=16, efc=100, metric=Metric.ANGULAR, seed=3)
+    truth = ar.brute_force_all(ds, queries, 10, Metric.ANGULAR)
+    return idx, queries, truth, _recall_at_10(idx, queries, truth, RoutingConfig())
+
+
+def _recall_at_10(idx, queries, truth, cfg) -> float:
+    params = SearchParams(K=10, efs=200, routing=cfg)
+    return compute_recall([search(idx, q, params)[0] for q in queries], truth, 10)
+
+
+@pytest.mark.parametrize("mode", [RoutingMode.PEOS, RoutingMode.SIMHASH], ids=lambda m: m.value)
+def test_c1_live_audit_spread_norm_angular(mode, spread_angular):
+    """On angular data with spread norms the gate keeps its bound, and its recall@10 stays
+    within 0.01 of ungated search: A_r must weigh each endpoint's norm, as a gate that
+    tests the inner-product condition rejects improving edges there."""
+    idx, queries, truth, none_recall = spread_angular
+    cfg = RoutingConfig(mode=mode, eps=EPS, L=8, m=128)
+    routed = ar.attach(idx, cfg)
+    rep = run_audit(routed, queries, cfg, efs=200, K=10, min_evaluations=10_000)
+    recall = _recall_at_10(routed, queries, truth, cfg)
+    ok = rep.pass_rate >= GUARANTEE_BAR and rep.evaluations >= 10_000 and recall >= none_recall - 0.01
+    _report(f"C1 live audit [{mode.value}, spread-norm angular]", ok,
+            f"rate={rep.pass_rate:.4f} bound={GUARANTEE_BAR} evals={rep.evaluations} "
+            f"recall@10={recall:.4f} none={none_recall:.4f}")
 
 
 # -- 2. Distance-computation reduction ---------------------------------------

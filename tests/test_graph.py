@@ -14,6 +14,7 @@ from annroute import (
     CorruptionError,
     Dataset,
     DegenerateInputError,
+    EdgeMetaBlock,
     FormatError,
     Metric,
     RoutingConfig,
@@ -35,8 +36,9 @@ import annroute.hnsw as hnsw_mod
 import annroute.indexfile as indexfile
 import annroute.query as query_mod
 from annroute.projections import RNG_ID, encode_id_bytes
+from annroute.routing import batch_ar
 
-from oracles import brute_force_reference
+from oracles import brute_force_reference, spread_norms
 from scalar_gate import EdgeMeta, build_edge_meta, compute_Ar, meta_at, peos_test, simhash_test
 
 
@@ -381,7 +383,7 @@ class TestLayerSearch:
         rows = {0: first_row, 1: [5, 6]}
         worsts = []
 
-        def score(v, mask, fresh, worst):
+        def score(v, kv, mask, fresh, worst):
             worsts.append(worst)
             return fresh, np.array([_HAND_KEYS[u] for u in fresh.tolist()])
 
@@ -451,7 +453,7 @@ class TestLayerSearch:
                         u, uk = int(row[j]), float(k[j])
                     found, _ = hnsw_mod.layer_search(
                         [(float(keys_of([v])[0]), v)], 1, lambda w: idx.upper_row(lev, w).astype(np.intp),
-                        lambda w, mask, fresh, worst: (fresh, keys_of(fresh)), scratch.visited, scratch.next_epoch())
+                        lambda w, kw, mask, fresh, worst: (fresh, keys_of(fresh)), scratch.visited, scratch.next_epoch())
                     assert [i for _, i in found] == [u]
                     walks += u != v
         assert walks > 0
@@ -670,7 +672,7 @@ class TestMemory:
             assert E != n
             # the target array is the adjacency's, counted with the graph, and the L2 gate's
             # squared norms are the index's, counted with the vectors
-            assert store.sqn is index._sqn
+            assert store.row is index._sqn
             held = [b for b in _buffers(store) if b is not index.base_indices and b is not index._sqn]
             record = store.wire_records().shape[1]
             per_edge = sum(b.nbytes for b in held if b.shape[:1] == (E,))
@@ -808,16 +810,18 @@ class TestLoadPath:
         for field in ("rec", "sketches", "enorm_q", "enorm_tab"):
             a, b = getattr(got, field), getattr(want, field)
             assert (a is None and b is None) or _same_bits(a, b)
-        if metric == Metric.L2:  # the gate's squared norms are each index's own
-            assert got.sqn is loaded._sqn and want.sqn is routed._sqn
+        if metric == Metric.L2:  # the gate's row terms are each index's own
+            assert got.row is loaded._sqn and want.row is routed._sqn
+        elif metric == Metric.ANGULAR:
+            assert got.row is loaded._norms and want.row is routed._norms
         else:
-            assert got.sqn is None and want.sqn is None
+            assert got.row is None and want.row is None
 
     @pytest.mark.parametrize("name", list(_LOAD_CONFIGS))
     def test_half_norm_is_exact_after_attach_and_load(self, twins, name, tmp_path):
-        """The L2 gate reads each target's |u|^2 from the index's own squared norms, whether
-        attach built the store or load read it: the store keeps _sqn itself, and a block
-        gathers it bit for bit. Angular and IP stores keep no norms and gather none."""
+        """The gate reads each target's row term from the index's own, whether attach built
+        the store or load read it: the store keeps _sqn itself on L2 and _norms on angular,
+        and a block gathers it bit for bit. IP stores keep no norms and gather none."""
         metric, _, idx = twins
         routed = attach(idx, _LOAD_CONFIGS[name])
         path = tmp_path / "routed.idx"
@@ -831,10 +835,13 @@ class TestLoadPath:
             slots = np.arange(0, store.n_edges, 3)
             block = store.block(slots, store.dst[slots].astype(np.intp))
             if metric == Metric.L2:
-                assert store.sqn is index._sqn and _same_bits(index._sqn, idx._sqn)
-                assert _same_bits(block.sqn, idx._sqn[store.dst[slots]])
+                assert store.row is index._sqn and _same_bits(index._sqn, idx._sqn)
+                assert _same_bits(block.row, idx._sqn[store.dst[slots]])
+            elif metric == Metric.ANGULAR:
+                assert store.row is index._norms and _same_bits(index._norms, idx._norms)
+                assert _same_bits(block.row, idx._norms[store.dst[slots]])
             else:
-                assert store.sqn is None and block.sqn is None
+                assert store.row is None and block.row is None
 
 
 class TestLiveGateEquivalence:
@@ -852,11 +859,11 @@ class TestLiveGateEquivalence:
         seen = collections.Counter()
         fused = query_mod.batch_peos_test
 
-        def checked(block, tbl, qpt, ts, metric=Metric.L2):
-            out = fused(block, tbl, qpt, ts, metric)
-            expect = [peos_test(meta_at(routed, int(s)), tbl, qpt, ts, metric) for s in block.slots]
+        def checked(block, tbl, qpt, thr, metric=Metric.L2):
+            out = fused(block, tbl, qpt, thr, metric)
+            expect = [peos_test(meta_at(routed, int(s)), tbl, qpt, thr, metric) for s in block.slots]
             np.testing.assert_array_equal(out, expect)
-            ar = np.array([compute_Ar(meta_at(routed, int(s)), ts, qpt.qnorm, metric) for s in block.slots])
+            ar = np.array([compute_Ar(meta_at(routed, int(s)), thr, qpt.qnorm, metric) for s in block.slots])
             seen["edges"] += len(out)
             seen["tested"] += int(np.count_nonzero(np.abs(ar) < 1.0))
             seen["zero_norm"] += int(np.count_nonzero(ar == -math.inf))
@@ -878,19 +885,19 @@ class TestLiveGateEquivalence:
         hop = {}
         batch_ar, fused = query_mod.batch_ar, query_mod.batch_simhash_test
 
-        def recorded_ar(block, ts, qnorm, m):
-            hop.update(slots=block.slots, ts=ts, qnorm=qnorm)
-            return batch_ar(block, ts, qnorm, m)
+        def recorded_ar(block, thr, qnorm, m):
+            hop.update(slots=block.slots, thr=thr, qnorm=qnorm)
+            return batch_ar(block, thr, qnorm, m)
 
         def checked(sketches, qsketch, ar, eps):
             out = fused(sketches, qsketch, ar, eps)
             assert len(out) == hop["slots"].size
             for s, got in zip(hop["slots"].tolist(), out):
-                # compute_Ar reads only the half-norm and the edge-norm code of a record
+                # compute_Ar reads only the squared norm and the edge-norm code of a record
                 meta = EdgeMeta(ext_ids=(), w_reg_q=255, w_res_q=0, var_idx=0,
-                                half_u_sq=0.5 * float(idx._sqn[store.dst[s]]), enorm_q=int(store.enorm_q[s]),
+                                u_sq=float(idx._sqn[store.dst[s]]), enorm_q=int(store.enorm_q[s]),
                                 quant=store.quant)
-                ar_ref = compute_Ar(meta, hop["ts"], hop["qnorm"], metric)
+                ar_ref = compute_Ar(meta, hop["thr"], hop["qnorm"], metric)
                 sketch = SimHashSketch(bits=store.sketches[s], n=cfg.simhash_bits)
                 assert got == simhash_test(sketch, qsketch, ar_ref, eps)
                 seen["edges"] += 1
@@ -924,6 +931,49 @@ class TestLiveGateEquivalence:
         for s in range(0, idx.n_base_edges, idx.n_base_edges // 20):
             search(routed, V[store.dst[s]] - V[src[s]], SearchParams(K=5, efs=12, routing=cfg))
             np.testing.assert_array_equal(made[-1].bits, store.sketches[s])
+
+
+@pytest.fixture(scope="module", params=list(Metric), ids=lambda m: m.value)
+def spread_graph(request):
+    """A 1,500-point graph of each metric over vectors whose norms spread from 0.3x to 3x."""
+    ds, queries = synthetic_dataset(1500, 32, 12, seed=17)
+    return request.param, queries, build_hnsw(Dataset(spread_norms(ds.vectors, 17)), M=8, efc=40,
+                                              metric=request.param, seed=17)
+
+
+class TestArGeometry:
+    """A_r is the cosine cos(e, q) at which an edge's target ties the worst result."""
+
+    def test_cosine_beyond_ar_decides_the_key(self, spread_graph, monkeypatch):
+        """On every gated hop of real searches, with the block's edge norms exact in float64,
+        an edge whose cos(e, q) beats A_r by 1e-9 has a target key below the worst key, and
+        one whose cos(e, q) falls 1e-9 short of it has a target key above it."""
+        metric, queries, idx = spread_graph
+        cfg = RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=16)
+        routed = attach(idx, cfg)
+        dst = routed.routing.store.dst
+        V = idx.dataset.vectors.astype(np.float64)
+        src = np.repeat(np.arange(idx.n), np.diff(idx.base_indptr))
+        fused, query, seen = query_mod.batch_peos_test, {}, collections.Counter()
+
+        def checked(block, tbl, qpt, thr, m=Metric.L2):
+            q, u = query["q"], dst[block.slots]
+            e = V[u] - V[src[block.slots]]
+            enorm = np.linalg.norm(e, axis=1)
+            ar = batch_ar(EdgeMetaBlock(block.slots, block.row, enorm, float(enorm.min())), thr, qpt.qnorm, m)
+            cos = (e @ q) / (enorm * qpt.qnorm)
+            keys = hnsw_mod.ordering_keys(m, V[u] @ q, idx._row[u], float(q @ q), qpt.qnorm)
+            above, below = cos > ar + 1e-9, cos < ar - 1e-9
+            assert np.all(keys[above] < thr[0]) and np.all(keys[below] > thr[0])
+            seen["above"] += int(above.sum())
+            seen["below"] += int(below.sum())
+            return fused(block, tbl, qpt, thr, m)
+
+        monkeypatch.setattr(query_mod, "batch_peos_test", checked)
+        for q in queries:
+            query["q"] = q.astype(np.float64)
+            search(routed, q, SearchParams(K=10, efs=40, routing=cfg))
+        assert min(seen.values()) >= 200, seen
 
 
 # byte positions in the index header (see save_index)
@@ -1231,14 +1281,17 @@ class TestFailClosed:
 # fused kernel replaced it; a gate rewrite must leave every decision as it was.
 # Re-recorded when the upper-layer descent began to score each node at most once
 # per level: the ids and the base-layer counters (hops, tests_evaluated,
-# tests_passed, vq_computations) are as before, and dist_computations and ungated
-# fell by the same 2-18 per query. The counters are hashed by name, so a new
-# SearchStats field leaves the digest as it is. Re-recorded when the gate began to
-# read each target's exact half-norm in place of its 16-bit code rounded down: the
-# 20 queries' ids are as before; on 5 of them dist_computations and tests_passed
-# each fell by 1, and every other counter is as before.
-GOLDEN_PEOS_DIGEST = "efdad1fbb5c12b78d411beb3d2689666"
-GOLDEN_COUNTERS = ("dist_computations", "tests_evaluated", "tests_passed", "hops", "ungated", "vq_computations")
+# tests_passed, and the since-deleted count of per-hop v.q products) are as
+# before, and dist_computations and ungated fell by the same 2-18 per query. The
+# counters are hashed by name, so a new SearchStats field leaves the digest as it
+# is. Re-recorded when the gate began to read each target's exact half-norm in
+# place of its 16-bit code rounded down: the 20 queries' ids are as before; on 5 of
+# them dist_computations and tests_passed each fell by 1, and every other counter
+# is as before. Re-recorded when the gate began to take A_r from the popped node's
+# key and the v.q count went: the old code's digest over these five counters is
+# this one, so no id or remaining counter moved.
+GOLDEN_PEOS_DIGEST = "f8c7dad153d0df4d8798e87410409840"
+GOLDEN_COUNTERS = ("dist_computations", "tests_evaluated", "tests_passed", "hops", "ungated")
 
 
 class TestBitStability:
@@ -1350,7 +1403,7 @@ class TestGoldenAttach:
         """Format 1 wrote each edge's target half-norm code in its record; no file holds
         half-norms now. The golden graphs are L2, so the store reads the squared norms of
         the index it serves, after attach and after a save -> load round trip alike, and
-        sqn[dst] is each edge's own target's exact |u|^2. The hand-made graph repeats ids,
+        row[dst] is each edge's own target's exact |u|^2. The hand-made graph repeats ids,
         which no file may hold, so its records are read back in memory."""
         graph, cfg, permute, _ = GOLDEN_ATTACH[name]
         idx = golden_graphs[graph]
@@ -1366,7 +1419,7 @@ class TestGoldenAttach:
             served = load_index(path, idx.dataset)
             loaded = served.routing.store
         assert store.wire_records().shape[1] == store._lead().shape[1] + store.enorm_q.itemsize
-        assert store.sqn is idx._sqn and loaded.sqn is served._sqn and _same_bits(loaded.sqn, idx._sqn)
+        assert store.row is idx._sqn and loaded.row is served._sqn and _same_bits(loaded.row, idx._sqn)
 
     @pytest.mark.parametrize("name", list(GOLDEN_ATTACH))
     def test_reverse_edge_holds_negated_ids(self, golden_graphs, name):

@@ -15,7 +15,6 @@ from annroute import (
     RoutingMode,
     ScalarQuantizer,
     SearchParams,
-    ThresholdState,
     UsageError,
     attach,
     batch_peos_test,
@@ -32,6 +31,7 @@ from annroute import (
     w_reg_lower_bound,
 )
 import annroute.query as query_mod
+from annroute.hnsw import ordering_keys
 from annroute.projections import decode_id_bytes, encode_id_bytes
 from annroute.routing import (
     X_COLS,
@@ -169,6 +169,20 @@ class TestQuantileTable:
         assert [int(tbl.columns(float(x))) for x in xs] == expect.tolist()
 
     @pytest.mark.parametrize("x_cols", [16, X_COLS])
+    def test_column_is_the_floor_rule(self, x_cols):
+        """The searched column equals floor(clip(x, -1, 1) * half) + half, the column of an
+        exact k/half grid, on a dense grid over [-1.5, 1.5], every cell edge, +-1, their
+        float neighbours and +-inf."""
+        tbl = build_quantile_table(0.2, 2, 32, var_rows=4, x_cols=x_cols)
+        half = x_cols // 2
+        ends = np.array([-1.0, 1.0])
+        xs = np.concatenate([np.linspace(-1.5, 1.5, 100_001), tbl.x_grid, ends, [-math.inf, math.inf],
+                             np.nextafter(ends, -2.0), np.nextafter(ends, 2.0)])
+        want = (np.floor(xs.clip(-1.0, 1.0) * half) + half).astype(np.intp)
+        np.testing.assert_array_equal(tbl.columns(xs), want)
+        assert [int(tbl.columns(float(x))) for x in xs[-8:]] == want[-8:].tolist()
+
+    @pytest.mark.parametrize("x_cols", [16, X_COLS])
     def test_x_at_or_beyond_the_ends_reads_the_end_columns(self, x_cols):
         """x >= 1 reads the last column, which is +inf, so no statistic passes there;
         x <= -1 reads the first cell."""
@@ -298,8 +312,8 @@ class TestComputeAr:
         ens = generate_ensemble(2, 8, 2, 4)
         meta = build_edge_meta(np.ones(8), np.zeros(8), ens, PermutationPlan.identity(8, 2),
                                exact_enorm(math.sqrt(8.0)))
-        ar = compute_Ar(meta, ThresholdState(r=math.inf, vq=0.0), 1.0, Metric.L2)
-        assert ar == -math.inf
+        for metric in Metric:
+            assert compute_Ar(meta, (math.inf, 0.0, 1.0), 1.0, metric) == -math.inf
 
     def test_worked_example(self):
         # q=(1,0), v=(0,0), u=(0,2), p=(3,0): r=1.5, A_r=0.25
@@ -308,24 +322,26 @@ class TestComputeAr:
         meta = build_edge_meta(u, v, ens, PermutationPlan.identity(2, 1),
                                exact_enorm(2.0))
         delta = float(np.linalg.norm(p - q))
-        ts = ThresholdState(r=(delta * delta - 1.0) / 2.0, vq=0.0)  # delta^2 - 2r = |q|^2
-        assert ts.r == pytest.approx(1.5)
-        ar = compute_Ar(meta, ts, 1.0, Metric.L2)
+        thr = (delta * delta, float((v - q) @ (v - q)), 0.0)  # worst key 4, v's key 1, |v|^2 = 0
+        ar = compute_Ar(meta, thr, 1.0, Metric.L2)
         assert ar == pytest.approx(0.25)
         assert np.linalg.norm(u - q) > delta  # oracle: u does not beat delta
 
     def test_candidate_equals_furthest_telescopes_to_cosine(self):
+        """With u itself the worst result, A_r is cos(e, q) under every metric."""
         rng = np.random.default_rng(8)
         u, v, q = rng.standard_normal(16), rng.standard_normal(16), rng.standard_normal(16)
         e = u - v
         ens = generate_ensemble(4, 16, 2, 8)
         meta = build_edge_meta(u, v, ens, PermutationPlan.identity(16, 2),
                                exact_enorm(float(np.linalg.norm(e))))
-        r = 0.5 * float(u @ u) - float(u @ q)  # p == u
-        ts = ThresholdState(r=r, vq=float(v @ q))
-        ar = compute_Ar(meta, ts, float(np.linalg.norm(q)), Metric.L2)
+        qsq = float(q @ q)
         cos = float(e @ q) / (np.linalg.norm(e) * np.linalg.norm(q))
-        assert ar == pytest.approx(cos, abs=1e-9)
+        for metric in Metric:
+            row_u, row_v = (u @ u, v @ v) if metric == Metric.L2 else (np.linalg.norm(u), np.linalg.norm(v))
+            thr = (float(ordering_keys(metric, u @ q, row_u, qsq, math.sqrt(qsq))),
+                   float(ordering_keys(metric, v @ q, row_v, qsq, math.sqrt(qsq))), float(row_v))
+            assert compute_Ar(meta, thr, math.sqrt(qsq), metric) == pytest.approx(cos, abs=1e-9), metric
 
 
 class TestPeosTest:
@@ -341,13 +357,15 @@ class TestPeosTest:
         self.meta = build_edge_meta(self.u, self.v, self.ens, PermutationPlan.identity(32, 4),
                                     exact_enorm(float(np.linalg.norm(e))))
 
-    def _ts_at(self, scale):
-        # r such that A_r = -scale (the stored norms decode exactly)
-        enorm = self.meta.enorm
-        r = self.meta.half_u_sq - float(self.v @ self.q) + scale * self.qpt.qnorm * enorm
-        ts = ThresholdState(r=r, vq=float(self.v @ self.q))
-        assert compute_Ar(self.meta, ts, self.qpt.qnorm, Metric.L2) == pytest.approx(-scale)
-        return ts
+    def _thr_at(self, x):
+        """An L2 threshold (wk, kv, |v|^2) whose worst key wk puts A_r at x (the stored norms
+        decode exactly)."""
+        row_v = float(self.v @ self.v)
+        kv = float(self.q @ self.q) + row_v - 2.0 * float(self.v @ self.q)
+        wk = self.meta.u_sq - row_v + kv - 2.0 * x * self.qpt.qnorm * self.meta.enorm
+        thr = (wk, kv, row_v)
+        assert compute_Ar(self.meta, thr, self.qpt.qnorm, Metric.L2) == pytest.approx(x)
+        return thr
 
     def _const_table(self, value):
         return QuantileTable(
@@ -356,36 +374,32 @@ class TestPeosTest:
         )
 
     def test_auto_pass_when_ar_nonpositive(self):
-        ts = ThresholdState(r=math.inf, vq=float(self.v @ self.q))
-        assert peos_test(self.meta, self.tbl, self.qpt, ts) is True
+        _, kv, row_v = self._thr_at(0.0)
+        assert peos_test(self.meta, self.tbl, self.qpt, (math.inf, kv, row_v)) is True
         # at A_r <= -1 every neighbor beats the threshold: pass even against a table that rejects all
         h = _edge_statistic(self.meta, self.qpt)
-        assert peos_test(self.meta, self._const_table(h + 1.0), self.qpt, self._ts_at(1.5)) is True
+        assert peos_test(self.meta, self._const_table(h + 1.0), self.qpt, self._thr_at(-1.5)) is True
 
     def test_statistic_decides_when_ar_negative(self):
         h = _edge_statistic(self.meta, self.qpt)
-        for scale in (0.5, 0.05):
-            ts = self._ts_at(scale)
-            assert peos_test(self.meta, self._const_table(h), self.qpt, ts) is True
-            assert peos_test(self.meta, self._const_table(h + 1e-6), self.qpt, ts) is False
+        for x in (-0.5, -0.05):
+            thr = self._thr_at(x)
+            assert peos_test(self.meta, self._const_table(h), self.qpt, thr) is True
+            assert peos_test(self.meta, self._const_table(h + 1e-6), self.qpt, thr) is False
 
     def test_auto_fail_when_ar_at_least_one(self):
-        # choose r so the numerator overwhelms the denominator
-        enorm = self.meta.enorm
-        r = self.meta.half_u_sq - float(self.v @ self.q) - 5.0 * self.qpt.qnorm * enorm
-        ts = ThresholdState(r=r, vq=float(self.v @ self.q))
-        assert compute_Ar(self.meta, ts, self.qpt.qnorm, Metric.L2) >= 1.0
-        assert peos_test(self.meta, self.tbl, self.qpt, ts) is False
+        # a worst key so low that the numerator overwhelms the denominator
+        thr = self._thr_at(5.0)
+        assert compute_Ar(self.meta, thr, self.qpt.qnorm, Metric.L2) >= 1.0
+        assert peos_test(self.meta, self.tbl, self.qpt, thr) is False
 
     def test_tie_passes(self):
         # force H == T by building a constant table equal to the statistic
         h = _edge_statistic(self.meta, self.qpt)
         const = self._const_table(h)
-        enorm = self.meta.enorm
-        r = self.meta.half_u_sq - float(self.v @ self.q) - 0.5 * self.qpt.qnorm * enorm
-        ts = ThresholdState(r=r, vq=float(self.v @ self.q))
-        assert 0.0 < compute_Ar(self.meta, ts, self.qpt.qnorm, Metric.L2) < 1.0
-        assert peos_test(self.meta, const, self.qpt, ts) is True
+        thr = self._thr_at(0.5)
+        assert 0.0 < compute_Ar(self.meta, thr, self.qpt.qnorm, Metric.L2) < 1.0
+        assert peos_test(self.meta, const, self.qpt, thr) is True
 
 
 class GateHarness:
@@ -406,8 +420,7 @@ class GateHarness:
         for i in range(n):
             meta = build_edge_meta(t["u"][i], t["v"][i], self.ens, self.plan, self.quant)
             qpt = project_query(t["q"][i], self.ens)
-            ts = ThresholdState(r=t["r"][i], vq=t["vq"][i])
-            passes += peos_test(meta, tbl, qpt, ts)
+            passes += peos_test(meta, tbl, qpt, (t["wk"][i], t["kv"][i], t["vsq"][i]))
         return passes / n
 
     def simhash_pass_rate(self, n_bits=64):
@@ -504,12 +517,12 @@ class TestRceosCollapse:
             assert evaluated >= 10_000, metric
 
     def test_rceos_auto_pass_when_unbounded(self, collapse_graphs):
-        """An infinite r puts every A_r at -inf, so every edge passes."""
+        """An infinite worst key puts every A_r at -inf, so every edge passes."""
         queries, idx = collapse_graphs[Metric.L2]
         att = attach(idx, self._cfg(RoutingMode.RCEOS)).routing
         block = att.store.block(np.arange(att.store.n_edges), att.store.dst)
         out = batch_peos_test(block, build_quantile_table(0.2, 1, self.M),
-                              project_query(queries[0], att.ens), ThresholdState(r=math.inf, vq=0.0))
+                              project_query(queries[0], att.ens), (math.inf, 0.0, 0.0))
         assert out.shape == (att.store.n_edges,) and out.all()
 
     def test_rceos_rejects_multiblock_meta(self, collapse_graphs):
@@ -761,24 +774,25 @@ class TestBatchPeos:
         store = idx.routing.store
         rng = np.random.default_rng(seed)
         q = rng.standard_normal(32)
-        v0 = ds.vectors[rng.integers(ds.n)].astype(np.float64)
+        i = int(rng.integers(ds.n))
         qpt = project_query(q, idx.routing.ens)
-        # r spread so that A_r lands on both sides of 0 and of +-1
-        r = float(np.median((0.5 * idx._sqn).take(store.dst))
-                  - v0 @ q - rng.uniform(-1.5, 1.5) * qpt.qnorm * 5.0)
-        return store, qpt, ThresholdState(r=r, vq=float(v0 @ q))
+        row_v = float(idx._sqn[i])
+        kv = float(q @ q) + row_v - 2.0 * float(ds.vectors[i].astype(np.float64) @ q)
+        # the worst key spread so that A_r lands on both sides of 0 and of +-1
+        wk = kv - row_v + float(np.median(idx._sqn.take(store.dst))) - rng.uniform(-1.5, 1.5) * qpt.qnorm * 10.0
+        return store, qpt, (wk, kv, row_v)
 
     def test_bitmap_matches_elementwise(self, routed_L4):
         tbl = build_quantile_table(0.2, 4, 16)
         seen = {"tested": 0, "passed": 0, "edges": 0}
         for seed in range(40):
-            store, qpt, ts = self._setup(routed_L4, seed + 1)
+            store, qpt, thr = self._setup(routed_L4, seed + 1)
             slots = np.sort(np.random.default_rng(seed).choice(store.n_edges, 16, replace=False))
             block = store.block(slots, store.dst[slots])
-            bitmap = batch_peos_test(block, tbl, qpt, ts)
-            single = np.array([peos_test(meta_at(routed_L4[1], int(s)), tbl, qpt, ts) for s in slots])
+            bitmap = batch_peos_test(block, tbl, qpt, thr)
+            single = np.array([peos_test(meta_at(routed_L4[1], int(s)), tbl, qpt, thr) for s in slots])
             np.testing.assert_array_equal(bitmap, single)
-            ar = np.array([compute_Ar(meta_at(routed_L4[1], int(s)), ts, qpt.qnorm, Metric.L2) for s in slots])
+            ar = np.array([compute_Ar(meta_at(routed_L4[1], int(s)), thr, qpt.qnorm, Metric.L2) for s in slots])
             seen["tested"] += int(np.count_nonzero(np.abs(ar) < 1.0))
             seen["passed"] += int(bitmap.sum())
             seen["edges"] += len(slots)
@@ -787,16 +801,16 @@ class TestBatchPeos:
 
     def test_empty_block(self, routed_L4):
         tbl = build_quantile_table(0.2, 4, 16)
-        store, qpt, ts = self._setup(routed_L4, 5)
+        store, qpt, thr = self._setup(routed_L4, 5)
         empty = np.empty(0, dtype=np.intp)
-        out = batch_peos_test(store.block(empty, store.dst[empty]), tbl, qpt, ts)
+        out = batch_peos_test(store.block(empty, store.dst[empty]), tbl, qpt, thr)
         assert out.shape == (0,)
 
     def test_identical_edges_uniform(self, routed_L4):
         tbl = build_quantile_table(0.2, 4, 16)
-        store, qpt, ts = self._setup(routed_L4, 9)
+        store, qpt, thr = self._setup(routed_L4, 9)
         slots = np.full(16, 7)
-        out = batch_peos_test(store.block(slots, store.dst[slots]), tbl, qpt, ts)
+        out = batch_peos_test(store.block(slots, store.dst[slots]), tbl, qpt, thr)
         assert out.shape == (16,) and len(set(out.tolist())) == 1
 
 
@@ -818,30 +832,34 @@ class TestBandEdges:
     """The fused gate at and beside A_r = -1 and A_r = 1 on a real block, against the scalar gate.
 
     A_r <= -1 passes untested and A_r >= 1 fails through the table's +inf column; the
-    edges a search meets rarely sit there, so each band edge is put on an edge by its
-    threshold state.
+    edges a search meets rarely sit there, so each band edge is put on an edge by the
+    popped node's key.
     """
 
     @staticmethod
-    def _ts_at(idx, block, j, qnorm, target):
-        """A threshold state that puts edge j's A_r at target exactly, or None.
+    def _thr_at(idx, block, j, qnorm, target):
+        """A threshold (wk, kv, row_v) that puts edge j's A_r at target exactly, or None.
 
-        None happens beside +-1: there the floats are twice as dense as the quotients
-        edge j's norm lets a step of vq reach, so about half the edges cannot sit there.
+        With wk = row_v = 0, L2's A_r is (|u|^2 + kv) / (2|q||e|); with wk = row_v = 1,
+        angular's (1 - wk)|u| vanishes and A_r is -(1 - kv) / |e|. Either rises with kv,
+        so steps of kv walk it onto target. None happens beside +-1: there the floats can
+        be denser than the quotients a step of kv reaches, so some edges cannot sit there.
         """
         if target == -math.inf:
-            return ThresholdState(r=math.inf, vq=0.0)
+            return math.inf, 0.0, 0.0
         if target == math.inf:
-            return ThresholdState(r=0.0, vq=-math.inf)
-        # r cancels edge j's |u|^2 term exactly, so A_r = -2vq / (2|q||e|): step vq onto target
-        r = 0.5 * float(block.sqn[j]) if idx.metric == Metric.L2 else 0.0
-        vq = -target * qnorm * float(block.enorm[j])
+            return -math.inf, 0.0, 0.0
+        enorm = float(block.enorm[j])
+        if idx.metric == Metric.L2:
+            wk, row_v, kv = 0.0, 0.0, target * 2.0 * qnorm * enorm - float(block.row[j])
+        else:
+            wk, row_v, kv = 1.0, 1.0, 1.0 + target * enorm
         for _ in range(64):
-            ts = ThresholdState(r=r, vq=vq)
-            ar = batch_ar(block, ts, qnorm, idx.metric)[j]
+            thr = (wk, kv, row_v)
+            ar = batch_ar(block, thr, qnorm, idx.metric)[j]
             if ar == target:
-                return ts
-            vq = float(np.nextafter(vq, math.inf if ar > target else -math.inf))
+                return thr
+            kv = float(np.nextafter(kv, -math.inf if ar > target else math.inf))
         return None
 
     def test_band_edges_match_scalar(self, band_graph):
@@ -862,15 +880,15 @@ class TestBandEdges:
         hits = dict.fromkeys(_BAND_EDGES, 0)
         for j in range(len(block)):
             for target in _BAND_EDGES:
-                ts = self._ts_at(idx, block, j, qpt.qnorm, target)
-                if ts is None:
+                thr = self._thr_at(idx, block, j, qpt.qnorm, target)
+                if thr is None:
                     continue
                 hits[target] += 1
                 meta = meta_at(idx, int(slots[j]))
-                assert compute_Ar(meta, ts, qpt.qnorm, idx.metric) == target
+                assert compute_Ar(meta, thr, qpt.qnorm, idx.metric) == target
                 for k, tbl in enumerate(tables):
-                    got = batch_peos_test(block, tbl, qpt, ts, idx.metric)
-                    want = [peos_test(meta_at(idx, int(s)), tbl, qpt, ts, idx.metric) for s in slots]
+                    got = batch_peos_test(block, tbl, qpt, thr, idx.metric)
+                    want = [peos_test(meta_at(idx, int(s)), tbl, qpt, thr, idx.metric) for s in slots]
                     np.testing.assert_array_equal(got, want)
                     if k == 1:  # open table: every A_r below 1 passes
                         assert got[j] == (target < 1.0)
