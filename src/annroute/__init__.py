@@ -30,7 +30,6 @@ from .projections import (
 from .routing import (
     EdgeMetaBlock,
     PartitionStats,
-    QuantileTable,
     RoutingConfig,
     RoutingMode,
     ScalarQuantizer,

@@ -244,8 +244,9 @@ def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,
     """Build per-edge metadata for the configured gate; returns a new index view.
 
     seed (idx.seed by default) derives the projections or hyperplanes. permute
-    splits cfg.L subspaces by build_permutation's plan; at L=1, so for SimHash, the
-    plan is the identity, as search sketches a SimHash query in natural order.
+    splits cfg.L subspaces by build_permutation's plan. At L=1, so for SimHash,
+    whose search sketches a query in natural order, and on a graph with no
+    base-layer edges, the plan is the identity.
 
     The residual of v->u is exactly minus that of u->v, since float
     subtraction is sign-symmetric, and so are its products with the
@@ -259,10 +260,10 @@ def attach(idx: HnswIndex, cfg: RoutingConfig, permute: bool = False,
     """
     if cfg.mode == RoutingMode.NONE:
         return idx.with_routing(None)
-    # a plan over one subspace is the identity, so only L > 1 scans the edges for one
+    # a plan over one subspace or over no edges is the identity, so only the others scan for one
     plan = (
         build_permutation(edge_residual_avgs(idx), cfg.L)
-        if permute and cfg.L > 1
+        if permute and cfg.L > 1 and idx.n_base_edges
         else PermutationPlan.identity(idx.dim, cfg.L)
     )
     src = np.repeat(np.arange(idx.n), np.diff(idx.base_indptr))

@@ -365,6 +365,8 @@ def brute_force_all(ds: Dataset, queries: np.ndarray, K: int, metric: Metric) ->
     if K > ds.n or K < 1:
         raise UsageError(f"K={K} out of range for n={ds.n}")
     Q = np.asarray(queries, dtype=np.float64)
+    if not np.isfinite(Q).all():
+        raise UsageError("query batch has a non-finite component")
     vf = ds.vectors.astype(np.float64)
     rows = np.einsum("ij,ij->i", vf, vf) if metric == Metric.L2 else np.linalg.norm(vf, axis=1)
     out = np.empty((Q.shape[0], K), dtype=np.int64)

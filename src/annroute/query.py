@@ -104,6 +104,8 @@ def search(idx: HnswIndex, q: np.ndarray, params: SearchParams,
         raise UsageError(f"K={params.K} exceeds dataset size {idx.n}")
     mode = params.routing.mode
     qsq = float(q64 @ q64)
+    if not math.isfinite(qsq):
+        raise UsageError("query has a non-finite component, or its squared norm overflows")
     qnorm = math.sqrt(qsq)
     if qnorm == 0.0 and (mode != RoutingMode.NONE or idx.metric == Metric.ANGULAR):
         raise DegenerateInputError("zero query")

@@ -7,16 +7,18 @@ whether the neighbor's exact distance is worth computing.
 A gated neighbor whose true distance beats the threshold must pass with
 probability at least 1 - eps.
 
-Every quantization in this module but one rounds in the direction that
+Every quantization a gate reads but two rounds in the direction that
 loosens the test (more false positives), never the direction that could
 reject additional true positives:
 
 * the variance row index rounds the edge variance up,
 * the x column rounds the threshold down, and each cell holds the
   minimum of the quantile over that cell and every cell to its right,
-* edge norms round up, the exception: that lowers a positive A_r but
-  raises a negative one toward 0, which can tighten the peos test
+* edge norms round up, the first exception: that lowers a positive A_r
+  but raises a negative one toward 0, which can tighten the peos test
   (SimHash passes every A_r <= 0),
+* the w_reg and w_res codes (edgestore._meta_chunk) round to nearest,
+  the second exception: the statistic they weight can move either way,
 * table cells are nudged a hair below the exact quantile,
 * SimHash bounds on A_r are raised a hair above the exact cosine.
 """
@@ -89,59 +91,45 @@ class RoutingConfig:
 # ---------------------------------------------------------------------------
 
 
-def variance_grid(L: int, rows: int = VAR_ROWS) -> np.ndarray:
+# each cell's left and right edge, the last cell's right edge at 1; every k/512 is exact in binary
+X_LEFT = np.arange(-X_COLS // 2, X_COLS // 2) / (X_COLS // 2)
+X_RIGHT = np.append(X_LEFT[1:], 1.0)
+X_LEFT.flags.writeable = X_RIGHT.flags.writeable = False
+
+
+def x_columns(x):
+    """Column of the cell that holds x: the count of right edges <= x, so x < -1 reads the
+    first cell and x >= 1 the +inf column."""
+    return np.searchsorted(X_RIGHT, x, side="right")
+
+
+def variance_grid(L: int) -> np.ndarray:
     """Row values for the edge-variance grid over (0, 1 + (L-1)/4]."""
     vmax = 1.0 + (L - 1) * 0.25
-    return vmax * np.arange(1, rows + 1) / rows
+    return vmax * np.arange(1, VAR_ROWS + 1) / VAR_ROWS
 
 
-def var_row_indices(w_reg, w_res, L: int, rows: int = VAR_ROWS) -> np.ndarray:
+def var_row_indices(w_reg, w_res, L: int) -> np.ndarray:
     """Row of w_reg^2 + L*w_res^2 rounded up; values beyond the grid clamp to the top."""
     v = np.asarray(w_reg, dtype=np.float64) ** 2 + L * np.asarray(w_res, dtype=np.float64) ** 2
-    grid = variance_grid(L, rows)
-    return np.minimum(np.searchsorted(grid, v, side="left"), rows - 1)
+    return np.minimum(np.searchsorted(variance_grid(L), v, side="left"), VAR_ROWS - 1)
 
 
-@dataclass(frozen=True)
-class QuantileTable:
-    """Precomputed eps-quantiles of the gate statistic's null model.
+# a table is 2,099,200 B: 64 would pin 134 MB, and a few cover an eps sweep
+@functools.lru_cache(maxsize=8)
+def build_quantile_table(eps: float, L: int, m: int) -> np.ndarray:
+    """Read-only (VAR_ROWS, X_COLS + 1) eps-quantiles of the gate statistic's null model.
 
     The null model at variance row v and threshold x = A_r is a normal
     with mean x*sqrt(2L ln m) and variance v - L*x^2/(L+1). It is
     symmetric in the cosine, so the columns cover x in [-1, 1) with the
-    left cell edges in x_grid, then x >= 1 in one last +inf column. Each
-    cell stores the minimum of the exact quantile over its own cell and
-    every cell to its right, nudged a hair lower: a lookup that rounds x
-    down to its cell can only make the test easier to pass, and every row
-    is non-decreasing in x. For x >= 0 the quantile increases in x, so
-    those cells hold the exact value at their left edge.
-    """
-
-    eps: float
-    L: int
-    m: int
-    x_grid: np.ndarray
-    v_grid: np.ndarray
-    q: np.ndarray
-    right: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        right = np.append(self.x_grid[1:], 1.0)  # each cell's right edge, the last cell's at 1
-        right.flags.writeable = False
-        object.__setattr__(self, "right", right)
-
-    def columns(self, x):
-        """Column of the cell that holds x: the count of right edges <= x, so x < -1 reads the
-        first cell and x >= 1 the +inf column."""
-        return np.searchsorted(self.right, x, side="right")
-
-
-# a table is 2,117,632 B (cells, grids, right edges): 64 would pin 136 MB, and a few cover an eps sweep
-@functools.lru_cache(maxsize=8)
-def build_quantile_table(
-    eps: float, L: int, m: int, var_rows: int = VAR_ROWS, x_cols: int = X_COLS
-) -> QuantileTable:
-    """Quantile table over the variance grid and x_cols equal cells of [-1, 1), then +inf.
+    cells whose left edges are X_LEFT, then x >= 1 in one last +inf
+    column; x_columns finds an A_r's column. Each cell stores the minimum
+    of the exact quantile over its own cell and every cell to its right,
+    nudged a hair lower: a lookup that rounds x down to its cell can only
+    make the test easier to pass, and every row is non-decreasing in x.
+    For x >= 0 the quantile increases in x, so those cells hold the exact
+    value at their left edge.
 
     For x < 0 the exact quantile x*eta + z*sqrt(v - c*x^2), with
     c = L/(L+1), eta = sqrt(2L ln m) and z the eps-quantile of N(0, 1),
@@ -151,31 +139,27 @@ def build_quantile_table(
     value at x* for the cells left of x*, lies at or below the exact
     quantile on all of [left edge, 1).
 
-    The table is read only and cached here, not on the attachment, so
-    every index with the same (eps, L, m) shares one.
+    The table is cached here, not on the attachment, so every index with
+    the same (eps, L, m) shares one.
     """
     if not 0.0 < eps <= 0.5:
         raise UsageError("error bound must lie in (0, 0.5]")
-    half = x_cols // 2
-    if var_rows < 1 or x_cols < 2 or x_cols % 2 or half & (half - 1):
-        raise UsageError("grids must be non-empty and x_cols must be twice a power of two")
     if L < 1 or m < 2:
         raise UsageError("need L >= 1 and m >= 2")
-    v_grid = variance_grid(L, var_rows)
-    x_grid = (np.arange(x_cols) - half) / half
+    v_grid = variance_grid(L)[:, None]
     eta = math.sqrt(2.0 * L * math.log(m))
     z = float(ndtri(eps))
     c = L / (L + 1.0)
 
     def exact(x):
-        return x * eta + z * np.sqrt(np.clip(v_grid[:, None] - c * x**2, 0.0, None))
+        return x * eta + z * np.sqrt(np.clip(v_grid - c * x**2, 0.0, None))
 
-    q = np.minimum.accumulate(exact(x_grid[None, :])[:, ::-1], axis=1)[:, ::-1]
-    x_star = -np.sqrt(v_grid / (c + (z * c / eta) ** 2))[:, None]
-    q = np.where(x_grid[None, :] <= x_star, np.minimum(q, exact(x_star)), q) - _QUANTILE_NUDGE
-    q = np.concatenate((q, np.full((var_rows, 1), math.inf)), axis=1)
-    q.flags.writeable = x_grid.flags.writeable = v_grid.flags.writeable = False
-    return QuantileTable(eps=eps, L=L, m=m, x_grid=x_grid, v_grid=v_grid, q=q)
+    q = np.minimum.accumulate(exact(X_LEFT)[:, ::-1], axis=1)[:, ::-1]
+    x_star = -np.sqrt(v_grid / (c + (z * c / eta) ** 2))
+    q = np.where(X_LEFT <= x_star, np.minimum(q, exact(x_star)), q) - _QUANTILE_NUDGE
+    q = np.concatenate((q, np.full((VAR_ROWS, 1), math.inf)), axis=1)
+    q.flags.writeable = False
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +406,7 @@ def batch_ar(block: EdgeMetaBlock, thr: tuple, qnorm: float, metric: Metric) -> 
 
 def batch_peos_test(
     block: EdgeMetaBlock,
-    tbl: QuantileTable,
+    tbl: np.ndarray,
     qpt: QueryProjectionTable,
     thr: tuple,
     metric: Metric = Metric.L2,
@@ -436,7 +420,7 @@ def batch_peos_test(
     passes whatever the statistic.
     """
     ar = batch_ar(block, thr, qpt.qnorm, metric)
-    cols = tbl.columns(ar)
+    cols = x_columns(ar)
     r = block.rec.take(block.slots, axis=0) + block.rec_base
     if block.w_tab is None:
         h, row = qpt.table.take(r).sum(axis=1), block.var_idx
@@ -445,7 +429,7 @@ def batch_peos_test(
         g = qpt.table.take(r[:, :n])
         w = block.w_tab.take(r[:, n : n + 2])
         h, row = w[:, 0] * g[:, 1:].sum(axis=1) + w[:, 1] * g[:, 0], r[:, n + 2]
-    return (h >= tbl.q[row, cols]) | (ar <= -1.0)
+    return (h >= tbl[row, cols]) | (ar <= -1.0)
 
 
 def batch_simhash_test(

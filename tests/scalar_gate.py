@@ -8,7 +8,7 @@ against it.
 
 It shares with the library the one-byte id codec (encode_id_bytes and
 decode_id_bytes), ScalarQuantizer, var_row_indices, the tables of
-build_quantile_table read through QuantileTable.columns, and the query
+build_quantile_table read at the columns of x_columns, and the query
 products of project_query. It recomputes per edge what the kernels
 compute in bulk: the regular/residual decomposition, the extreme-id
 picks, A_r, the projected statistic, and the SimHash collision count
@@ -27,11 +27,11 @@ from annroute.errors import DegenerateInputError, UsageError
 from annroute.projections import ProjectionEnsemble, QueryProjectionTable, decode_id_bytes, encode_id_bytes
 from annroute.routing import (
     _RES_EPS,
-    QuantileTable,
     RoutingMode,
     ScalarQuantizer,
     SimHashSketch,
     var_row_indices,
+    x_columns,
 )
 from annroute.vecstore import Metric, PermutationPlan, apply_permutation
 
@@ -250,7 +250,7 @@ def _edge_statistic(meta: EdgeMeta, qpt: QueryProjectionTable) -> float:
 
 def peos_test(
     meta: EdgeMeta,
-    tbl: QuantileTable,
+    tbl: np.ndarray,
     qpt: QueryProjectionTable,
     thr: tuple,
     metric: Metric = Metric.L2,
@@ -266,7 +266,7 @@ def peos_test(
         return False
     if ar <= -1.0:
         return True
-    return bool(_edge_statistic(meta, qpt) >= tbl.q[meta.var_idx, tbl.columns(ar)])
+    return bool(_edge_statistic(meta, qpt) >= tbl[meta.var_idx, x_columns(ar)])
 
 
 def collision_count(a: SimHashSketch, b: SimHashSketch) -> int:

@@ -27,7 +27,7 @@ from annroute import (
     search,
 )
 
-from annroute.routing import X_COLS
+from annroute.routing import X_COLS, X_LEFT, variance_grid
 from conftest import DESK_K
 from oracles import expected_max_abs_normal, spread_norms
 from scalar_gate import collision_count
@@ -259,12 +259,12 @@ def test_c7_quantile_table_scan():
     tbl = build_quantile_table(EPS, 8, 128)
     z_hp = float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf("0.2") - 1))
     eta = math.sqrt(2 * 8 * math.log(128))
-    veff = np.clip(tbl.v_grid[:, None] - (8.0 / 9.0) * tbl.x_grid[None, :] ** 2, 0.0, None)
-    exact = tbl.x_grid[None, :] * eta + z_hp * np.sqrt(veff)
-    cells = tbl.q[:, :X_COLS]  # x in [-1, 1); the last column serves x >= 1
+    veff = np.clip(variance_grid(8)[:, None] - (8.0 / 9.0) * X_LEFT[None, :] ** 2, 0.0, None)
+    exact = X_LEFT[None, :] * eta + z_hp * np.sqrt(veff)
+    cells = tbl[:, :X_COLS]  # x in [-1, 1); the last column serves x >= 1
     conservative = bool(np.all(cells <= exact))
     monotone = bool(np.all(np.diff(cells, axis=1) >= 0))
-    inf_column = tbl.q.shape[1] == X_COLS + 1 and bool(np.all(tbl.q[:, X_COLS] == math.inf))
+    inf_column = tbl.shape[1] == X_COLS + 1 and bool(np.all(tbl[:, X_COLS] == math.inf))
     ok = conservative and monotone and inf_column
     _report(
         "C7 quantile table", ok,

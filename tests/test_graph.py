@@ -225,6 +225,21 @@ class TestAttach:
             save_index(attach(idx, cfg, permute=permute), path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_permute_on_an_edgeless_graph(self, tmp_path):
+        """A one-point graph has no edge to balance subspaces over: permute attaches the
+        identity plan, so its file equals the unpermuted one, and both load and search."""
+        ds = Dataset(np.ones((1, 8), dtype=np.float32))
+        idx = build_hnsw(ds, M=4, efc=10, metric=Metric.L2, seed=0)
+        cfg = RoutingConfig(mode=RoutingMode.PEOS, eps=0.2, L=4, m=16)
+        paths = [tmp_path / "plain.idx", tmp_path / "permute.idx"]
+        for path, permute in zip(paths, (False, True)):
+            routed = attach(idx, cfg, permute=permute)
+            np.testing.assert_array_equal(routed.routing.plan.perm, np.arange(8))
+            save_index(routed, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        ids, _ = search(load_index(paths[1], ds), np.ones(8), SearchParams(K=1, efs=4, routing=cfg))
+        assert ids.tolist() == [0]
+
     def test_simhash_default_config_on_any_d(self, tmp_path):
         """d=30 is not a multiple of the default L=8, which SimHash does not read."""
         ds, queries = synthetic_dataset(500, 30, 3, seed=3)
@@ -247,6 +262,18 @@ class TestSearch:
         ds, _, idx = small
         ids, _ = search(idx, ds.vectors[42], SearchParams(K=1, efs=10))
         assert ids[0] == 42
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("mode", [RoutingMode.NONE, RoutingMode.PEOS, RoutingMode.SIMHASH],
+                             ids=lambda m: m.value)
+    def test_non_finite_query_is_refused(self, small, mode, bad):
+        """A query with one non-finite component has no distances to rank, under any gate."""
+        _, queries, idx = small
+        cfg = RoutingConfig(mode=mode, eps=0.2, L=4, m=16)
+        q = queries[0].astype(np.float64)
+        q[3] = bad
+        with pytest.raises(UsageError, match="non-finite"):
+            search(attach(idx, cfg), q, SearchParams(K=5, efs=20, routing=cfg))
 
     def test_none_mode_identical_on_attached_index(self, small, small_peos):
         ds, queries, idx = small
@@ -511,6 +538,15 @@ class TestBruteForce:
         ds, _ = synthetic_dataset(10, 4, 1, seed=12)
         with pytest.raises(UsageError):
             brute_force_all(ds, np.zeros((1, 4)), 11, Metric.L2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_query_batch_is_refused(self, bad):
+        ds, queries = synthetic_dataset(50, 4, 3, seed=12)
+        queries = queries.astype(np.float64)
+        queries[2, 1] = bad
+        for metric in Metric:
+            with pytest.raises(UsageError, match="non-finite"):
+                brute_force_all(ds, queries, 3, metric)
 
 
 class TestPersistence:

@@ -10,7 +10,6 @@ from annroute import (
     Dataset,
     Metric,
     PermutationPlan,
-    QuantileTable,
     RoutingConfig,
     RoutingMode,
     ScalarQuantizer,
@@ -34,7 +33,9 @@ import annroute.query as query_mod
 from annroute.hnsw import ordering_keys
 from annroute.projections import decode_id_bytes, encode_id_bytes
 from annroute.routing import (
+    VAR_ROWS,
     X_COLS,
+    X_LEFT,
     SimHashSketch,
     batch_ar,
     batch_simhash_test,
@@ -42,6 +43,7 @@ from annroute.routing import (
     sketch_words,
     variance_grid,
     var_row_indices,
+    x_columns,
 )
 
 from oracles import expected_max_abs_normal, inv_norm_cdf, make_gate_trials
@@ -109,32 +111,29 @@ class TestDecompose:
 
 class TestQuantileTable:
     def test_eps_half_gives_means(self):
-        tbl = build_quantile_table(0.5, 4, 64, var_rows=32, x_cols=64)
+        tbl = build_quantile_table(0.5, 4, 64)
         eta = math.sqrt(2 * 4 * math.log(64))
-        means = np.broadcast_to(tbl.x_grid[None, :] * eta, (32, 64))
-        np.testing.assert_allclose(tbl.q[:, :64], means, atol=1e-8)
-        assert tbl.q.shape == (32, 65) and np.all(tbl.q[:, 64] == math.inf)
+        means = np.broadcast_to(X_LEFT * eta, (VAR_ROWS, X_COLS))
+        np.testing.assert_allclose(tbl[:, :X_COLS], means, atol=1e-8)
+        assert tbl.shape == (VAR_ROWS, X_COLS + 1) and np.all(tbl[:, X_COLS] == math.inf)
 
     def test_L1_x0_entry_is_normal_quantile(self):
         tbl = build_quantile_table(0.2, 1, 128)
         row = int(var_row_indices(1.0, 0.0, 1))
-        assert tbl.v_grid[row] == pytest.approx(1.0)
-        assert tbl.q[row, tbl.columns(1e-9)] == pytest.approx(inv_norm_cdf(0.2), abs=1e-6)
+        assert variance_grid(1)[row] == pytest.approx(1.0)
+        assert tbl[row, x_columns(1e-9)] == pytest.approx(inv_norm_cdf(0.2), abs=1e-6)
         assert inv_norm_cdf(0.2) == pytest.approx(-0.8416, abs=1e-4)
 
     def test_monotone_in_x(self):
-        tbl = build_quantile_table(0.2, 8, 128, var_rows=64, x_cols=128)
-        assert np.all(np.diff(tbl.q, axis=1) >= 0)
+        tbl = build_quantile_table(0.2, 8, 128)
+        assert np.all(np.diff(tbl, axis=1) >= 0)
 
     def test_conservative_vs_oracle(self):
-        tbl = build_quantile_table(0.25, 8, 128, var_rows=32, x_cols=64)
+        tbl = build_quantile_table(0.25, 8, 128)
         z = inv_norm_cdf(0.25)
         eta = math.sqrt(2 * 8 * math.log(128))
-        for vi, v in enumerate(tbl.v_grid):
-            for xi, x in enumerate(tbl.x_grid):
-                veff = max(v - 8.0 * x * x / 9.0, 0.0)
-                exact = x * eta + z * math.sqrt(veff)
-                assert tbl.q[vi, xi] <= exact
+        veff = np.maximum(variance_grid(8)[:, None] - 8.0 * X_LEFT**2 / 9.0, 0.0)
+        assert np.all(tbl[:, :X_COLS] <= X_LEFT * eta + z * np.sqrt(veff))
 
     def test_eps_out_of_range(self):
         with pytest.raises(UsageError):
@@ -149,57 +148,53 @@ class TestQuantileTable:
             assert grid[row] >= v - 1e-12
 
     def test_lookup_rounds_x_down(self):
-        tbl = build_quantile_table(0.2, 2, 32, var_rows=8, x_cols=16)
+        tbl = build_quantile_table(0.2, 2, 32)
         # any x inside a cell maps to the value of the cell whose left edge is <= x,
         # which lies strictly below the value of the next cell up
         for x in (0.126, -0.3):
-            col = int(np.nonzero(tbl.x_grid <= x)[0][-1])
-            assert tbl.x_grid[col] < x < tbl.x_grid[col + 1]
-            assert tbl.q[4, tbl.columns(x)] == tbl.q[4, col] < tbl.q[4, col + 1]
+            col = int(np.nonzero(X_LEFT <= x)[0][-1])
+            assert X_LEFT[col] < x < X_LEFT[col + 1]
+            assert tbl[-1, x_columns(x)] == tbl[-1, col] < tbl[-1, col + 1]
 
-    @pytest.mark.parametrize("x_cols", [16, 32, 64, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("x_cols", [X_COLS])
     def test_arithmetic_column_matches_searchsorted(self, x_cols):
-        tbl = build_quantile_table(0.2, 2, 32, var_rows=4, x_cols=x_cols)
-        edges = tbl.x_grid
-        xs = np.concatenate([edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0),
+        """Inside [-1, 1) the column of x is the last cell whose left edge is <= x, on every
+        cell edge, its float neighbours, -1, -0.0 and the float just below 1."""
+        assert X_LEFT.size == x_cols
+        xs = np.concatenate([X_LEFT, np.nextafter(X_LEFT, -2.0), np.nextafter(X_LEFT, 2.0),
                              [-1.0, -0.0, np.nextafter(1.0, 0.0)]])
         xs = xs[(xs >= -1.0) & (xs < 1.0)]
-        expect = np.searchsorted(tbl.x_grid, xs, side="right") - 1
-        np.testing.assert_array_equal(tbl.columns(xs), expect)
-        assert [int(tbl.columns(float(x))) for x in xs] == expect.tolist()
+        expect = np.searchsorted(X_LEFT, xs, side="right") - 1
+        np.testing.assert_array_equal(x_columns(xs), expect)
+        assert [int(x_columns(float(x))) for x in xs] == expect.tolist()
 
-    @pytest.mark.parametrize("x_cols", [16, X_COLS])
+    @pytest.mark.parametrize("x_cols", [X_COLS])
     def test_column_is_the_floor_rule(self, x_cols):
-        """The searched column equals floor(clip(x, -1, 1) * half) + half, the column of an
-        exact k/half grid, on a dense grid over [-1.5, 1.5], every cell edge, +-1, their
-        float neighbours and +-inf."""
-        tbl = build_quantile_table(0.2, 2, 32, var_rows=4, x_cols=x_cols)
+        """The column of x equals floor(clip(x, -1, 1) * half) + half, the column of an exact
+        k/half grid, on a dense grid over [-1.5, 1.5], every cell edge and its float
+        neighbours, +-1 and theirs, and +-inf; a scalar x reads the column an array does."""
         half = x_cols // 2
+        np.testing.assert_array_equal(X_LEFT * half, np.arange(-half, half))
         ends = np.array([-1.0, 1.0])
-        xs = np.concatenate([np.linspace(-1.5, 1.5, 100_001), tbl.x_grid, ends, [-math.inf, math.inf],
-                             np.nextafter(ends, -2.0), np.nextafter(ends, 2.0)])
+        edges = np.concatenate([X_LEFT, np.nextafter(X_LEFT, -2.0), np.nextafter(X_LEFT, 2.0), ends,
+                                np.nextafter(ends, -2.0), np.nextafter(ends, 2.0), [-0.0, -math.inf, math.inf]])
+        xs = np.concatenate([np.linspace(-1.5, 1.5, 100_001), edges])
         want = (np.floor(xs.clip(-1.0, 1.0) * half) + half).astype(np.intp)
-        np.testing.assert_array_equal(tbl.columns(xs), want)
-        assert [int(tbl.columns(float(x))) for x in xs[-8:]] == want[-8:].tolist()
+        np.testing.assert_array_equal(x_columns(xs), want)
+        assert [int(x_columns(float(x))) for x in edges] == want[-edges.size :].tolist()
 
-    @pytest.mark.parametrize("x_cols", [16, X_COLS])
-    def test_x_at_or_beyond_the_ends_reads_the_end_columns(self, x_cols):
+    def test_x_at_or_beyond_the_ends_reads_the_end_columns(self):
         """x >= 1 reads the last column, which is +inf, so no statistic passes there;
         x <= -1 reads the first cell."""
-        tbl = build_quantile_table(0.2, 2, 32, var_rows=4, x_cols=x_cols)
-        assert tbl.q.shape == (4, x_cols + 1) and np.all(tbl.q[:, x_cols] == math.inf)
-        assert np.all(np.isfinite(tbl.q[:, :x_cols]))
+        tbl = build_quantile_table(0.2, 2, 32)
+        assert tbl.shape == (VAR_ROWS, X_COLS + 1) and np.all(tbl[:, X_COLS] == math.inf)
+        assert np.all(np.isfinite(tbl[:, :X_COLS]))
         high = np.array([1.0, np.nextafter(1.0, 2.0), 1.5, 2.0, 1e300, np.finfo(np.float64).max, math.inf])
-        np.testing.assert_array_equal(tbl.columns(high), x_cols)
-        assert [int(tbl.columns(float(x))) for x in high] == [x_cols] * high.size
+        np.testing.assert_array_equal(x_columns(high), X_COLS)
+        assert [int(x_columns(float(x))) for x in high] == [X_COLS] * high.size
         low = np.array([-1.0, np.nextafter(-1.0, -2.0), -2.0, -1e300, -math.inf])
-        np.testing.assert_array_equal(tbl.columns(low), 0)
-        assert int(tbl.columns(np.nextafter(1.0, 0.0))) == x_cols - 1
-
-    @pytest.mark.parametrize("x_cols", [6, 24, 96, 1000])
-    def test_x_cols_must_be_twice_a_power_of_two(self, x_cols):
-        with pytest.raises(UsageError):
-            build_quantile_table(0.2, 2, 32, x_cols=x_cols)
+        np.testing.assert_array_equal(x_columns(low), 0)
+        assert int(x_columns(np.nextafter(1.0, 0.0))) == X_COLS - 1
 
     def test_conservative_inside_cells(self):
         # a lookup anywhere in a cell returns that cell's value, so the cell must
@@ -210,31 +205,31 @@ class TestQuantileTable:
             z = inv_norm_cdf(eps)
             eta = math.sqrt(2 * L * math.log(128))
             c = L / (L + 1.0)
-            v = tbl.v_grid[:, None]
+            v = variance_grid(L)[:, None]
 
             def exact(x):
                 return x * eta + z * np.sqrt(np.clip(v - c * x**2, 0.0, None))
 
-            cells = tbl.q[:, :X_COLS]
-            assert np.all(tbl.q[:, X_COLS:] == math.inf)
-            width = tbl.x_grid[1] - tbl.x_grid[0]
-            right = np.nextafter(tbl.x_grid + width, -np.inf)
-            for x in (tbl.x_grid + 0.5 * width, right):
+            cells = tbl[:, :X_COLS]
+            assert np.all(tbl[:, X_COLS:] == math.inf)
+            width = X_LEFT[1] - X_LEFT[0]
+            right = np.nextafter(X_LEFT + width, -np.inf)
+            for x in (X_LEFT + 0.5 * width, right):
                 assert np.all(cells <= exact(x[None, :]))
             x_star = -np.sqrt(v / (c + (z * c / eta) ** 2))
-            inside = tbl.x_grid[None, :] <= x_star
+            inside = X_LEFT[None, :] <= x_star
             assert np.all(np.where(inside, cells <= exact(x_star), True))
 
     def test_nonnegative_columns_hold_exact_quantile(self):
         # for x >= 0 the quantile rises with x, so each cell is the exact value at its left edge
         tbl = build_quantile_table(0.2, 8, 128)
-        x = tbl.x_grid[tbl.x_grid >= 0.0]
-        assert x.size == len(tbl.x_grid) // 2 and x[1] == pytest.approx(1 / 512)
+        x = X_LEFT[X_LEFT >= 0.0]
+        assert x.size == X_COLS // 2 and x[1] == pytest.approx(1 / 512)
         eta = math.sqrt(2 * 8 * math.log(128))
-        veff = np.clip(tbl.v_grid[:, None] - (8.0 / 9.0) * x[None, :] ** 2, 0.0, None)
+        veff = np.clip(variance_grid(8)[:, None] - (8.0 / 9.0) * x[None, :] ** 2, 0.0, None)
         exact = x[None, :] * eta + inv_norm_cdf(0.2) * np.sqrt(veff)
-        np.testing.assert_allclose(tbl.q[:, :X_COLS][:, tbl.x_grid >= 0.0], exact, rtol=0.0, atol=1e-8)
-        assert tbl.q.shape[1] == X_COLS + 1 and np.all(tbl.q[:, X_COLS] == math.inf)
+        np.testing.assert_allclose(tbl[:, :X_COLS][:, X_LEFT >= 0.0], exact, rtol=0.0, atol=1e-8)
+        assert tbl.shape[1] == X_COLS + 1 and np.all(tbl[:, X_COLS] == math.inf)
 
 
 class TestScalarQuantizer:
@@ -368,10 +363,7 @@ class TestPeosTest:
         return thr
 
     def _const_table(self, value):
-        return QuantileTable(
-            eps=0.2, L=4, m=32, x_grid=self.tbl.x_grid, v_grid=self.tbl.v_grid,
-            q=np.full_like(self.tbl.q, value),
-        )
+        return np.full_like(self.tbl, value)
 
     def test_auto_pass_when_ar_nonpositive(self):
         _, kv, row_v = self._thr_at(0.0)
@@ -582,9 +574,7 @@ class TestSharedQuantileTable:
             queries, idx = collapse_graphs[metric]
             search(attach(idx, cfg), queries[0], SearchParams(K=10, efs=64, routing=cfg))
         assert seen and all(tbl is seen[0] for tbl in seen)
-        tbl = seen[0]
-        assert (tbl.eps, tbl.L, tbl.m) == (0.2, 4, 64)
-        assert not any(a.flags.writeable for a in (tbl.q, tbl.x_grid, tbl.v_grid))
+        assert seen[0] is build_quantile_table(0.2, 4, 64) and not seen[0].flags.writeable
 
 
 class TestSimHash:
@@ -872,11 +862,9 @@ class TestBandEdges:
         q = np.random.default_rng(13).standard_normal(32)
         qpt = project_query(q, att.ens)
         real = build_quantile_table(0.2, 4, 16)
-        shape = real.q.shape
         # a table every tested edge passes, and one every tested edge fails
-        open_q = np.concatenate((np.full((shape[0], X_COLS), -math.inf), real.q[:, X_COLS:]), axis=1)
-        tables = [real] + [QuantileTable(eps=0.2, L=4, m=16, x_grid=real.x_grid, v_grid=real.v_grid, q=q_)
-                           for q_ in (open_q, np.full(shape, math.inf))]
+        open_q = np.concatenate((np.full((VAR_ROWS, X_COLS), -math.inf), real[:, X_COLS:]), axis=1)
+        tables = [real, open_q, np.full(real.shape, math.inf)]
         hits = dict.fromkeys(_BAND_EDGES, 0)
         for j in range(len(block)):
             for target in _BAND_EDGES:
