@@ -134,8 +134,8 @@ def compute_recall(results, truth, K: int) -> float:
     return total / len(results)
 
 
-def load_inputs(spec: BenchmarkSpec) -> tuple[Dataset, np.ndarray, np.ndarray]:
-    """Dataset, queries, and ground truth (computed and cached as ivecs when absent)."""
+def load_corpus(spec: BenchmarkSpec) -> tuple[Dataset, np.ndarray]:
+    """Dataset and queries, from the spec's files or its synthetic generator."""
     if spec.base is not None:
         ds = load_fvecs(spec.base)
         if spec.query is None:
@@ -146,6 +146,12 @@ def load_inputs(spec: BenchmarkSpec) -> tuple[Dataset, np.ndarray, np.ndarray]:
         ds, queries = synthetic_dataset(n, d, nq, spec.seed)
     if len(queries) == 0:
         raise UsageError("need at least one query")
+    return ds, queries
+
+
+def load_inputs(spec: BenchmarkSpec) -> tuple[Dataset, np.ndarray, np.ndarray]:
+    """Dataset, queries, and ground truth (computed and cached as ivecs when absent)."""
+    ds, queries = load_corpus(spec)
     if spec.truth is not None and os.path.exists(spec.truth):
         truth = load_ivecs(spec.truth)
     else:
@@ -249,8 +255,8 @@ def run_audit(idx: HnswIndex, queries: np.ndarray, cfg: RoutingConfig, efs: int,
 def audit_guarantee(spec: BenchmarkSpec, trials: int = 10_000,
                     idx: HnswIndex | None = None,
                     data: tuple[Dataset, np.ndarray, np.ndarray] | None = None) -> list[AuditReport]:
-    """Audit every routing config in the spec over at least `trials` gated evaluations."""
-    ds, queries, _ = data if data is not None else load_inputs(spec)
+    """Audit every routing config in the spec over at least `trials` gated evaluations; no answer key is read."""
+    ds, queries = data[:2] if data is not None else load_corpus(spec)
     if idx is None:
         idx = build_hnsw(ds, spec.M, spec.efc, spec.metric, spec.seed)
     efs = max(spec.efs_list)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from . import bench as bench_mod
 from .errors import FormatError, UsageError
@@ -24,31 +25,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--base", help="base vectors (fvecs)")
-    p.add_argument("--query", help="query vectors (fvecs)")
-    p.add_argument("--truth", help="ground truth neighbor ids (ivecs)")
-    p.add_argument("--metric", choices=[m.value for m in Metric], default="l2")
-    p.add_argument("--M", type=int, default=16, help="max degree")
-    p.add_argument("--efc", type=int, default=160, help="construction beam width")
-    p.add_argument("--routing", default="none",
-                   help="routing mode(s): peos|rceos|simhash|none (comma list for bench)")
-    p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--L", type=int, default=None,
-                   help="peos subspace count (default 8; rceos is peos at L=1; SimHash has no subspaces)")
-    p.add_argument("--m-proj", dest="m_proj", type=int, default=128)
-    p.add_argument("--simhash-bits", dest="simhash_bits", type=int, default=64)
-    p.add_argument("--compact", action="store_true")
-    p.add_argument("--permute", action="store_true")
-    p.add_argument("--efs", default="500", help="comma list of result-list capacities")
-    p.add_argument("--K", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", help="output path (CSV or index)")
-    p.add_argument("--index", help="index file")
-    p.add_argument("--synthetic", default="50000,128,100",
-                   help="n,d,nq for the built-in Gaussian generator (used when --base is absent)")
-    p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--trials", type=int, default=10_000, help="minimum gated evaluations for audit")
+_EVERY = "build attach search bench audit stats"
+
+# Each flag once: the commands that read it and its argparse keywords.
+_FLAGS = (
+    ("--base", _EVERY, dict(help="base vectors (fvecs)")),
+    ("--synthetic", _EVERY, dict(default="50000,128,100", help="n,d,nq of seeded Gaussian data (no --base)")),
+    ("--seed", _EVERY, dict(type=int, default=None)),
+    ("--index", "build attach search", dict(required=True, help="index file")),
+    ("--query", "search bench audit", dict(help="query vectors (fvecs)")),
+    ("--truth", "bench", dict(help="ground truth neighbor ids (ivecs), computed and written when absent")),
+    ("--metric", "build bench audit", dict(choices=[m.value for m in Metric], default="l2")),
+    ("--M", "build bench audit", dict(type=int, default=16, help="max degree")),
+    ("--efc", "build bench audit", dict(type=int, default=160, help="construction beam width")),
+    ("--routing", "attach search bench audit", dict(default="none", help="comma list of peos|rceos|simhash|none")),
+    ("--epsilon", "search bench audit", dict(type=float, default=0.2)),
+    ("--L", "attach bench audit stats", dict(type=int, help="peos subspace count (default 8, rceos 1)")),
+    ("--m-proj", "attach bench audit", dict(dest="m_proj", type=int, default=128)),
+    ("--simhash-bits", "attach bench audit", dict(dest="simhash_bits", type=int, default=64)),
+    ("--compact", "attach bench audit", dict(action="store_true")),
+    ("--permute", "attach bench audit", dict(action="store_true")),
+    ("--efs", "search bench audit", dict(default="500", help="comma list of result-list capacities")),
+    ("--K", "search bench audit", dict(type=int, default=100)),
+    ("--repetitions", "bench", dict(type=int, default=1)),
+    ("--out", "attach bench", dict(help="output index (default: overwrite the input) or CSV")),
+    ("--trials", "audit stats", dict(type=int, default=10_000, help="minimum gated evaluations or samples")),
+)
+
+# where one command reads a flag in its own form: its keywords over the shared ones
+_OWN = {
+    ("attach", "--routing"): dict(required=True, choices=["peos", "rceos", "simhash"], help="the gate to attach"),
+    ("search", "--routing"): dict(choices=[m.value for m in RoutingMode], help="the gate, in the file's layout"),
+    ("audit", "--routing"): dict(default="peos"),
+    ("search", "--query"): dict(required=True),
+    ("search", "--efs"): dict(type=int, default=500, help="result-list capacity"),
+    ("stats", "--L"): dict(help="one subspace count (default each of 1, 2, 4, 8, 16 dividing d)"),
+}
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -58,16 +70,14 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad integer list: {text!r}") from exc
 
 
-def _routing_config(mode_text: str, args) -> RoutingConfig:
+def _routing_config(mode_text: str, args, eps: float = RoutingConfig.eps) -> RoutingConfig:
     try:
         mode = RoutingMode(mode_text.strip())
     except ValueError as exc:
         raise UsageError(f"unknown routing mode {mode_text!r}") from exc
     L = args.L if args.L is not None else (1 if mode == RoutingMode.RCEOS else 8)
-    return RoutingConfig(
-        mode=mode, eps=args.epsilon, L=L, m=args.m_proj,
-        compact=args.compact, simhash_bits=args.simhash_bits,
-    )
+    return RoutingConfig(mode=mode, eps=eps, L=L, m=args.m_proj, compact=args.compact,
+                         simhash_bits=args.simhash_bits)
 
 
 def _synthetic_shape(args) -> tuple[int, int, int]:
@@ -78,42 +88,26 @@ def _synthetic_shape(args) -> tuple[int, int, int]:
     return synth
 
 
-def _spec(args, routings) -> bench_mod.BenchmarkSpec:
+def _spec(args, **bench_only) -> bench_mod.BenchmarkSpec:
+    """The sweep of bench and audit; bench adds its truth, repetitions and out."""
     return bench_mod.BenchmarkSpec(
-        routings=tuple(routings),
-        efs_list=_parse_ints(args.efs),
-        K=args.K,
-        base=args.base,
-        query=args.query,
-        truth=args.truth,
-        metric=Metric(args.metric),
-        M=args.M,
-        efc=args.efc,
-        repetitions=args.repetitions,
-        seed=args.seed if args.seed is not None else 42,
-        permute=args.permute,
-        synthetic=_synthetic_shape(args),
-        out=args.out,
+        routings=tuple(_routing_config(tok, args, args.epsilon) for tok in args.routing.split(",") if tok),
+        efs_list=_parse_ints(args.efs), K=args.K, base=args.base, query=args.query, metric=Metric(args.metric),
+        M=args.M, efc=args.efc, seed=args.seed if args.seed is not None else 42, permute=args.permute,
+        synthetic=_synthetic_shape(args), **bench_only,
     )
 
 
 def _load_base(args):
     if args.base:
         return load_fvecs(args.base)
-    n, d, nq = _synthetic_shape(args)
-    ds, _ = bench_mod.synthetic_dataset(n, d, nq, args.seed if args.seed is not None else 42)
-    return ds
+    return bench_mod.synthetic_dataset(*_synthetic_shape(args), args.seed if args.seed is not None else 42)[0]
 
 
 def _cmd_build(args) -> int:
-    if not args.index:
-        raise UsageError("build needs --index for the output file")
-    if args.routing.strip() != "none":
-        raise UsageError(f"build writes a plain graph; add --routing {args.routing} to it with attach")
     ds = _load_base(args)
     t0 = time.perf_counter()
-    idx = build_hnsw(ds, args.M, args.efc, Metric(args.metric),
-                     args.seed if args.seed is not None else 42)
+    idx = build_hnsw(ds, args.M, args.efc, Metric(args.metric), args.seed if args.seed is not None else 42)
     save_index(idx, args.index)
     print(f"built index: n={idx.n} d={idx.dim} M={idx.M} efc={idx.efc} "
           f"edges={idx.n_base_edges} in {time.perf_counter() - t0:.3f} s -> {args.index}")
@@ -121,11 +115,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_attach(args) -> int:
-    if not args.index:
-        raise UsageError("attach needs --index")
     cfg = _routing_config(args.routing, args)
-    if cfg.mode == RoutingMode.NONE:
-        raise UsageError("attach needs a routing mode other than none")
     ds = _load_base(args)
     t0 = time.perf_counter()
     idx = load_index(args.index, ds)
@@ -137,16 +127,20 @@ def _cmd_attach(args) -> int:
     return 0
 
 
+def _search_routing(args, att) -> RoutingConfig:
+    """--routing at --epsilon in the layout of the index's gate; search refuses a gate the index lacks."""
+    held = att.cfg if att is not None else RoutingConfig()
+    mode = RoutingMode(args.routing)
+    if mode == held.mode:
+        return replace(held, eps=args.epsilon)
+    return RoutingConfig(mode=mode, eps=args.epsilon, L=1, m=held.m)
+
+
 def _cmd_search(args) -> int:
-    if not args.index or not args.query:
-        raise UsageError("search needs --index and --query")
-    efs_list = _parse_ints(args.efs)
-    if len(efs_list) != 1:
-        raise UsageError(f"search takes one --efs value, got {args.efs!r}")
     ds = _load_base(args)
     idx = load_index(args.index, ds)
     queries = load_fvecs(args.query).vectors
-    params = SearchParams(K=args.K, efs=efs_list[0], routing=_routing_config(args.routing, args))
+    params = SearchParams(K=args.K, efs=args.efs, routing=_search_routing(args, idx.routing))
     scratch = idx.make_scratch()
     total_dist = 0
     for qi, q in enumerate(queries):
@@ -158,23 +152,17 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    routings = [_routing_config(tok, args) for tok in args.routing.split(",") if tok]
-    spec = _spec(args, routings)
+    spec = _spec(args, truth=args.truth, repetitions=args.repetitions, out=args.out)
     rows = bench_mod.run_sweep(spec)
-    if not spec.out:
-        print(bench_mod.CSV_HEADER)
-        for row in rows:
-            print(row.csv_row())
-    else:
+    if spec.out:
         print(f"wrote {len(rows)} rows to {spec.out}")
+    else:
+        print("\n".join([bench_mod.CSV_HEADER, *(row.csv_row() for row in rows)]))
     return 0
 
 
 def _cmd_audit(args) -> int:
-    mode_text = args.routing if args.routing != "none" else "peos"
-    routings = [_routing_config(tok, args) for tok in mode_text.split(",") if tok]
-    spec = _spec(args, routings)
-    reports = bench_mod.audit_guarantee(spec, trials=args.trials)
+    reports = bench_mod.audit_guarantee(_spec(args), trials=args.trials)
     failed = False
     for rep in reports:
         verdict = "PASS" if rep.ok else "FAIL"
@@ -198,8 +186,7 @@ def _cmd_stats(args) -> int:
             lb = f"{w_reg_lower_bound(d, L):.6g}"
         except UsageError:
             lb = "n/a"
-        print(f"{L},{ps.mean_w_reg:.6g},{ps.mean_w_res_sq:.6g},"
-              f"{ps.j_rel:.6g},{ps.j_opt:.6g},{ps.delta:.6g},{lb}")
+        print(f"{L},{ps.mean_w_reg:.6g},{ps.mean_w_res_sq:.6g},{ps.j_rel:.6g},{ps.j_opt:.6g},{ps.delta:.6g},{lb}")
     return 0
 
 
@@ -213,13 +200,19 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _parser() -> _Parser:
     parser = _Parser(prog="annroute", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _add_common(sub.add_parser(name, add_help=True))
+    commands = {name: sub.add_parser(name) for name in _COMMANDS}
+    for flag, names, kw in _FLAGS:
+        for name in names.split():
+            commands[name].add_argument(flag, **{**kw, **_OWN.get((name, flag), {})})
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

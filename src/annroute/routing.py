@@ -300,9 +300,9 @@ class PartitionStats:
 
 def w_reg_lower_bound(d: int, L: int) -> float:
     """Closed-form lower bound on the expected regular weight for isotropic vectors."""
-    dp = d // L
-    if L < 1 or d % L != 0 or dp <= 3:
+    if L < 1 or d % L != 0 or d // L <= 3:
         raise UsageError("need d divisible by L with d/L > 3")
+    dp = d // L
     return (dp - 1) * math.sqrt(2 * L * d - 3 * L) / ((d - 1) * math.sqrt(2 * dp + 2 * math.sqrt(3) - 6))
 
 

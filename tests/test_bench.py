@@ -148,6 +148,18 @@ class TestAudit:
         with pytest.raises(UsageError):
             run_audit(idx, queries, RoutingConfig(), efs=50, K=5, min_evaluations=100)
 
+    def test_audit_reads_no_answer_key(self, monkeypatch, tmp_path):
+        """audit_guarantee loads the corpus and queries alone: no brute-force answers are
+        computed, and a truth path that names no file is not written."""
+        def refuse(*args):
+            raise AssertionError("audit computed an answer key")
+        monkeypatch.setattr(bench_mod, "brute_force_all", refuse)
+        truth = tmp_path / "gt.ivecs"
+        spec = BenchmarkSpec(routings=(RoutingConfig(mode=RoutingMode.PEOS, L=4, m=64),), efs_list=(200,), K=10,
+                             M=8, efc=60, seed=6, synthetic=(1200, 32, 20), truth=str(truth))
+        (report,) = bench_mod.audit_guarantee(spec, trials=1000)
+        assert report.evaluations >= 1000 and not truth.exists()
+
     def test_shadow_evaluation_changes_no_results(self):
         from annroute import AuditTrace, SearchParams, search
         ds, queries = synthetic_dataset(1200, 32, 10, seed=6)

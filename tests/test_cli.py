@@ -1,24 +1,87 @@
 """CLI surface tests: subcommands, flag validation, exit codes."""
 
 import hashlib
+import pathlib
 import re
+import shlex
 import struct
 
 import numpy as np
 import pytest
 
-from annroute import Metric, RoutingConfig, RoutingMode, attach, build_hnsw, save_fvecs, save_index
+from annroute import (Metric, RoutingConfig, RoutingMode, SearchParams, attach, build_hnsw, load_index,
+                      save_fvecs, save_index, search)
 from annroute.bench import CSV_HEADER, synthetic_dataset
-from annroute.cli import main
+from annroute.cli import _parser, main
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
-SMALL = "--synthetic, 900,32,10".replace(", ", "")
+# the flags each command reads: 68 (command, flag) pairs
+FLAGS = {
+    "build": "--base --synthetic --seed --index --metric --M --efc",
+    "attach": "--base --synthetic --seed --index --routing --L --m-proj --simhash-bits --compact --permute --out",
+    "search": "--base --synthetic --seed --index --query --routing --epsilon --efs --K",
+    "bench": "--base --synthetic --seed --query --truth --metric --M --efc --routing --epsilon --L --m-proj "
+             "--simhash-bits --compact --permute --efs --K --repetitions --out",
+    "audit": "--base --synthetic --seed --query --metric --M --efc --routing --epsilon --L --m-proj "
+             "--simhash-bits --compact --permute --efs --K --trials",
+    "stats": "--base --synthetic --seed --L --trials",
+}
+FLAGS = {command: set(flags.split()) for command, flags in FLAGS.items()}
+REFUSED = [(command, flag) for command in FLAGS for flag in sorted(set().union(*FLAGS.values()))
+           if flag not in FLAGS[command]]
 
 
 def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def help_flags(capsys, command):
+    """The flags `annroute <command> -h` lists."""
+    with pytest.raises(SystemExit) as done:
+        main([command, "-h"])
+    assert done.value.code == 0
+    return set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+
+
+class TestFlags:
+    def test_each_command_lists_only_the_flags_it_reads(self, capsys):
+        assert sum(map(len, FLAGS.values())) == 68 and len(REFUSED) == 58
+        for command, flags in FLAGS.items():
+            assert help_flags(capsys, command) == flags, command
+
+    @pytest.mark.parametrize("command,flag", REFUSED)
+    def test_a_flag_the_command_does_not_read_is_refused(self, capsys, tmp_path, command, flag):
+        """Refused when parsed: nothing runs, so no index or CSV is written."""
+        files = {name: str(tmp_path / name) for name in ("g.idx", "out.idx", "rows.csv", "q.fvecs")}
+        small = ["--synthetic", "300,8,3", "--M", "4", "--efc", "20", "--efs", "20", "--K", "5"]
+        line = {
+            "build": ["--index", files["g.idx"], *small[:6]],
+            "attach": ["--index", files["g.idx"], "--routing", "peos", "--out", files["out.idx"]],
+            "search": ["--index", files["g.idx"], "--query", files["q.fvecs"]],
+            "bench": ["--routing", "none", "--out", files["rows.csv"], *small],
+            "audit": small,
+            "stats": ["--synthetic", "0,8,0"],
+        }[command]
+        value = [] if flag in ("--compact", "--permute") else [str(tmp_path / "x")]
+        code, out, err = run_cli(capsys, command, *line, flag, *value)
+        assert code == 1 and f"usage error: unrecognized arguments: {flag}" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_readme_lines_parse(self):
+        """Every `annroute` line of the README's CLI block parses with the real parser."""
+        block = README.read_text().split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("annroute ")]
+        assert {line.split()[1] for line in lines} == set(FLAGS)
+        for line in lines:
+            _parser().parse_args(shlex.split(line)[1:])
+
+    def test_readme_flag_table(self):
+        """The README's table of the flags each command reads is the parser's."""
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", README.read_text(), flags=re.M)
+        assert {command: set(re.findall(r"`(--[\w-]+)`", cells)) for command, cells in rows} == FLAGS
 
 
 class TestBench:
@@ -111,8 +174,7 @@ class TestBuildAttachSearch:
 
         code, out, err = run_cli(
             capsys, "search", "--base", str(base), "--index", str(attached),
-            "--query", str(qpath), "--routing", "peos", "--L", "4", "--m-proj", "64",
-            "--K", "5", "--efs", "50",
+            "--query", str(qpath), "--routing", "peos", "--K", "5", "--efs", "50",
         )
         assert code == 0
         lines = out.strip().split("\n")
@@ -156,7 +218,7 @@ class TestBuildAttachSearch:
                         RoutingConfig(mode=RoutingMode.PEOS, L=4, m=64))
         save_index(routed, index)
         search = ("search", "--base", str(base), "--index", str(index), "--query", str(qpath),
-                  "--routing", "peos", "--L", "4", "--m-proj", "64", "--K", "5", "--efs", "20")
+                  "--routing", "peos", "--K", "5", "--efs", "20")
         assert run_cli(capsys, *search)[0] == 0
         store = routed.routing.store
         v1 = np.concatenate([store.rec] + [a.view(np.uint8).reshape(store.n_edges, 2)
@@ -220,7 +282,7 @@ class TestBuildAttachSearch:
                         RoutingConfig(mode=RoutingMode.RCEOS, L=1, m=64))
         save_index(routed, index)
         search = ("search", "--base", str(base), "--index", str(index), "--query", str(qpath),
-                  "--routing", "rceos", "--m-proj", "64", "--K", "5", "--efs", "20")
+                  "--routing", "rceos", "--K", "5", "--efs", "20")
         mode_at = struct.calcsize("<4sIBIQIIQQIQ")  # the routing mode byte, then L
         raw = bytearray(index.read_bytes()[:-8])
         assert raw[mode_at] == 1
@@ -233,7 +295,8 @@ class TestBuildAttachSearch:
         assert "format error: bad routing header" in err and "L=1" in err
 
     def test_search_with_another_m_exits_1(self, capsys, tmp_path):
-        """search reads the projections and quantile table of the attachment's m; another --m-proj is refused."""
+        """search reads the projections and quantile table of the attachment's m from the file;
+        it has no --m-proj, so another m is refused as an unknown flag."""
         ds, queries = synthetic_dataset(300, 16, 2, seed=4)
         base, qpath, index = tmp_path / "base.fvecs", tmp_path / "q.fvecs", tmp_path / "g.idx"
         save_fvecs(ds, base)
@@ -241,11 +304,31 @@ class TestBuildAttachSearch:
         save_index(attach(build_hnsw(ds, M=4, efc=20, metric=Metric.L2, seed=1),
                           RoutingConfig(mode=RoutingMode.PEOS, L=4, m=64)), index)
         search = ("search", "--base", str(base), "--index", str(index), "--query", str(qpath),
-                  "--routing", "peos", "--L", "4", "--K", "5", "--efs", "20", "--m-proj")
-        code, _, err = run_cli(capsys, *search, "64")
+                  "--routing", "peos", "--K", "5", "--efs", "20")
+        code, _, err = run_cli(capsys, *search)
         assert code == 0, err
-        code, out, err = run_cli(capsys, *search, "32")
-        assert code == 1 and "usage error" in err and "m=32 does not match the attachment's m=64" in err
+        code, out, err = run_cli(capsys, *search, "--m-proj", "32")
+        assert code == 1 and "usage error" in err and "unrecognized arguments: --m-proj 32" in err
+        assert out == ""
+
+    def test_search_takes_the_layout_from_the_file(self, capsys, tmp_path):
+        """search --routing peos answers with the file's L=4, m=64 gate, as a search with that
+        layout restated does; rceos, peos at L=1, is refused with the file's L named."""
+        ds, queries = synthetic_dataset(600, 32, 5, seed=4)
+        base, qpath, index = tmp_path / "base.fvecs", tmp_path / "q.fvecs", tmp_path / "g.idx"
+        save_fvecs(ds, base)
+        save_fvecs(queries, qpath)
+        save_index(attach(build_hnsw(ds, M=8, efc=40, metric=Metric.L2, seed=1),
+                          RoutingConfig(mode=RoutingMode.PEOS, L=4, m=64)), index)
+        search_line = ("search", "--base", str(base), "--index", str(index), "--query", str(qpath),
+                       "--K", "5", "--efs", "30", "--routing")
+        code, out, err = run_cli(capsys, *search_line, "peos")
+        restated = SearchParams(K=5, efs=30, routing=RoutingConfig(mode=RoutingMode.PEOS, L=4, m=64))
+        idx = load_index(index, ds)
+        want = [f"{qi}: " + " ".join(str(int(i)) for i in search(idx, q, restated)[0]) for qi, q in enumerate(queries)]
+        assert code == 0 and out.splitlines() == want, err
+        code, out, err = run_cli(capsys, *search_line, "rceos")
+        assert code == 1 and "usage error" in err and "attachment's L=4" in err and "set L=1" not in err
         assert out == ""
 
     def test_simhash_compact_exits_1(self, capsys, tmp_path):
@@ -283,17 +366,17 @@ class TestBuildAttachSearch:
         assert not index.exists()
 
 
-    @pytest.mark.parametrize("routing", ["peos", "rceos", "simhash", "bogus"])
+    @pytest.mark.parametrize("routing", ["peos", "rceos", "simhash", "bogus", "none"])
     def test_build_refuses_a_gate(self, capsys, tmp_path, routing):
-        """build writes a plain graph only; a gate is added by attach, so --routing other
-        than none is refused before anything is built or written."""
+        """build writes a plain graph only; a gate is added by attach, so build has no
+        --routing, and any value of it is refused before anything is built or written."""
         index = tmp_path / "g.idx"
         code, out, err = run_cli(capsys, "build", "--synthetic", "300,8,0", "--index", str(index),
-                                 "--routing", routing, "--L", "4" if routing == "peos" else "1")
-        assert code == 1 and "usage error" in err and "attach" in err and out == ""
+                                 "--routing", routing)
+        assert code == 1 and "usage error" in err and "--routing" in err and out == ""
         assert not index.exists()
         code, _, _ = run_cli(capsys, "build", "--synthetic", "300,8,0", "--index", str(index),
-                             "--routing", "none", "--M", "4", "--efc", "20")
+                             "--M", "4", "--efc", "20")
         assert code == 0 and index.exists()
 
 
@@ -306,6 +389,14 @@ class TestAuditCommand:
         )
         assert code in (0, 3)
         assert "rate=" in out and ("PASS" in out or "FAIL" in out)
+
+    @pytest.mark.parametrize("routing", [(), ("--routing", "none")], ids=["default", "none"])
+    def test_audit_audits_the_mode_named(self, capsys, routing):
+        """audit audits peos unless --routing names another mode, none among them."""
+        code, out, err = run_cli(capsys, "audit", *routing, "--synthetic", "1500,32,30", "--M", "8", "--efc", "60",
+                                 "--efs", "200", "--K", "10", "--trials", "1000", "--seed", "4")
+        assert code in (0, 3), err
+        assert out.startswith(f"mode={routing[1] if routing else 'peos'} epsilon=0.2 ")
 
     def test_audit_with_no_true_improvement_exits_1(self, capsys, tmp_path):
         """Copies of one point: no gated neighbor beats its threshold, so there is no rate

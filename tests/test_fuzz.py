@@ -185,7 +185,7 @@ def test_cli_overflowing_quantizer_exits_2(files, tmp_path, capsys):
     save_fvecs(ds, base)
     save_fvecs(queries, qpath)
     code = main(["search", "--base", str(base), "--index", str(path), "--query", str(qpath), "--routing", "peos",
-                 "--L", "4", "--m-proj", "16", "--K", "5", "--efs", "20"])
+                 "--K", "5", "--efs", "20"])
     assert code == 2 and "format error" in capsys.readouterr().err
 
 

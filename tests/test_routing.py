@@ -740,6 +740,11 @@ class TestPartitionStats:
             ps = estimate_partition_stats(d, L, 40_000, seed=2)
             assert ps.mean_w_reg >= w_reg_lower_bound(d, L)
 
+    @pytest.mark.parametrize("L", [0, -4])
+    def test_lower_bound_refuses_a_non_positive_L(self, L):
+        with pytest.raises(UsageError, match="divisible by L"):
+            w_reg_lower_bound(16, L)
+
     def test_j_rel_dominates_j_opt(self):
         for L in (2, 4, 8):
             ps = estimate_partition_stats(64, L, 5_000, seed=3)
